@@ -8,9 +8,10 @@ constants. Configuration is a JSON file; all output is deterministic for
 a fixed config and seed. Exit codes: 0 success, 1 a check or tolerance
 failed, 2 usage or configuration error.
 
-FRACTALIS_THREADS (integer >= 1) splits surface evaluation into that many
+FRACTALIS_THREADS (integer >= 1) splits chain evaluation into that many
 chunks executed on a thread pool; results are concatenated in order, so
-the output does not depend on the thread count.
+the output does not depend on the thread count. Grids that take the exact
+orbit path (see ``fractal_core.sample_grid``) run on one thread.
 """
 
 from __future__ import annotations
@@ -20,26 +21,25 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._fields import ConstantField, NetInterpolant, as_field, box_axes, mesh_eval
+from ._fields import ConstantField, NetInterpolant, box_axes, mesh_eval
 from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
 from .fractal_core import (
     AdmissibilityError,
-    DeltaFif,
     DeltaFifField,
     FractalField,
     IterationError,
     ToleranceError,
+    _eval_chunked,
     boundary_consistency_check,
     interpolation_check,
     make_config,
     make_delta_fif,
     required_depth,
-    solve_fixed_point_grid,
+    sample_grid,
 )
 from .lp_space import (
     ComplexFieldPair,
@@ -78,6 +78,17 @@ class UsageError(Exception):
 
 class PointOutsideBoxError(Exception):
     """Evaluation point not in the domain box; maps to exit code 1."""
+
+
+def _positive(raw, what: str) -> float:
+    """``raw`` as a positive finite float, else a UsageError."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(raw, bool) or not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"{what} must be a positive finite number, got {raw!r}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -215,10 +226,10 @@ class _Problem:
         return max(res) if isinstance(res, tuple) else res
 
     def tol(self, args, default: float) -> float:
-        if getattr(args, "tol", None):
-            return float(args.tol)
+        if getattr(args, "tol", None) is not None:
+            return _positive(args.tol, "--tol")
         if "tol" in self.run:
-            return float(self.run["tol"])
+            return _positive(self.run["tol"], "run.tol")
         return default
 
     def seed(self, args) -> int:
@@ -271,46 +282,61 @@ def _thread_count() -> int:
     return n
 
 
-def _eval_chunked(field, pts: np.ndarray, threads: int) -> np.ndarray:
-    coords = [pts[:, q] for q in range(pts.shape[1])]
-    if threads == 1 or pts.shape[0] < 2 * threads:
-        return field.eval_arrays(coords)
-    chunks = np.array_split(np.arange(pts.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda idx: field.eval_arrays([c[idx] for c in coords]), chunks)
-        )
-    return np.concatenate(parts)
-
-
 def _format(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _write_rows(out_path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_csv(out_path, header, blocks) -> None:
+    """Write the header line, then each block of complete rows as it is
+    produced, to ``out_path`` or to stdout."""
+    fh = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
+    try:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write(block)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
+
+
+def _header(dim: int) -> list:
+    return [f"x{q + 1}" for q in range(dim)] + ["value", "error_bound"]
+
+
+def _grid_blocks(axes, values, bound):
+    """CSV rows of a grid, first axis fastest, one block per line of the
+    first axis. Coordinates and the bound are formatted once; values go
+    through ``%.17g``, which gives the same text as ``_format``."""
+    x1 = [_format(v) for v in axes[0]]
+    outer = [[_format(v) for v in a] for a in axes[1:]]
+    tail = f"%.17g,{_format(bound)}\n"
+    lines = values.reshape(len(x1), -1, order="F")
+    # np.ndindex runs its last index fastest, so reversed axes put x2 fastest
+    for col, rev in enumerate(np.ndindex(*(len(o) for o in reversed(outer)))):
+        mid = "".join(o[i] + "," for o, i in zip(outer, reversed(rev)))
+        args = [None] * (2 * len(x1))
+        args[0::2] = x1
+        args[1::2] = lines[:, col].tolist()
+        yield (("%s," + mid + tail) * len(x1)) % tuple(args)
+
+
+def _point_blocks(pts, values, bound, rows: int = 4096):
+    """CSV rows of scattered points in input order, ``rows`` per block."""
+    row = "%.17g," * (pts.shape[1] + 1) + _format(bound) + "\n"
+    for start in range(0, len(values), rows):
+        chunk = np.column_stack([pts[start:start + rows], values[start:start + rows]])
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _write_surface(out_path, field, resolution) -> None:
+    axes, values = sample_grid(field, resolution, _thread_count())
+    _write_csv(out_path, _header(len(axes)), _grid_blocks(axes, values, field.error_bound))
 
 
 def cmd_surface(args) -> int:
     problem = _Problem(_load_config(args.config))
-    net = problem.net
-    tol = problem.tol(args, 1e-8)
-    field = problem.evaluator(tol)
-    axes = box_axes(net.box, problem.resolution(args))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1, order="F") for m in mesh], axis=1)
-    values = _eval_chunked(field, pts, _thread_count())
-    bound = field.error_bound
-    header = [f"x{q + 1}" for q in range(net.dim)] + ["value", "error_bound"]
-    rows = (tuple(pt) + (val, bound) for pt, val in zip(pts, values))
-    _write_rows(args.out, header, rows)
+    field = problem.evaluator(problem.tol(args, 1e-8))
+    _write_surface(args.out, field, problem.resolution(args))
     return 0
 
 
@@ -327,31 +353,46 @@ def _parse_points(args, problem) -> np.ndarray:
             except ValueError as exc:
                 raise UsageError(f"bad point {text!r}: {exc}") from exc
     elif "points" in problem.run:
-        for entry in problem.run["points"]:
-            if len(entry) != k:
-                raise UsageError(f"config point {entry!r} must have {k} coordinates")
-            raw.append([float(t) for t in entry])
+        raw = _config_points(problem.run["points"], k)
     else:
         raise UsageError("no points given (positional arguments or run.points)")
     pts = np.asarray(raw, dtype=float)
-    for p in pts:
-        if not problem.net.box.contains(p):
-            where = tuple(float(v) for v in p)
-            raise PointOutsideBoxError(
-                f"point {where} outside box {problem.net.box.bounds}"
-            )
+    bad = problem.net.box.first_outside(pts)
+    if bad is not None:
+        where = tuple(float(v) for v in pts[bad])
+        raise PointOutsideBoxError(
+            f"point {where} outside box {problem.net.box.bounds}"
+        )
+    return pts
+
+
+def _config_points(entries, k: int) -> np.ndarray:
+    """``run.points`` as an (n, k) array: a non-empty list whose entries
+    are lists of k JSON numbers."""
+    try:
+        pts = np.array(entries) if isinstance(entries, list) else None
+    except ValueError:  # ragged nesting
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1:] != (k,) or pts.dtype.kind not in "iuf":
+        for entry in entries if isinstance(entries, list) else ():
+            if not (isinstance(entry, list) and len(entry) == k and all(
+                    isinstance(t, (int, float)) and not isinstance(t, bool)
+                    for t in entry)):
+                raise UsageError(f"config point {entry!r} must be a list of "
+                                 f"{k} numbers")
+        raise UsageError(f"run.points must be a non-empty list of points, "
+                         f"each a list of {k} numbers")
     return pts
 
 
 def cmd_eval(args) -> int:
     problem = _Problem(_load_config(args.config))
-    tol = problem.tol(args, 1e-10)
-    field = problem.evaluator(tol)
+    field = problem.evaluator(problem.tol(args, 1e-10))
     pts = _parse_points(args, problem)
-    values = _eval_chunked(field, pts, _thread_count())
-    header = [f"x{q + 1}" for q in range(problem.net.dim)] + ["value", "error_bound"]
-    rows = (tuple(pt) + (val, field.error_bound) for pt, val in zip(pts, values))
-    _write_rows(args.out, header, rows)
+    coords = [pts[:, q] for q in range(problem.net.dim)]
+    values = _eval_chunked(field, coords, _thread_count())
+    _write_csv(args.out, _header(problem.net.dim),
+               _point_blocks(pts, values, field.error_bound))
     return 0
 
 
@@ -595,10 +636,13 @@ def cmd_approx(args) -> int:
     op = problem.op
     if op is None:
         raise UsageError("approx needs an operator section")
-    epsilon = args.epsilon if args.epsilon else problem.run.get("epsilon")
-    if not epsilon:
+    if args.epsilon is not None:
+        epsilon = _positive(args.epsilon, "--epsilon")
+    elif problem.run.get("epsilon") is not None:
+        epsilon = _positive(problem.run["epsilon"], "run.epsilon")
+    else:
         raise UsageError("no epsilon given (--epsilon or run.epsilon)")
-    result = epsilon_approximate(problem.net, problem.f, op, float(epsilon),
+    result = epsilon_approximate(problem.net, problem.f, op, epsilon,
                                  resolution=problem.scalar_resolution(args))
     print(f"APPROX degree {','.join(str(d) for d in result.poly.degrees)}")
     print(f"APPROX alpha {_format(result.alpha)}")
@@ -609,14 +653,7 @@ def cmd_approx(args) -> int:
     print(f"APPROX epsilon {_format(result.epsilon)}")
     print(f"APPROX {'PASS' if result.passed else 'FAIL'}")
     if args.out:
-        axes = box_axes(problem.net.box, problem.resolution(args))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1, order="F") for m in mesh], axis=1)
-        values = _eval_chunked(result.fractal, pts, _thread_count())
-        header = [f"x{q + 1}" for q in range(problem.net.dim)] + ["value", "error_bound"]
-        rows = (tuple(pt) + (val, result.fractal.error_bound)
-                for pt, val in zip(pts, values))
-        _write_rows(args.out, header, rows)
+        _write_surface(args.out, result.fractal, problem.resolution(args))
     return 0 if result.passed else 1
 
 

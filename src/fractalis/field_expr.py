@@ -2,10 +2,14 @@
 
 A tiny arithmetic language used to supply germ functions, scale functions
 and base fields as text: numbers, variables ``x1..xk``, unary minus, the
-binary operators ``+ - * / ^`` and the functions ``sin cos exp abs sqrt``.
-``^`` is right-associative and binds tighter than ``*``/``/``, which bind
-tighter than ``+``/``-``; unary minus sits between the two groups, so
-``-x1^2`` means ``-(x1^2)``.
+binary operators ``+ - * / ^`` and the functions ``sin cos exp log abs
+sqrt``. ``^`` is right-associative and binds tighter than ``*``/``/``,
+which bind tighter than ``+``/``-``; unary minus sits between the two
+groups, so ``-x1^2`` means ``-(x1^2)``.
+
+Division, ``log`` and ``sqrt`` check their domains on evaluation: a log of
+a non-positive number, a sqrt of a negative one or a division by zero
+raises FieldDomainError on the scalar and the array path alike.
 
 Parsed expressions are immutable and evaluation is pure, so a single
 FieldExpr may be evaluated from any number of threads.
@@ -33,6 +37,7 @@ _FUNCTIONS = {
     "sin": (math.sin, np.sin),
     "cos": (math.cos, np.cos),
     "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
     "abs": (abs, np.abs),
     "sqrt": (math.sqrt, np.sqrt),
 }
@@ -54,7 +59,7 @@ class FieldParseError(ValueError):
 
 class FieldDomainError(ArithmeticError):
     """Evaluation left the real domain (division by zero, sqrt of a
-    negative, non-finite result)."""
+    negative, log of a non-positive number, non-finite result)."""
 
 
 @dataclass(frozen=True)

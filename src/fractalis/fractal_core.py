@@ -30,6 +30,7 @@ from ._fields import (
     ConstantField,
     NetInterpolant,
     as_field,
+    box_axes,
     grid_sup_norm,
     mesh_like,
     tensor_mesh,
@@ -58,6 +59,7 @@ __all__ = [
     "solve_fixed_point_grid",
     "interpolation_check",
     "boundary_consistency_check",
+    "sample_grid",
     "sample_surface",
 ]
 
@@ -233,9 +235,10 @@ def _as_point_array(net: Net, points) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != net.dim:
         raise ValueError(f"points must have shape (n, {net.dim})")
-    for p in pts:
-        if not net.box.contains(p):
-            raise ValueError(f"point {tuple(p)} outside box {net.box.bounds}")
+    bad = net.box.first_outside(pts)
+    if bad is not None:
+        where = tuple(float(v) for v in pts[bad])
+        raise ValueError(f"point {where} outside box {net.box.bounds}")
     return pts
 
 
@@ -311,6 +314,12 @@ class FractalField:
     stays damped as long as the scale sup does not exceed the smallest
     |a| in the net. Beyond that ratio, evaluations carry drift noise of
     roughly scale_sup ** (log(1/eps) / log(1/min|a|)) on top of the bound.
+
+    ``sample_grid`` has no such drift on net-compatible grids (uniform
+    knots on every axis, and ``res - 1`` divisible by the cell count of
+    each axis): there Q maps grid points onto grid points, so the chain is
+    an exact walk over grid indices and f, s and alpha are evaluated only
+    once, on the grid.
     """
 
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
@@ -609,26 +618,107 @@ def boundary_consistency_check(obj, n_samples: int = 16, tol: float = 1e-8,
     )
 
 
+def _orbit_maps(net: Net, sizes):
+    """Per-axis integer maps of Q on the uniform grid with ``sizes`` points
+    per axis, or None when the grid is not net-compatible.
+
+    Compatible means uniform knots (each interior knot within
+    1e-12 * width of its uniform position) and ``res - 1`` divisible by the
+    cell count n on every axis. Grid index i then lies in cell
+    c = min(i // m, n - 1) with m = (res - 1) / n (interior knots go right,
+    as in ``_locate_arrays``), and Q sends it to n * (i - c*m), mirrored to
+    (res - 1) - n * (i - c*m) in the reversed cells (odd c).
+    """
+    maps = []
+    for part, (lo, hi), res in zip(net.axes, net.box.bounds, sizes):
+        n = part.n_cells
+        width = hi - lo
+        if (res - 1) % n or any(
+            abs(t - (lo + j * width / n)) > 1e-12 * width
+            for j, t in enumerate(part.knots[1:-1], start=1)
+        ):
+            return None
+        m = (res - 1) // n
+        i = np.arange(res)
+        c = np.minimum(i // m, n - 1)
+        local = n * (i - c * m)
+        maps.append(np.where(c % 2 == 0, local, (res - 1) - local))
+    return maps
+
+
+def _alpha_orbit(config: FractalConfig, axes, maps, depth: int) -> np.ndarray:
+    """``_alpha_chain`` on the tensor grid of ``axes``, walking the orbit
+    by the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
+    mesh = tensor_mesh(axes)
+    acc = mesh_like(config.f, mesh)
+    if depth == 1:
+        return acc
+    scale = mesh_like(config.alpha, mesh)
+    alpha = scale
+    g = acc - mesh_like(config.s, mesh)
+    idx = [np.arange(a.size) for a in axes]
+    for level in range(1, depth):
+        idx = [p[i] for p, i in zip(maps, idx)]
+        at = np.ix_(*idx)
+        acc = acc + scale * g[at]
+        if level < depth - 1:
+            scale = scale * alpha[at]
+    return acc
+
+
+def _eval_chunked(field, coords, threads: int = 1) -> np.ndarray:
+    """``field.eval_arrays`` on 1-d coordinate arrays, split into
+    ``threads`` chunks run on a thread pool and concatenated in order;
+    the values do not depend on the thread count."""
+    n = coords[0].shape[0]
+    if threads == 1 or n < 2 * threads:
+        return field.eval_arrays(coords)
+    from concurrent.futures import ThreadPoolExecutor
+
+    chunks = np.array_split(np.arange(n), threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(
+            pool.map(lambda idx: field.eval_arrays([c[idx] for c in coords]), chunks)
+        )
+    return np.concatenate(parts)
+
+
+def sample_grid(field, resolution, threads: int = 1):
+    """Evaluate a FractalField or DeltaFifField on the uniform grid over
+    its box; returns (axes, values) with values indexed like the axes.
+
+    A FractalField on a net-compatible grid (see ``_orbit_maps``) walks
+    the chain by integer grid indices, evaluating f, s and alpha once;
+    every other input runs the chain on the flattened grid in ``threads``
+    chunks. Depth and error bound are the field's either way.
+    """
+    if isinstance(field, FractalField):
+        net = field.config.net
+    elif isinstance(field, DeltaFifField):
+        net = field.fif.net
+    else:
+        raise TypeError("expected a FractalField or a DeltaFifField")
+    axes = box_axes(net.box, resolution)
+    shape = tuple(a.size for a in axes)
+    maps = _orbit_maps(net, shape) if isinstance(field, FractalField) else None
+    if maps is not None:
+        return axes, _alpha_orbit(field.config, axes, maps, field.depth)
+    flat = [m.ravel() for m in tensor_mesh(axes)]
+    return axes, _eval_chunked(field, flat, threads).reshape(shape)
+
+
 def sample_surface(config, resolution, tol: float = 1e-8):
     """Evaluate the interpolant on a uniform grid over the box.
 
     Accepts a FractalConfig or a DeltaFif; returns (axes, grid values,
     report) with the report carrying the certified truncation bound.
     """
-    from ._fields import box_axes
-
     if isinstance(config, FractalConfig):
-        net = config.net
         field = FractalField(config, tol=tol)
-        bound = field.error_bound
     elif isinstance(config, DeltaFif):
-        net = config.net
         field = DeltaFifField(config, tol=tol)
-        bound = field.error_bound
     else:
         raise TypeError("expected a FractalConfig or a DeltaFif")
-    axes = box_axes(net.box, resolution)
-    mesh = tensor_mesh(axes)
-    values = field.eval_arrays(mesh)
-    report = EvalReport(values=values, error_bound=bound, depth=field.depth)
+    axes, values = sample_grid(field, resolution)
+    report = EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
     return axes, values, report

@@ -63,6 +63,16 @@ class Box:
             for t, (lo, hi) in zip(point, self.bounds)
         )
 
+    def first_outside(self, points) -> int | None:
+        """Row index of the first row of the (n, k) array ``points`` that
+        ``contains`` rejects (a NaN coordinate counts as outside), or None
+        when every row is inside."""
+        pts = np.asarray(points, dtype=float)
+        lo = np.array([b[0] for b in self.bounds]) - _EDGE_TOL
+        hi = np.array([b[1] for b in self.bounds]) + _EDGE_TOL
+        outside = np.flatnonzero(~np.all((pts >= lo) & (pts <= hi), axis=1))
+        return int(outside[0]) if outside.size else None
+
     def corners(self) -> np.ndarray:
         """All 2^k corners, one row per corner."""
         out = np.array(list(itertools.product(*self.bounds)), dtype=float)

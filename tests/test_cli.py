@@ -1,5 +1,6 @@
 """Command line behavior: CSV shape, determinism, exit codes."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -7,7 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from fractalis.cli import main
+from fractalis import (
+    FractalField,
+    blend_operator,
+    build_net,
+    make_config,
+    make_operator_config,
+    parse_field,
+)
+from fractalis._fields import box_axes
+from fractalis.cli import _grid_blocks, _point_blocks, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -263,3 +273,196 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "0.375" in proc.stdout
+
+
+def _reference_csv(header, rows):
+    """The row-at-a-time formatting the streamed writer must reproduce."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _grid_rows(axes, values, bound):
+    shape = values.shape
+    for rev in itertools.product(*[range(n) for n in reversed(shape)]):
+        idx = tuple(reversed(rev))  # first axis fastest
+        yield tuple(a[i] for a, i in zip(axes, idx)) + (values[idx], bound)
+
+
+SPECIALS = [-0.0, 1e-300, 1e17, -1e17, 5e-324, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 3), (3, 2, 4)])
+def test_grid_writer_matches_reference_formatting(shape):
+    rng = np.random.default_rng(len(shape))
+    axes = [rng.standard_normal(n) for n in shape]
+    axes[0][:3] = [-0.0, 1e-300, 1e17]
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    values.flat[:len(SPECIALS)] = SPECIALS
+    for bound in (1e-300, 3.0000000000000004e-9):
+        text = "".join(_grid_blocks(axes, values, bound))
+        want = _reference_csv([], _grid_rows(axes, values, bound))
+        assert text == want[1:]  # the reference starts with an empty header
+
+
+def test_point_writer_matches_reference_formatting():
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((10, 2))
+    pts[:3, 0] = [-0.0, 1e-300, 1e17]
+    values = rng.standard_normal(10)
+    values[:len(SPECIALS)] = SPECIALS
+    rows = [tuple(p) + (v, 1e17) for p, v in zip(pts, values)]
+    for block_rows in (3, 10, 4096):  # partial last block, one block, big block
+        text = "".join(_point_blocks(pts, values, 1e17, rows=block_rows))
+        assert text == _reference_csv([], rows)[1:]
+
+
+def _mixed_net_config(tmp_path, name="mixed.json", x1_knots=(0.0, 0.5, 1.0)):
+    return write_config(
+        tmp_path, name=name,
+        box={"bounds": [[0.0, 1.0], [-0.5, 1.0]]},
+        net={"knots": [list(x1_knots), [-0.5, 0.0, 0.5, 1.0]]},
+        fields={"f": "sin(3*x1)*cos(2*x2)+x1*x2", "alpha": "0.2+0.05*x1*x2"},
+        operator={"kind": "blend", "t": 0.6},
+        run={"seed": 0},
+    )
+
+
+@pytest.mark.parametrize("knots,resolution", [
+    ((0.0, 0.5, 1.0), "9,7"),        # net-compatible: the orbit path
+    ((0.0, 0.3, 0.6, 1.0), "9,7"),   # nonuniform first axis: the chain
+])
+def test_surface_bytes_match_reference_on_stdout_and_out(tmp_path, capsys, knots,
+                                                         resolution):
+    cfg = _mixed_net_config(tmp_path, x1_knots=knots)
+    assert main(["surface", "--config", cfg, "--resolution", resolution]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "surf.csv"
+    assert main(["surface", "--config", cfg, "--resolution", resolution,
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode("ascii")
+
+    spec = json.loads(open(cfg).read())
+    net = build_net(spec["box"]["bounds"], spec["net"]["knots"])
+    config = make_operator_config(net, parse_field(spec["fields"]["f"], 2),
+                                  parse_field(spec["fields"]["alpha"], 2),
+                                  blend_operator(0.6))
+    field = FractalField(config, tol=1e-8)
+    axes = box_axes(net.box, (9, 7))
+    values = field.eval_arrays(np.meshgrid(*axes, indexing="ij"))
+    want = _reference_csv(["x1", "x2", "value", "error_bound"],
+                          _grid_rows(axes, values, field.error_bound))
+    if knots == (0.0, 0.5, 1.0):
+        # the orbit path is exact; the chain may differ by float drift
+        got = np.array([[float(v) for v in ln.split(",")]
+                        for ln in stdout.splitlines()[1:]])
+        ref = np.array([[float(v) for v in ln.split(",")]
+                        for ln in want.splitlines()[1:]])
+        np.testing.assert_array_equal(got[:, [0, 1, 3]], ref[:, [0, 1, 3]])
+        assert np.max(np.abs(got[:, 2] - ref[:, 2])) <= field.error_bound + 1e-12
+    else:
+        assert stdout == want
+
+
+def test_eval_bytes_match_reference_on_stdout_and_out(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 1.0, size=(5000, 1))
+    pts[:2, 0] = [-0.0, 1e-300]
+    cfg = write_config(tmp_path, run={"points": pts.tolist()})
+    assert main(["eval", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode("ascii")
+    net = build_net([[0.0, 1.0]], [[0.0, 0.5, 1.0]])
+    field = FractalField(make_config(net, parse_field("x1", 1), 0.5,
+                                     parse_field("x1^2", 1)), tol=1e-10)
+    values = field.eval_arrays([pts[:, 0]])
+    rows = [(p, v, field.error_bound) for p, v in zip(pts[:, 0], values)]
+    assert stdout == _reference_csv(["x1", "value", "error_bound"], rows)
+
+
+def test_surface_chain_fallback_is_thread_invariant(tmp_path, monkeypatch):
+    cfg = _mixed_net_config(tmp_path, x1_knots=(0.0, 0.3, 0.6, 1.0))
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    assert main(["surface", "--config", cfg, "--resolution", "17", "--out", str(out1)]) == 0
+    monkeypatch.setenv("FRACTALIS_THREADS", "3")
+    assert main(["surface", "--config", cfg, "--resolution", "17", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_tol_flag_exits_two(tmp_path, capsys, value):
+    cfg = write_config(tmp_path)
+    for cmd in (["surface"], ["eval", "0.25"], ["norms"]):
+        assert main(cmd[:1] + ["--config", cfg, f"--tol={value}"] + cmd[1:]) == 2
+        assert "--tol" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("value", [0, -1, "abc", True, None])
+def test_bad_run_tol_exits_two(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, run={"resolution": 9, "tol": value})
+    assert main(["surface", "--config", cfg]) == 2
+    assert "run.tol" in _one_line_error(capsys)
+
+
+def test_tol_flag_is_used(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["surface", "--config", cfg, "--tol", "0.01"]) == 0
+    bounds = [float(ln.split(",")[-1])
+              for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert 1e-8 < bounds[0] <= 0.01
+
+
+@pytest.mark.parametrize("argv,run_eps", [
+    (["--epsilon", "0"], None),
+    (["--epsilon", "-0.1"], None),
+    (["--epsilon", "inf"], None),
+    ([], 0),
+    ([], -1),
+])
+def test_bad_epsilon_exits_two(tmp_path, capsys, argv, run_eps):
+    cfg = write_config(tmp_path, fields={"f": "x1^2", "alpha": 0.4},
+                       operator={"kind": "blend", "t": 1.0},
+                       run={"resolution": 33, "epsilon": run_eps})
+    assert main(["approx", "--config", cfg] + argv) == 2
+    assert "epsilon" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.1, "a"]],          # non-numeric coordinate (2-D config)
+    [[0.25], ["a"]],       # non-numeric entry
+    [[0.25], [None]],
+    [0.25],                # bare number instead of a point
+    [[0.25], [0.1, 0.2]],  # wrong length
+    [[0.25], []],
+    [],
+    "0.25",
+    {"x1": 0.25},
+    [[[0.25]]],
+])
+def test_malformed_run_points_exit_two(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, run={"points": points})
+    assert main(["eval", "--config", cfg]) == 2
+    _one_line_error(capsys)
+
+
+def test_box_edge_slack_and_nan(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["eval", "--config", cfg, repr(1.0 + 5e-13)]) == 0
+    capsys.readouterr()
+    for bad in (1.0 + 2e-12, -2e-12, float("nan")):
+        assert main(["eval", "--config", cfg, "--", "0.5", repr(bad), "0.25"]) == 1
+        err = _one_line_error(capsys)
+        assert f"({bad!r},)" in err
+    points = write_config(tmp_path, name="pts.json",
+                          run={"points": [[0.5], [1.0 + 5e-13], [1.0 + 2e-12], [2.0]]})
+    assert main(["eval", "--config", points]) == 1
+    assert f"({1.0 + 2e-12!r},)" in _one_line_error(capsys)

@@ -118,3 +118,16 @@ def test_arity_validation():
     e = parse_field("x1 + x2", 2)
     with pytest.raises(ValueError):
         e((1.0,))
+
+
+def test_log_function_and_its_domain():
+    e = parse_field("log(x1+1)", 1)
+    xs = np.linspace(0.0, 3.0, 7)
+    np.testing.assert_array_equal(e.eval_arrays([xs]), np.log(xs + 1.0))
+    assert e((math.e - 1.0,)) == pytest.approx(1.0, abs=1e-15)
+    assert parse_field("log(x1)", 1).to_source() == "log(x1)"
+    for x in (-1.0, -2.0):  # log(0) and log of a negative number
+        with pytest.raises(FieldDomainError):
+            e((x,))
+        with pytest.raises(FieldDomainError):
+            e.eval_arrays([np.array([0.5, x])])

@@ -353,3 +353,16 @@ def test_constant_alpha_zero_returns_base_field():
     field = FractalField(cfg, tol=1e-12)
     np.testing.assert_allclose(field.eval_arrays([xs]),
                                f.eval_arrays([xs]), atol=1e-12)
+
+
+def test_point_validation_edge_slack_and_nan():
+    cfg = _line_config()
+    inside = [[0.5], [1.0 + 5e-13], [-5e-13]]
+    assert eval_alpha_fractal(cfg, inside, tol=1e-8).values.shape == (3,)
+    for bad in (1.0 + 2e-12, -2e-12, float("nan")):
+        with pytest.raises(ValueError, match=rf"point \({bad!r},\) outside box"):
+            eval_alpha_fractal(cfg, [[0.5], [bad], [2.0]], tol=1e-8)
+    net = build_net([(0.0, 1.0), (0.0, 2.0)], [[0.0, 0.5, 1.0], [0.0, 1.0, 2.0]])
+    assert net.box.first_outside(np.array([[0.5, 2.0 + 5e-13], [1.0, 0.0]])) is None
+    assert net.box.first_outside(np.array([[0.5, 1.0], [0.5, 2.0 + 2e-12],
+                                           [np.nan, 0.0]])) == 1
