@@ -11,7 +11,9 @@ failed, 2 usage or configuration error.
 FRACTALIS_THREADS (integer >= 1) splits chain evaluation into that many
 chunks executed on a thread pool; results are concatenated in order, so
 the output does not depend on the thread count. Grids that take the exact
-orbit path (see ``fractal_core.sample_grid``) run on one thread.
+orbit path (see ``fractal_core.sample_grid``), for either construction,
+run on one thread. A resolution may ask for at most MAX_GRID_POINTS grid
+points.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ from .operator_props import (
 )
 
 __all__ = ["main"]
+
+# Largest grid, in total points, that a resolution may request: surface
+# and verify hold a few dozen float arrays of this size at once.
+MAX_GRID_POINTS = 2**22
 
 
 class UsageError(Exception):
@@ -161,6 +167,10 @@ class _Problem:
         if not isinstance(run, dict):
             raise UsageError("run section must be an object")
         self.run = run
+        verify = cfg.get("verify", {})
+        if not isinstance(verify, dict):
+            raise UsageError("verify section must be an object")
+        self.verify = verify
 
         fields = cfg.get("fields", {})
         self.f = self.alpha = self.s = None
@@ -197,7 +207,8 @@ class _Problem:
         self.construction = construction
 
     def resolution(self, args):
-        """Grid resolution: a single count or one per axis."""
+        """Grid resolution: a single count or one per axis, at most
+        MAX_GRID_POINTS points in all."""
         raw = getattr(args, "resolution", None)
         if raw:
             parts = str(raw).split(",")
@@ -214,16 +225,25 @@ class _Problem:
         if any(v < 2 for v in values):
             raise UsageError("resolution must be >= 2 per axis")
         if len(values) == 1:
-            return values[0]
+            return self._capped(values[0])
         if len(values) != self.net.dim:
             raise UsageError(f"resolution needs 1 or {self.net.dim} values, "
                              f"got {len(values)}")
-        return tuple(values)
+        return self._capped(tuple(values))
 
     def scalar_resolution(self, args) -> int:
         """Finest axis count; checks and quadrature use one shared grid."""
         res = self.resolution(args)
-        return max(res) if isinstance(res, tuple) else res
+        return self._capped(max(res)) if isinstance(res, tuple) else res
+
+    def _capped(self, res):
+        """``res`` if its grid has at most MAX_GRID_POINTS points."""
+        counts = res if isinstance(res, tuple) else (res,) * self.net.dim
+        total = math.prod(counts)
+        if total > MAX_GRID_POINTS:
+            raise UsageError(f"resolution {','.join(map(str, counts))} asks for "
+                             f"{total} grid points, more than {MAX_GRID_POINTS}")
+        return res
 
     def tol(self, args, default: float) -> float:
         if getattr(args, "tol", None) is not None:
@@ -335,8 +355,9 @@ def _write_surface(out_path, field, resolution) -> None:
 
 def cmd_surface(args) -> int:
     problem = _Problem(_load_config(args.config))
+    resolution = problem.resolution(args)
     field = problem.evaluator(problem.tol(args, 1e-8))
-    _write_surface(args.out, field, problem.resolution(args))
+    _write_surface(args.out, field, resolution)
     return 0
 
 
@@ -502,7 +523,7 @@ def _verify_alpha(problem, args) -> bool:
                                 eval_tol=eval_tol)
         ok &= _check_line("fixed_point", rep.max_error, rep.tol, rep.passed)
 
-    mode = problem.cfg.get("verify", {}).get("inverse", "auto")
+    mode = problem.verify.get("inverse", "auto")
     if mode not in ("auto", "require", "skip"):
         raise UsageError("verify.inverse must be auto, require or skip")
     rate = a * norm_idd / (1.0 - a)
@@ -717,6 +738,8 @@ def cmd_norms(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import re
+
     parser = argparse.ArgumentParser(
         prog="fractalis",
         description="Build, evaluate and verify fractal interpolants on a box.",
@@ -738,6 +761,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("eval", help="evaluate at explicit points")
+    # argparse's own matcher misses exponents and commas, so it would take
+    # points such as -2e-12 or -0.5,0.5 for unknown options
+    number = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+    p._negative_number_matcher = re.compile(rf"^-{number}(?:,-?{number})*$")
     common(p)
     p.add_argument("points", nargs="*",
                    help="points as comma-separated coordinates, e.g. 0.25,0.5")

@@ -13,6 +13,8 @@ Two constructions share the same chain machinery:
 Both are evaluated by unrolling the fixed-point equation along the chain
 x, Qx, Q^2 x, ...; the running product of scale factors damps the tail
 geometrically, which gives a certified truncation bound at every call.
+On net-compatible grids ``sample_grid`` takes the same sums as exact
+walks over grid indices.
 Truncated values are exact at the net nodes for every depth >= 1: node
 chains land on box corners after one step, and both constructions vanish
 there by the corner compatibility conditions.
@@ -291,16 +293,12 @@ def eval_alpha_fractal(config: FractalConfig, points, tol: float = 1e-10,
 
     Either pass ``tol`` to derive the chain depth from the certified tail
     bound, or force ``depth`` directly; the report carries the resulting
-    bound on the truncation error.
+    bound on the truncation error. A checked wrapper of ``FractalField``.
     """
     pts = _as_point_array(config.net, points)
-    tail = _tail_constant(config)
-    if depth is None:
-        depth = required_depth(config.alpha_sup, tail, tol)
-    coords = [pts[:, q] for q in range(config.net.dim)]
-    values = _alpha_chain(config, coords, depth)
-    bound = tail * config.alpha_sup**depth
-    return EvalReport(values=values, error_bound=bound, depth=depth)
+    field = FractalField(config, tol=tol, depth=depth)
+    values = field.eval_arrays([pts[:, q] for q in range(config.net.dim)])
+    return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
 
 
 class FractalField:
@@ -424,28 +422,31 @@ def eval_fif_delta(fif: DeltaFif, points, tol: float = 1e-10,
     """Evaluate the delta-interpolant of the node data at ``points``.
 
     The chain is seeded with the plain multilinear interpolant of the
-    data, so node values are exact at every depth.
+    data, so node values are exact at every depth. A checked wrapper of
+    ``DeltaFifField``.
     """
     pts = _as_point_array(fif.net, points)
-    tail = _delta_tail_constant(fif)
-    if depth is None:
-        depth = required_depth(abs(fif.delta), tail, tol)
-    w = _corner_blend_table(fif)
-    base = NetInterpolant(node_arrays(fif.net), fif.values)
-    coords = [pts[:, q] for q in range(fif.net.dim)]
-    values = _delta_chain(fif, coords, depth, w, base)
-    bound = tail * abs(fif.delta) ** depth
-    return EvalReport(values=values, error_bound=bound, depth=depth)
+    field = DeltaFifField(fif, tol=tol, depth=depth)
+    values = field.eval_arrays([pts[:, q] for q in range(fif.net.dim)])
+    return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
 
 
 class DeltaFifField:
-    """Field view of a DeltaFif at a fixed evaluation tolerance."""
+    """Field view of a DeltaFif at a fixed evaluation tolerance, or at a
+    forced chain ``depth``.
 
-    def __init__(self, fif: DeltaFif, tol: float = 1e-10):
+    ``sample_grid`` walks the chain by grid indices on net-compatible
+    grids, as for ``FractalField``: the level blend and the base
+    interpolant are evaluated once, on the grid.
+    """
+
+    def __init__(self, fif: DeltaFif, tol: float = 1e-10, depth: int | None = None):
         self.fif = fif
         self.tol = tol
         tail = _delta_tail_constant(fif)
-        self.depth = required_depth(abs(fif.delta), tail, tol)
+        if depth is None:
+            depth = required_depth(abs(fif.delta), tail, tol)
+        self.depth = depth
         self.error_bound = tail * abs(fif.delta) ** self.depth
         self._w = _corner_blend_table(fif)
         self._base = NetInterpolant(node_arrays(fif.net), fif.values)
@@ -646,9 +647,20 @@ def _orbit_maps(net: Net, sizes):
     return maps
 
 
-def _alpha_orbit(config: FractalConfig, axes, maps, depth: int) -> np.ndarray:
+def _orbit_walk(maps, steps: int):
+    """``np.ix_`` gathers of the grid orbit Q^0, Q^1, ..., Q^steps, each
+    index tuple applied by the index ``maps`` of ``_orbit_maps``."""
+    idx = [np.arange(p.size) for p in maps]
+    for level in range(steps + 1):
+        if level:
+            idx = [p[i] for p, i in zip(maps, idx)]
+        yield np.ix_(*idx)
+
+
+def _alpha_orbit(field: FractalField, axes, maps) -> np.ndarray:
     """``_alpha_chain`` on the tensor grid of ``axes``, walking the orbit
     by the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
+    config, depth = field.config, field.depth
     mesh = tensor_mesh(axes)
     acc = mesh_like(config.f, mesh)
     if depth == 1:
@@ -656,13 +668,35 @@ def _alpha_orbit(config: FractalConfig, axes, maps, depth: int) -> np.ndarray:
     scale = mesh_like(config.alpha, mesh)
     alpha = scale
     g = acc - mesh_like(config.s, mesh)
-    idx = [np.arange(a.size) for a in axes]
-    for level in range(1, depth):
-        idx = [p[i] for p, i in zip(maps, idx)]
-        at = np.ix_(*idx)
+    walk = _orbit_walk(maps, depth - 1)
+    next(walk)  # Q^0 is the grid itself, whose f is already in acc
+    for level, at in enumerate(walk, start=1):
         acc = acc + scale * g[at]
         if level < depth - 1:
             scale = scale * alpha[at]
+    return acc
+
+
+def _delta_orbit(field: DeltaFifField, axes, maps) -> np.ndarray:
+    """``_delta_chain`` on the tensor grid of ``axes``, walking the orbit
+    by the index ``maps`` of ``_orbit_maps``; same sum in the same order.
+
+    The level blend B_cell(i)(Q i) and the base interpolant are evaluated
+    once on the grid, with the cells ``_locate_arrays`` gives the grid
+    points and Q i taken from the index maps.
+    """
+    fif = field.fif
+    cells = np.meshgrid(*_locate_arrays(fif.net, axes), indexing="ij", sparse=True)
+    images = [a[p] for a, p in zip(axes, maps)]
+    blend = _blend_eval(fif.net, field._w, cells, tensor_mesh(images))
+    base = field._base.eval_arrays(tensor_mesh(axes))
+    acc = np.zeros(blend.shape)
+    p = 1.0
+    walk = _orbit_walk(maps, field.depth)
+    for at in itertools.islice(walk, field.depth):
+        acc += p * blend[at]
+        p *= fif.delta
+    acc += p * base[next(walk)]
     return acc
 
 
@@ -687,22 +721,23 @@ def sample_grid(field, resolution, threads: int = 1):
     """Evaluate a FractalField or DeltaFifField on the uniform grid over
     its box; returns (axes, values) with values indexed like the axes.
 
-    A FractalField on a net-compatible grid (see ``_orbit_maps``) walks
-    the chain by integer grid indices, evaluating f, s and alpha once;
-    every other input runs the chain on the flattened grid in ``threads``
+    On a net-compatible grid (see ``_orbit_maps``) either construction
+    walks its chain by integer grid indices: f, s and alpha, or the level
+    blend and the base interpolant, are evaluated once on the grid. Every
+    other input runs the chain on the flattened grid in ``threads``
     chunks. Depth and error bound are the field's either way.
     """
     if isinstance(field, FractalField):
-        net = field.config.net
+        net, orbit = field.config.net, _alpha_orbit
     elif isinstance(field, DeltaFifField):
-        net = field.fif.net
+        net, orbit = field.fif.net, _delta_orbit
     else:
         raise TypeError("expected a FractalField or a DeltaFifField")
     axes = box_axes(net.box, resolution)
     shape = tuple(a.size for a in axes)
-    maps = _orbit_maps(net, shape) if isinstance(field, FractalField) else None
+    maps = _orbit_maps(net, shape)
     if maps is not None:
-        return axes, _alpha_orbit(field.config, axes, maps, field.depth)
+        return axes, orbit(field, axes, maps)
     flat = [m.ravel() for m in tensor_mesh(axes)]
     return axes, _eval_chunked(field, flat, threads).reshape(shape)
 

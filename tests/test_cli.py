@@ -466,3 +466,80 @@ def test_box_edge_slack_and_nan(tmp_path, capsys):
                           run={"points": [[0.5], [1.0 + 5e-13], [1.0 + 2e-12], [2.0]]})
     assert main(["eval", "--config", points]) == 1
     assert f"({1.0 + 2e-12!r},)" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("section", [[1, 2], "skip", 3])
+def test_non_object_verify_section_exits_two(tmp_path, capsys, section):
+    cfg = write_config(tmp_path, fields={"f": "x1^2", "alpha": 0.4},
+                       operator={"kind": "blend", "t": 1.0}, verify=section)
+    assert main(["verify", "--config", cfg]) == 2
+    assert "verify section" in _one_line_error(capsys)
+
+
+def test_resolution_cap_exits_two_before_sampling(tmp_path, capsys, monkeypatch):
+    from fractalis import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a grid over the cap")
+
+    monkeypatch.setattr(cli, "sample_grid", refuse)
+    monkeypatch.setattr(cli, "mesh_eval", refuse)
+    cfg = _mixed_net_config(tmp_path)
+    side = 100_000
+    assert side**2 > cli.MAX_GRID_POINTS
+    for argv in (["surface", "--resolution", str(side)],
+                 ["surface", "--resolution", f"{side},{side}"],
+                 ["verify", "--resolution", f"{side},2"],      # one shared side^2 grid
+                 ["norms", "--resolution", str(side)]):
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2, argv
+        assert "grid points" in _one_line_error(capsys)
+    from_run = write_config(tmp_path, name="run.json",
+                            box={"bounds": [[0.0, 1.0]] * 2},
+                            net={"knots": [[0.0, 0.5, 1.0]] * 2},
+                            run={"resolution": [side, side]})
+    assert main(["surface", "--config", from_run]) == 2
+    assert str(side**2) in _one_line_error(capsys)
+
+
+def test_resolution_cap_boundary():
+    from argparse import Namespace
+
+    from fractalis import cli
+
+    problem = cli._Problem({"box": {"bounds": [[0.0, 1.0]] * 2},
+                            "net": {"knots": [[0.0, 0.5, 1.0]] * 2},
+                            "fields": {"f": "x1", "alpha": 0.5, "s": "x1"}})
+    side = 2**11
+    assert side * side == cli.MAX_GRID_POINTS
+    assert problem.resolution(Namespace(resolution=str(side))) == side
+    assert problem.resolution(Namespace(resolution=f"{side},{side}")) == (side, side)
+    for raw in (str(side + 1), f"{side},{side + 1}"):
+        with pytest.raises(cli.UsageError):
+            problem.resolution(Namespace(resolution=raw))
+    with pytest.raises(cli.UsageError):
+        problem.scalar_resolution(Namespace(resolution=f"{side + 1},2"))
+
+
+def test_eval_takes_negative_exponent_coordinates(tmp_path, capsys):
+    cfg = write_config(tmp_path, box={"bounds": [[-1.0, 1.0]]},
+                       net={"knots": [[-1.0, 0.0, 1.0]]},
+                       fields={"f": "x1", "alpha": 0.5, "s": "x1"})
+    points = ["0.5", "-2e-12", "-1E-1", "-.25", "-1e+0"]
+    assert main(["eval", "--config", cfg, *points]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [float(p) for p in points]
+    # outside the box: an analytic failure, no longer an argument error
+    unit = write_config(tmp_path, name="unit.json")
+    assert main(["eval", "--config", unit, "0.5", "-2e-12"]) == 1
+    assert "outside box" in _one_line_error(capsys)
+    plane = write_config(tmp_path, name="plane.json",
+                         box={"bounds": [[-1.0, 1.0]] * 2},
+                         net={"knots": [[-1.0, 0.0, 1.0]] * 2},
+                         fields={"f": "x1*x2", "alpha": 0.5, "s": "x1*x2"})
+    assert main(["eval", "--config", plane, "-0.5,-2.5e-1", "0.5,-1e-3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["-0.5", "-0.25"], ["0.5", "-0.001"]]
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", plane, "--bogus", "0.5,0.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()

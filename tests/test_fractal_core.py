@@ -366,3 +366,26 @@ def test_point_validation_edge_slack_and_nan():
     assert net.box.first_outside(np.array([[0.5, 2.0 + 5e-13], [1.0, 0.0]])) is None
     assert net.box.first_outside(np.array([[0.5, 1.0], [0.5, 2.0 + 2e-12],
                                            [np.nan, 0.0]])) == 1
+
+
+def test_point_evaluators_are_the_field_views():
+    # eval_alpha_fractal and eval_fif_delta check the points, then evaluate
+    # through FractalField and DeltaFifField: same values, depth and bound
+    rng = np.random.default_rng(41)
+    cfg = conditioned_config(rng, dim=2)
+    pts = np.column_stack([rng.uniform(p.lo, p.hi, 50) for p in cfg.net.axes])
+    shape = tuple(p.n_cells + 1 for p in cfg.net.axes)
+    fif = make_delta_fif(cfg.net, rng.uniform(-1, 1, size=shape), -0.3)
+    for depth in (None, 1, 3):
+        for evaluate, field in (
+            (eval_alpha_fractal(cfg, pts, tol=1e-9, depth=depth),
+             FractalField(cfg, tol=1e-9, depth=depth)),
+            (eval_fif_delta(fif, pts, tol=1e-9, depth=depth),
+             DeltaFifField(fif, tol=1e-9, depth=depth)),
+        ):
+            np.testing.assert_array_equal(evaluate.values,
+                                          field.eval_arrays([pts[:, 0], pts[:, 1]]))
+            assert (evaluate.depth, evaluate.error_bound) == (field.depth,
+                                                              field.error_bound)
+            if depth is not None:
+                assert field.depth == depth

@@ -174,11 +174,89 @@ def test_fallback_in_two_dimensions_and_delta_construction():
     axes, values = sample_grid(field, (10, 9))
     np.testing.assert_array_equal(values, _chain_values(field, axes))
 
+    # a 9-point grid on two dyadic cells per axis: the delta orbit path
     uniform = build_net([(0.0, 1.0)] * 2, [[0.0, 0.5, 1.0]] * 2)
     fif = make_delta_fif(uniform, rng.uniform(-1, 1, size=(3, 3)), 0.4)
     delta = DeltaFifField(fif, tol=1e-9)
     axes, values = sample_grid(delta, 9)
     np.testing.assert_array_equal(values, _chain_values(delta, axes))
+
+
+def _random_delta_field(rng, net, sign, depth=None, max_delta=0.7):
+    shape = tuple(part.n_cells + 1 for part in net.axes)
+    delta = sign * float(rng.uniform(0.15, max_delta))
+    fif = make_delta_fif(net, rng.uniform(-2, 2, size=shape), delta)
+    return DeltaFifField(fif, tol=1e-9, depth=depth)
+
+
+def _node_values(values, net):
+    """Grid values at the net nodes of a net-compatible grid."""
+    return values[tuple(slice(None, None, (size - 1) // part.n_cells)
+                        for size, part in zip(values.shape, net.axes))]
+
+
+@pytest.mark.parametrize("dim,res", [(1, 257), (2, 33), (3, 9)])
+def test_delta_two_cell_grids_match_the_chain_exactly(dim, res):
+    rng = np.random.default_rng(300 + dim)
+    for trial in range(4):
+        net = _dyadic_uniform_net(rng, [2] * dim)
+        field = _random_delta_field(rng, net, (-1) ** trial,
+                                    depth=1 if trial < 2 else None)
+        axes, values = sample_grid(field, res)
+        assert _orbit_maps(net, values.shape) is not None
+        np.testing.assert_array_equal(values, _chain_values(field, axes))
+        # node values are the data up to rounding, at every depth
+        np.testing.assert_allclose(_node_values(values, net), field.fif.values,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,res", [(1, 244), (2, 31), (3, 13)])
+def test_delta_three_cell_grids_match_the_chain_within_the_bound(dim, res):
+    # |delta| stays under the cell ratio 1/3, where the chain's own
+    # floating-point orbit is free of amplified drift
+    rng = np.random.default_rng(400 + dim)
+    for trial in range(4):
+        cells = [3] * dim if trial < 2 else list(rng.choice([2, 3], size=dim))
+        if (res - 1) % 2 and 2 in cells:
+            cells = [3] * dim
+        net = _dyadic_uniform_net(rng, cells)
+        field = _random_delta_field(rng, net, (-1) ** trial,
+                                    depth=1 if trial < 2 else None, max_delta=0.8 / 3)
+        axes, values = sample_grid(field, res)
+        assert _orbit_maps(net, values.shape) is not None
+        err = np.max(np.abs(values - _chain_values(field, axes)))
+        assert err <= field.error_bound + 1e-12, (trial, err)
+        np.testing.assert_allclose(_node_values(values, net), field.fif.values,
+                                   rtol=0, atol=1e-14)
+
+
+def test_delta_orbit_on_random_bounds_and_per_axis_resolution():
+    # non-dyadic bounds: the orbit is exact, the chain drifts by rounding
+    rng = np.random.default_rng(14)
+    net = build_net([(-0.3, 1.1), (0.2, 2.9), (-1.7, -0.4)],
+                    [np.linspace(-0.3, 1.1, 3), np.linspace(0.2, 2.9, 4),
+                     np.linspace(-1.7, -0.4, 3)])
+    field = _random_delta_field(rng, net, -1, max_delta=0.8 / 3)
+    axes, values = sample_grid(field, (9, 13, 5))
+    assert values.shape == (9, 13, 5)
+    assert _orbit_maps(net, values.shape) is not None
+    err = np.max(np.abs(values - _chain_values(field, axes)))
+    assert err <= field.error_bound + 1e-12
+
+
+@pytest.mark.parametrize("knots,res", [
+    ([[0.0, 0.3, 0.6, 1.0]] * 2, 10),   # nonuniform knots
+    ([[0.0, 0.5, 1.0]] * 2, 10),        # two cells, res - 1 odd
+])
+def test_delta_fallback_returns_the_chain_values(knots, res):
+    rng = np.random.default_rng(15)
+    net = build_net([(0.0, 1.0)] * 2, knots)
+    field = _random_delta_field(rng, net, 1)
+    assert _orbit_maps(net, (res, res)) is None
+    axes, values = sample_grid(field, res)
+    np.testing.assert_array_equal(values, _chain_values(field, axes))
+    _, threaded = sample_grid(field, res, threads=3)
+    np.testing.assert_array_equal(threaded, values)
 
 
 def test_sample_surface_reports_the_field_bound():
