@@ -33,21 +33,8 @@ def tensor_mesh(axes):
 
 
 def mesh_eval(field, axes) -> np.ndarray:
-    """Evaluate ``field`` on the tensor grid spanned by ``axes``.
-
-    Uses the field's vectorized path when present, otherwise falls back to
-    a pointwise loop over the mesh.
-    """
-    mesh = tensor_mesh(axes)
-    ev = getattr(field, "eval_arrays", None)
-    if ev is not None:
-        return np.asarray(ev(mesh), dtype=float)
-    shape = mesh[0].shape
-    flat = [m.ravel() for m in mesh]
-    out = np.fromiter(
-        (float(field(p)) for p in zip(*flat)), dtype=float, count=flat[0].size
-    )
-    return out.reshape(shape)
+    """Evaluate ``field`` on the tensor grid spanned by ``axes``."""
+    return mesh_like(field, tensor_mesh(axes))
 
 
 def box_axes(box, resolution):
@@ -132,16 +119,9 @@ class ProductField:
 
 
 def mesh_like(field, coords) -> np.ndarray:
-    """Evaluate a field on prebuilt coordinate arrays of equal shape."""
-    ev = getattr(field, "eval_arrays", None)
-    if ev is not None:
-        return np.asarray(ev(coords), dtype=float)
-    shape = np.shape(coords[0])
-    flat = [np.asarray(c, dtype=float).ravel() for c in coords]
-    out = np.fromiter(
-        (float(field(p)) for p in zip(*flat)), dtype=float, count=flat[0].size
-    )
-    return out.reshape(shape)
+    """Evaluate a field on prebuilt coordinate arrays of equal shape; a
+    plain callable is evaluated point by point (``CallableField``)."""
+    return np.asarray(as_field(field).eval_arrays(coords), dtype=float)
 
 
 class NetInterpolant:

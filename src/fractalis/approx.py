@@ -20,11 +20,11 @@ import numpy as np
 from numpy.polynomial import polynomial as _P
 
 from ._fields import LinCombField, as_field, box_axes, mesh_eval
-from .fractal_core import FractalField, make_config
+from .fractal_core import FractalField
 from .net import Net
 from .operator_props import (
     OperatorSpec,
-    apply_operator,
+    apply_fractal_operator,
     neumann_inverse,
     operator_norms,
     validate_operator,
@@ -151,9 +151,7 @@ def poly_fit_least_squares(field, box, degrees, resolution=None) -> TensorPolyno
 def fractal_polynomial(net: Net, poly: TensorPolynomial, alpha,
                        op: OperatorSpec, tol: float = 1e-10) -> FractalField:
     """Perturb a tensor polynomial: F(p) with base field Dp."""
-    validate_operator(op, net)
-    s = apply_operator(op, poly, net)
-    return FractalField(make_config(net, poly, alpha, s), tol=tol)
+    return apply_fractal_operator(net, poly, alpha, op, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +189,8 @@ def epsilon_approximate(net: Net, f, op: OperatorSpec, epsilon: float,
     err = math.inf
     for degree in range(0, max_degree + 1):
         candidate = poly_fit_least_squares(f, net.box, [degree] * net.dim)
-        err = float(np.max(np.abs(f_vals - mesh_eval(candidate, axes))))
+        p_vals = mesh_eval(candidate, axes)
+        err = float(np.max(np.abs(f_vals - p_vals)))
         if err < epsilon / 2.0:
             poly, fit_err = candidate, err
             break
@@ -202,14 +201,15 @@ def epsilon_approximate(net: Net, f, op: OperatorSpec, epsilon: float,
         )
 
     _, norm_idd = operator_norms(op, net)
-    p_sup = float(np.max(np.abs(mesh_eval(poly, axes))))
+    p_sup = float(np.max(np.abs(p_vals)))
     x = norm_idd * p_sup
     alpha = safety * (epsilon / 2.0) / (epsilon / 2.0 + x)
     pert_bound = alpha / (1.0 - alpha) * x
 
     fractal = fractal_polynomial(net, poly, alpha, op, tol=eval_tol)
-    pert_err = float(np.max(np.abs(mesh_eval(fractal, axes) - mesh_eval(poly, axes))))
-    total = float(np.max(np.abs(f_vals - mesh_eval(fractal, axes))))
+    h_vals = mesh_eval(fractal, axes)
+    pert_err = float(np.max(np.abs(h_vals - p_vals)))
+    total = float(np.max(np.abs(f_vals - h_vals)))
     passed = total < epsilon
     return EpsilonApproxResult(
         poly=poly,
@@ -343,8 +343,7 @@ def fractal_basis_reconstruct(net: Net, alpha, op: OperatorSpec, g,
             tuple(float(c) for c in coeffs[:m]),
             tuple(faber_schauder(n) for n in range(1, m + 1)),
         )
-        s = apply_operator(op, partial, net)
-        field = FractalField(make_config(net, partial, alpha, s), tol=eval_tol)
+        field = apply_fractal_operator(net, partial, alpha, op, tol=eval_tol)
         err = float(np.max(np.abs(g_vals - mesh_eval(field, axes)))) / scale
         errors.append((m, err))
     return SchauderResult(

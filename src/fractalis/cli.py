@@ -40,20 +40,20 @@ from .fractal_core import (
     interpolation_check,
     make_config,
     make_delta_fif,
-    required_depth,
     sample_grid,
 )
 from .lp_space import (
     ComplexFieldPair,
+    _lp_gap,
     complex_l2_identity_check,
     complex_perturbation_gap,
     lp_norm,
-    lp_perturbation_gap,
     quadrature_rule,
 )
 from .net import build_net, jacobian_sum, node_arrays
 from .operator_props import (
     OperatorSpec,
+    _sup_gap,
     alpha_sequence_convergence,
     blend_operator,
     bounded_below_check,
@@ -67,7 +67,6 @@ from .operator_props import (
     operator_norm_upper,
     operator_norms,
     operator_sequence_convergence,
-    perturbation_gap,
     vanishing_invariance_check,
 )
 
@@ -118,12 +117,14 @@ def _build_net(cfg: dict):
         raise UsageError("config needs box.bounds and net.knots") from exc
     try:
         return build_net(box, knots)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: not lists of numbers
         raise UsageError(f"bad net: {exc}") from exc
 
 
 def _field_from(spec, arity: int, what: str):
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        if not math.isfinite(spec):
+            raise UsageError(f"{what} must be finite, got {spec!r}")
         return ConstantField(float(spec))
     if isinstance(spec, str):
         try:
@@ -147,7 +148,7 @@ def _operator_from(cfg: dict, net) -> OperatorSpec | None:
             raise UsageError("blend operator needs 't'")
         try:
             return blend_operator(float(spec["t"]))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
     if kind == "multiplication":
         if "b" not in spec:
@@ -172,7 +173,9 @@ class _Problem:
             raise UsageError("verify section must be an object")
         self.verify = verify
 
-        fields = cfg.get("fields", {})
+        fields = cfg.get("fields") or {}
+        if not isinstance(fields, dict):
+            raise UsageError("fields section must be an object")
         self.f = self.alpha = self.s = None
         if fields:
             if "f" not in fields or "alpha" not in fields:
@@ -188,11 +191,11 @@ class _Problem:
         self.fif = None
         fif = cfg.get("fif")
         if fif is not None:
-            if "delta" not in fif or "values" not in fif:
-                raise UsageError("fif section needs delta and values")
+            if not isinstance(fif, dict) or "delta" not in fif or "values" not in fif:
+                raise UsageError("fif section must be an object with delta and values")
             try:
                 self.fif = make_delta_fif(self.net, fif["values"], float(fif["delta"]))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:  # TypeError: not numbers
                 raise UsageError(f"bad fif section: {exc}") from exc
 
         construction = run.get("construction")
@@ -219,7 +222,7 @@ class _Problem:
             return {1: 257, 2: 129}.get(self.net.dim, 33)
         try:
             values = [int(t) for t in parts]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"bad resolution {raw or self.run['resolution']!r}: "
                              f"{exc}") from exc
         if any(v < 2 for v in values):
@@ -253,9 +256,16 @@ class _Problem:
         return default
 
     def seed(self, args) -> int:
-        if getattr(args, "seed", None) is not None:
-            return int(args.seed)
-        return int(self.run.get("seed", 0))
+        raw = getattr(args, "seed", None)
+        if raw is None:
+            raw = self.run.get("seed", 0)
+        try:
+            value = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = -1
+        if value < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {raw!r}")
+        return value
 
     def p_values(self, args) -> list:
         raw = getattr(args, "p", None)
@@ -269,8 +279,9 @@ class _Problem:
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad integral-norm exponent list: {exc}") from exc
         for v in values:
-            if v < 1:
-                raise UsageError(f"integral-norm exponent must be >= 1, got {v:g}")
+            if not (math.isfinite(v) and v >= 1):
+                raise UsageError(f"integral-norm exponent must be finite and >= 1, "
+                                 f"got {v:g}")
         return values
 
     def alpha_config(self, sup_resolution: int = 129):
@@ -458,13 +469,9 @@ def _verify_alpha(problem, args) -> bool:
     ok &= _check_line("boundary_consistency", rep.max_error, rep.tol, rep.passed)
 
     a = cfg.alpha_sup
-    # gap-form perturbation bound works for explicit bases and operators alike
-    axes = box_axes(net.box, res)
-    f_vals = mesh_eval(cfg.f, axes)
-    lhs = float(np.max(np.abs(mesh_eval(field, axes) - f_vals)))
-    gap = float(np.max(np.abs(f_vals - mesh_eval(cfg.s, axes))))
-    rhs = a / (1.0 - a) * gap + field.error_bound
-    ok &= _check_line("perturbation_gap", lhs, rhs, lhs <= rhs + 1e-12)
+    # the gap-form perturbation bounds work for explicit bases and operators alike
+    rep = _sup_gap(field, box_axes(net.box, res))
+    ok &= _check_line("perturbation_gap", rep.lhs, rep.rhs + rep.margin, rep.passed)
 
     ok &= _check_line("jacobian_sum", abs(jacobian_sum(net) - 1.0), 1e-12,
                       abs(jacobian_sum(net) - 1.0) <= 1e-12)
@@ -478,12 +485,9 @@ def _verify_alpha(problem, args) -> bool:
 
     ps = problem.p_values(args)
     q_res = res if res % 2 == 1 else res + 1
+    rule = quadrature_rule(net.box, q_res)
     for p in ps:
-        if problem.op is not None:
-            rep = lp_perturbation_gap(net, cfg.f, problem.alpha, problem.op, p,
-                                      resolution=q_res, eval_tol=eval_tol)
-        else:
-            rep = _explicit_lp_gap(problem, p, q_res, eval_tol)
+        rep = _lp_gap(field, rule, p)
         ok &= _check_line(f"lp_gap_p{p:g}", rep.lhs,
                           rep.rhs * 1.05 + rep.margin + 1e-8, rep.passed)
 
@@ -560,8 +564,7 @@ def _verify_alpha(problem, args) -> bool:
 
     # two nesting levels keep the cost near depth^2 while still exercising
     # a genuinely nested application
-    seedling = _vanishing_seed(net)
-    rep = vanishing_invariance_check(net, problem.alpha, op, seedling,
+    rep = vanishing_invariance_check(net, problem.alpha, op, _KnotProduct(net),
                                      r_max=2, eval_tol=eval_tol)
     ok &= _check_line("vanishing_invariance", rep.max_error, rep.tol, rep.passed)
 
@@ -576,26 +579,6 @@ def _verify_alpha(problem, args) -> bool:
                                     resolution=q_res, eval_tol=eval_tol)
     ok &= _check_line("complex_l2_identity", rep.max_error, rep.tol, rep.passed)
     return ok
-
-
-def _explicit_lp_gap(problem, p, resolution, eval_tol):
-    """Integral-norm perturbation bound with an explicit base field."""
-    from .operator_props import BoundsReport
-
-    cfg = problem.alpha_config()
-    field = FractalField(cfg, tol=eval_tol)
-    rule = quadrature_rule(problem.net.box, resolution)
-    f_vals = mesh_eval(cfg.f, rule.axes)
-    lhs = lp_norm(mesh_eval(field, rule.axes) - f_vals, rule, p)
-    gap = lp_norm(f_vals - mesh_eval(cfg.s, rule.axes), rule, p)
-    a = cfg.alpha_sup
-    rhs = a / (1.0 - a) * gap
-    vol = math.prod(float(x[-1] - x[0]) for x in rule.axes)
-    margin = field.error_bound * vol ** (1.0 / p)
-    return BoundsReport(
-        name="lp_perturbation_gap", lhs=lhs, rhs=rhs, margin=margin,
-        passed=lhs <= rhs * 1.05 + margin + 1e-8, details={"p": p},
-    )
 
 
 class _KnotProduct:
@@ -619,10 +602,6 @@ class _KnotProduct:
 
     def eval_arrays(self, coords):
         return self._raw(coords) / self.scale
-
-
-def _vanishing_seed(net):
-    return _KnotProduct(net)
 
 
 def _verify_delta(problem, args) -> bool:
@@ -688,20 +667,18 @@ def cmd_norms(args) -> int:
         return 0
     cfg = problem.alpha_config()
     tol = problem.tol(args, 1e-8)
-    print(f"NORM alpha_sup {_format(cfg.alpha_sup)}")
+    res = problem.scalar_resolution(args)
+    ps = problem.p_values(args)
+    field = FractalField(cfg, tol=tol)
+    a = cfg.alpha_sup
+    print(f"NORM alpha_sup {_format(a)}")
     print(f"NORM base_gap_sup {_format(cfg.fs_gap)}")
-    tail = cfg.fs_gap / (1.0 - cfg.alpha_sup)
-    print(f"NORM tail_constant {_format(tail)}")
-    try:
-        depth = required_depth(cfg.alpha_sup, tail, tol)
-        print(f"NORM chain_depth {depth}")
-        print(f"NORM truncation_bound {_format(tail * cfg.alpha_sup ** depth)}")
-    except ToleranceError as exc:
-        print(f"NORM chain_depth UNREACHABLE ({exc})")
+    print(f"NORM tail_constant {_format(field.tail_constant)}")
+    print(f"NORM chain_depth {field.depth}")
+    print(f"NORM truncation_bound {_format(field.error_bound)}")
     print(f"NORM jacobian_sum {_format(jacobian_sum(problem.net))}")
     if problem.op is not None:
         norm_d, norm_idd = operator_norms(problem.op, problem.net)
-        a = cfg.alpha_sup
         print(f"NORM operator_norm_d {_format(norm_d)}")
         print(f"NORM operator_norm_id_minus_d {_format(norm_idd)}")
         print(f"NORM operator_norm_upper "
@@ -715,15 +692,12 @@ def cmd_norms(args) -> int:
 
     # integral norms of the germ, the perturbation and their gap, with the
     # gap bound and its pass flag, one block per requested exponent
-    res = problem.scalar_resolution(args)
     q_res = res if res % 2 == 1 else res + 1
     rule = quadrature_rule(problem.net.box, q_res)
-    field = FractalField(cfg, tol=tol)
     f_vals = mesh_eval(cfg.f, rule.axes)
     h_vals = mesh_eval(field, rule.axes)
     s_vals = mesh_eval(cfg.s, rule.axes)
-    a = cfg.alpha_sup
-    for p in problem.p_values(args):
+    for p in ps:
         base_gap = lp_norm(f_vals - s_vals, rule, p)
         gap = lp_norm(h_vals - f_vals, rule, p)
         bound = a / (1.0 - a) * base_gap

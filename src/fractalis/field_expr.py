@@ -24,12 +24,13 @@ from typing import Union
 
 import numpy as np
 
+from ._fields import grid_sup_norm
+
 __all__ = [
     "FieldExpr",
     "FieldParseError",
     "FieldDomainError",
     "parse_field",
-    "eval_field",
     "sup_norm_grid",
 ]
 
@@ -340,11 +341,6 @@ def parse_field(source: str, arity: int) -> FieldExpr:
     return FieldExpr(root, arity, source)
 
 
-def eval_field(expr: FieldExpr, point) -> float:
-    """Evaluate ``expr`` at ``point`` (length must equal the arity)."""
-    return expr(point)
-
-
 def sup_norm_grid(expr: FieldExpr, box, resolution) -> float:
     """Max of |expr| over a uniform tensor grid on ``box``.
 
@@ -353,16 +349,7 @@ def sup_norm_grid(expr: FieldExpr, box, resolution) -> float:
     corners, so corner-sensitive checks are exact. ``resolution`` is the
     number of points per axis (scalar or one value per axis), each >= 2.
     """
-    bounds = getattr(box, "bounds", box)
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+    bounds = [tuple(b) for b in getattr(box, "bounds", box)]
     if len(bounds) != expr.arity:
         raise ValueError(f"box has {len(bounds)} axes, expression has arity {expr.arity}")
-    if np.ndim(resolution) == 0:
-        resolution = [int(resolution)] * len(bounds)
-    if len(resolution) != len(bounds):
-        raise ValueError("one resolution per axis required")
-    if any(int(r) < 2 for r in resolution):
-        raise ValueError("resolution must be >= 2 per axis")
-    axes = [np.linspace(lo, hi, int(r)) for (lo, hi), r in zip(bounds, resolution)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return float(np.max(np.abs(expr.eval_arrays(mesh))))
+    return grid_sup_norm(expr, bounds, resolution)

@@ -34,10 +34,11 @@ from ._fields import (
     as_field,
     box_axes,
     grid_sup_norm,
+    mesh_eval,
     mesh_like,
     tensor_mesh,
 )
-from .net import Net, axis_coefficients, node_arrays, node_points
+from .net import Net, _inverse_step, _locate_arrays, eta, node_arrays, node_points
 
 __all__ = [
     "AdmissibilityError",
@@ -158,12 +159,8 @@ def check_admissible(net: Net, f, alpha, s, sup_resolution: int = 129) -> CheckR
     f = s at the 2^k box corners.
     """
     f = as_field(f)
-    alpha = as_field(alpha)
     s = as_field(s)
-    if isinstance(alpha, ConstantField):
-        alpha_sup = abs(alpha.value)
-    else:
-        alpha_sup = grid_sup_norm(alpha, net.box, sup_resolution)
+    alpha_sup = _scale_sup(alpha, net, sup_resolution)
     corner_gap = 0.0
     for corner in net.box.corners():
         fv, sv = float(f(corner)), float(s(corner))
@@ -178,6 +175,15 @@ def check_admissible(net: Net, f, alpha, s, sup_resolution: int = 129) -> CheckR
     )
 
 
+def _scale_sup(alpha, net: Net, resolution: int = 129) -> float:
+    """sup |alpha| over the box: exact for a constant field, otherwise the
+    maximum over a uniform grid of ``resolution`` points per axis."""
+    alpha = as_field(alpha)
+    if isinstance(alpha, ConstantField):
+        return abs(alpha.value)
+    return grid_sup_norm(alpha, net.box, resolution)
+
+
 def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConfig:
     """Build a FractalConfig, raising AdmissibilityError when the scale
     field is not a uniform contraction or f and s split at a box corner."""
@@ -190,8 +196,6 @@ def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConf
             f"inadmissible configuration: sup|alpha| = {report.details['alpha_sup']}, "
             f"corner gap = {report.details['corner_gap']}"
         )
-    from ._fields import box_axes, mesh_eval
-
     axes = box_axes(net.box, sup_resolution)
     gap = float(np.max(np.abs(mesh_eval(f, axes) - mesh_eval(s, axes))))
     return FractalConfig(
@@ -208,11 +212,15 @@ def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConf
 def required_depth(scale_sup: float, tail_constant: float, tol: float) -> int:
     """Smallest chain depth d with tail_constant * scale_sup**d <= tol.
 
-    Raises ToleranceError when that needs more than MAX_DEPTH levels; the
-    message states the bound MAX_DEPTH levels do achieve.
+    Raises ToleranceError when that needs more than MAX_DEPTH levels (the
+    message states the bound MAX_DEPTH levels do achieve) or when
+    tail_constant is not finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tail_constant):
+        raise ToleranceError(f"tail constant {tail_constant} is not finite; "
+                             f"no chain depth reaches tolerance {tol}")
     if scale_sup == 0.0 or tail_constant <= tol:
         return 1
     d = math.ceil(math.log(tol / tail_constant) / math.log(scale_sup))
@@ -242,23 +250,6 @@ def _as_point_array(net: Net, points) -> np.ndarray:
         where = tuple(float(v) for v in pts[bad])
         raise ValueError(f"point {where} outside box {net.box.bounds}")
     return pts
-
-
-def _locate_arrays(net: Net, coords):
-    """0-based cell index arrays, one per axis; interior knots go right."""
-    out = []
-    for part, t in zip(net.axes, coords):
-        i = np.searchsorted(np.asarray(part.knots), t, side="right") - 1
-        out.append(np.clip(i, 0, part.n_cells - 1))
-    return out
-
-
-def _inverse_step(net: Net, coords, cells):
-    coeffs = axis_coefficients(net)
-    out = []
-    for t, (a, b), c, (lo, hi) in zip(coords, coeffs, cells, net.box.bounds):
-        out.append(np.clip((t - b[c]) / a[c], lo, hi))
-    return out
 
 
 def _alpha_chain(config: FractalConfig, coords, depth: int, top_cells=None):
@@ -305,7 +296,8 @@ class FractalField:
     """Field view of a FractalConfig at a fixed evaluation tolerance.
 
     The chain depth is derived once; every call is then an O(depth) sweep
-    with the same certified error bound.
+    with the same certified error bound, ``tail_constant * alpha_sup **
+    depth``.
 
     The bound covers truncation. The inverse cell maps expand by 1/|a| per
     level, so floating-point orbit noise is amplified geometrically; it
@@ -324,11 +316,11 @@ class FractalField:
                  depth: int | None = None):
         self.config = config
         self.tol = tol
-        tail = _tail_constant(config)
+        self.tail_constant = _tail_constant(config)
         if depth is None:
-            depth = required_depth(config.alpha_sup, tail, tol)
+            depth = required_depth(config.alpha_sup, self.tail_constant, tol)
         self.depth = depth
-        self.error_bound = tail * config.alpha_sup**self.depth
+        self.error_bound = self.tail_constant * config.alpha_sup**self.depth
 
     def __call__(self, point) -> float:
         coords = [np.asarray([float(t)]) for t in point]
@@ -362,14 +354,13 @@ def _corner_blend_table(fif: DeltaFif):
     delta * z[corner]; e runs over corner labels, axis 1 least significant."""
     net, z, delta = fif.net, fif.values, fif.delta
     k = net.dim
-    eta_tables = []
-    for part in net.axes:
-        n = part.n_cells
-        j = np.arange(1, n + 1)
-        odd = j % 2 == 1
-        low = np.where(odd, j - 1, j)       # knot met when the map hits the axis low end
-        high = np.where(odd, j, j - 1)
-        eta_tables.append((low, high))
+    # per axis, the knots each cell's map sends the low and the high end of
+    # the axis to (eta with m = 0 and m = N)
+    eta_tables = [
+        [np.array([eta(part, j, m) for j in range(1, part.n_cells + 1)])
+         for m in (0, part.n_cells)]
+        for part in net.axes
+    ]
     shape = tuple(part.n_cells for part in net.axes) + (2**k,)
     w = np.empty(shape)
     for e, mask in enumerate(itertools.product((0, 1), repeat=k)):
@@ -462,6 +453,28 @@ class DeltaFifField:
         return out.reshape(shape)
 
 
+def _grid_sweep(config: FractalConfig, axes):
+    """Start values and sweep h -> f + alpha * (h(Q .) - s(Q .)) on the
+    tensor grid of ``axes``.
+
+    Returns f on the grid and the sweep as a function of grid values. The
+    grid-fixed parts, Q x, f and alpha at x and s at Q x, are evaluated
+    once, here; off-grid values of h come from multilinear interpolation.
+    """
+    flat = [m.ravel() for m in tensor_mesh(axes)]
+    shape = tuple(len(a) for a in axes)
+    pre = _inverse_step(config.net, flat, _locate_arrays(config.net, flat))
+    f_here = mesh_like(config.f, flat)
+    a_here = mesh_like(config.alpha, flat)
+    s_pre = mesh_like(config.s, pre)
+
+    def sweep(values):
+        h = NetInterpolant(axes, values)
+        return (f_here + a_here * (h.eval_arrays(pre) - s_pre)).reshape(shape)
+
+    return f_here.reshape(shape), sweep
+
+
 def rb_apply_grid(config: FractalConfig, grid: GridFunction) -> GridFunction:
     """One sweep of h -> f + alpha * (h(Q .) - s(Q .)) on grid values.
 
@@ -469,16 +482,8 @@ def rb_apply_grid(config: FractalConfig, grid: GridFunction) -> GridFunction:
     whose points are mapped onto grid points by Q the sweep is exact and
     iterating it converges at rate sup|alpha| to the true fixed point.
     """
-    mesh = tensor_mesh(grid.axes)
-    flat = [m.ravel() for m in mesh]
-    cells = _locate_arrays(config.net, flat)
-    pre = _inverse_step(config.net, flat, cells)
-    h = NetInterpolant(grid.axes, grid.values)
-    new = (
-        mesh_like(config.f, flat)
-        + mesh_like(config.alpha, flat) * (h.eval_arrays(pre) - mesh_like(config.s, pre))
-    )
-    values = new.reshape(mesh[0].shape)
+    _, sweep = _grid_sweep(config, grid.axes)
+    values = sweep(grid.values)
     values.setflags(write=False)
     return GridFunction(axes=grid.axes, values=values)
 
@@ -491,23 +496,13 @@ def solve_fixed_point_grid(config: FractalConfig, resolution,
     fixed point by tol. Independent of the chain evaluator; serves as a
     cross-check oracle for it.
     """
-    from ._fields import box_axes
-
     axes = tuple(box_axes(config.net.box, resolution))
-    mesh = tensor_mesh(axes)
-    flat = [m.ravel() for m in mesh]
-    shape = mesh[0].shape
-    cells = _locate_arrays(config.net, flat)
-    pre = _inverse_step(config.net, flat, cells)
-    f_here = mesh_like(config.f, flat)
-    a_here = mesh_like(config.alpha, flat)
-    s_pre = mesh_like(config.s, pre)
+    f_grid, sweep = _grid_sweep(config, axes)
     target = tol * (1.0 - config.alpha_sup)
-    values = f_here.reshape(shape).copy()
+    values = f_grid.copy()
     residual = math.inf
     for iteration in range(1, max_iter + 1):
-        h = NetInterpolant(axes, values)
-        new = (f_here + a_here * (h.eval_arrays(pre) - s_pre)).reshape(shape)
+        new = sweep(values)
         residual = float(np.max(np.abs(new - values)))
         values = new
         if residual <= target:
@@ -543,6 +538,16 @@ def interpolation_check(field, net: Net, expected, tol: float = 1e-9) -> CheckRe
     )
 
 
+def _field_for(obj, **kwargs):
+    """The FractalField of a FractalConfig or the DeltaFifField of a
+    DeltaFif, built with ``kwargs``."""
+    if isinstance(obj, FractalConfig):
+        return FractalField(obj, **kwargs)
+    if isinstance(obj, DeltaFif):
+        return DeltaFifField(obj, **kwargs)
+    raise TypeError("expected a FractalConfig or a DeltaFif")
+
+
 def _face_points(net: Net, axis: int, knot_index: int, n_samples: int, rng) -> np.ndarray:
     """Sample points on the interior face x_axis = knot[knot_index]."""
     pts = np.empty((n_samples, net.dim))
@@ -566,32 +571,16 @@ def boundary_consistency_check(obj, n_samples: int = 16, tol: float = 1e-8,
     described on FractalField counts against the tolerance.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(obj, FractalConfig):
-        net = obj.net
-        tail = _tail_constant(obj)
-        sup = obj.alpha_sup
-
-        def eval_forced(coords, cells, depth):
-            return _alpha_chain(obj, coords, depth, top_cells=cells)
-
-    elif isinstance(obj, DeltaFif):
-        net = obj.net
-        tail = _delta_tail_constant(obj)
-        sup = abs(obj.delta)
-        w = _corner_blend_table(obj)
-        base = NetInterpolant(node_arrays(net), obj.values)
-
-        def eval_forced(coords, cells, depth):
-            return _delta_chain(obj, coords, depth, w, base, top_cells=cells)
-
-    else:
-        raise TypeError("expected a FractalConfig or a DeltaFif")
-
     try:
-        depth = required_depth(sup, tail, tol / 4)
+        field = _field_for(obj, tol=tol / 4)
     except ToleranceError:
-        depth = MAX_DEPTH
-    bound = tail * sup**depth
+        field = _field_for(obj, depth=MAX_DEPTH)
+    net, depth, bound = obj.net, field.depth, field.error_bound
+
+    def eval_forced(coords, cells):
+        if isinstance(field, FractalField):
+            return _alpha_chain(obj, coords, depth, top_cells=cells)
+        return _delta_chain(obj, coords, depth, field._w, field._base, top_cells=cells)
 
     worst = 0.0
     n_faces = 0
@@ -605,8 +594,8 @@ def boundary_consistency_check(obj, n_samples: int = 16, tol: float = 1e-8,
             left[q - 1] = np.full_like(cells[q - 1], j - 1)
             right = list(cells)
             right[q - 1] = np.full_like(cells[q - 1], j)
-            a = eval_forced(coords, left, depth)
-            b = eval_forced(coords, right, depth)
+            a = eval_forced(coords, left)
+            b = eval_forced(coords, right)
             worst = max(worst, float(np.max(np.abs(a - b))))
             n_faces += 1
     limit = max(tol, 2.0 * bound + 1e-12)
@@ -748,12 +737,7 @@ def sample_surface(config, resolution, tol: float = 1e-8):
     Accepts a FractalConfig or a DeltaFif; returns (axes, grid values,
     report) with the report carrying the certified truncation bound.
     """
-    if isinstance(config, FractalConfig):
-        field = FractalField(config, tol=tol)
-    elif isinstance(config, DeltaFif):
-        field = DeltaFifField(config, tol=tol)
-    else:
-        raise TypeError("expected a FractalConfig or a DeltaFif")
+    field = _field_for(config, tol=tol)
     axes, values = sample_grid(field, resolution)
     report = EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
     return axes, values, report

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import as_field, box_axes, mesh_eval, mesh_like
+from ._fields import as_field, box_axes, mesh_eval
 from .fractal_core import CheckReport, FractalField
 from .net import Net
 from .operator_props import (
     BoundsReport,
     OperatorSpec,
     apply_fractal_operator,
-    apply_operator,
     make_operator_config,
     validate_operator,
 )
@@ -164,11 +163,17 @@ def lp_perturbation_gap(net: Net, f, alpha, op: OperatorSpec, p: float,
     the evaluator's sup-norm truncation bound into the L^p scale.
     """
     cfg = make_operator_config(net, f, alpha, op)
-    field = FractalField(cfg, tol=eval_tol)
     rule = quadrature_rule(net.box, resolution)
+    return _lp_gap(FractalField(cfg, tol=eval_tol), rule, p, slack)
+
+
+def _lp_gap(field: FractalField, rule: QuadratureRule, p: float,
+            slack: float = 0.05) -> BoundsReport:
+    """||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed ``field`` of
+    a config, both sides by quadrature under ``rule``."""
+    cfg = field.config
     f_vals = mesh_eval(cfg.f, rule.axes)
-    diff = mesh_eval(field, rule.axes) - f_vals
-    lhs = lp_norm(diff, rule, p)
+    lhs = lp_norm(mesh_eval(field, rule.axes) - f_vals, rule, p)
     gap = lp_norm(f_vals - mesh_eval(cfg.s, rule.axes), rule, p)
     a = cfg.alpha_sup
     rhs = a / (1.0 - a) * gap

@@ -55,13 +55,10 @@ class Box:
     def volume(self) -> float:
         return math.prod(self.widths)
 
-    def contains(self, point, tol: float = _EDGE_TOL) -> bool:
+    def contains(self, point) -> bool:
         if len(point) != self.dim:
             return False
-        return all(
-            lo - tol <= float(t) <= hi + tol
-            for t, (lo, hi) in zip(point, self.bounds)
-        )
+        return self.first_outside([point]) is None
 
     def first_outside(self, points) -> int | None:
         """Row index of the first row of the (n, k) array ``points`` that
@@ -255,12 +252,27 @@ def locate_cell(net: Net, point):
     """
     if not net.box.contains(point):
         raise ValueError(f"point {tuple(point)} outside box {net.box.bounds}")
+    cells = _locate_arrays(net, [np.asarray([float(t)]) for t in point])
+    return tuple(int(c[0]) + 1 for c in cells)
+
+
+def _locate_arrays(net: Net, coords):
+    """0-based cell index arrays, one per axis; interior knots go right."""
     out = []
-    for part, t in zip(net.axes, point):
-        i = int(np.searchsorted(np.asarray(part.knots), float(t), side="right"))
-        i = min(max(i, 1), part.n_cells)
-        out.append(i)
-    return tuple(out)
+    for part, t in zip(net.axes, coords):
+        i = np.searchsorted(np.asarray(part.knots), t, side="right") - 1
+        out.append(np.clip(i, 0, part.n_cells - 1))
+    return out
+
+
+def _inverse_step(net: Net, coords, cells):
+    """Preimages of the coordinate arrays under the maps of the 0-based
+    ``cells``, clipped to the box."""
+    coeffs = axis_coefficients(net)
+    out = []
+    for t, (a, b), c, (lo, hi) in zip(coords, coeffs, cells, net.box.bounds):
+        out.append(np.clip((t - b[c]) / a[c], lo, hi))
+    return out
 
 
 def eta(part: AxisPartition, j: int, m: int) -> int:

@@ -45,6 +45,7 @@ from .fractal_core import (
     FractalField,
     GridFunction,
     IterationError,
+    _scale_sup,
     make_config,
     solve_fixed_point_grid,
 )
@@ -199,13 +200,6 @@ def operator_norms(op: OperatorSpec, net: Net, resolution: int = 129):
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
-def _alpha_sup(alpha, net: Net, resolution: int = 129) -> float:
-    alpha = as_field(alpha)
-    if isinstance(alpha, ConstantField):
-        return abs(alpha.value)
-    return grid_sup_norm(alpha, net.box, resolution)
-
-
 def make_operator_config(net: Net, f, alpha, op: OperatorSpec,
                          sup_resolution: int = 129) -> FractalConfig:
     """FractalConfig with base field s = Df."""
@@ -220,6 +214,35 @@ def apply_fractal_operator(net: Net, f, alpha, op: OperatorSpec,
     return FractalField(make_operator_config(net, f, alpha, op), tol=tol)
 
 
+def _sup_gap(field: FractalField, axes) -> BoundsReport:
+    """||Ff - f|| <= a/(1-a) * ||f - s|| for the perturbed ``field`` of a
+    config, with sup norms taken as maxima over the tensor grid of
+    ``axes``. The margin is the field's certified truncation bound; the
+    verdict allows 1e-12 more for rounding. The details carry the scale
+    sup, ||f - s|| and the grid sups of f and Ff.
+    """
+    cfg = field.config
+    f_vals = mesh_eval(cfg.f, axes)
+    pert_vals = mesh_eval(field, axes)
+    lhs = float(np.max(np.abs(pert_vals - f_vals)))
+    gap = float(np.max(np.abs(f_vals - mesh_eval(cfg.s, axes))))
+    a = cfg.alpha_sup
+    rhs = a / (1.0 - a) * gap
+    return BoundsReport(
+        name="perturbation_gap",
+        lhs=lhs,
+        rhs=rhs,
+        margin=field.error_bound,
+        passed=lhs <= rhs + field.error_bound + 1e-12,
+        details={
+            "alpha_sup": a,
+            "base_gap": gap,
+            "f_sup": float(np.max(np.abs(f_vals))),
+            "perturbed_sup": float(np.max(np.abs(pert_vals))),
+        },
+    )
+
+
 def perturbation_gap(net: Net, f, alpha, op: OperatorSpec,
                      resolution: int = 257, eval_tol: float = 1e-10) -> BoundsReport:
     """Check ||Ff - f|| <= a/(1-a) * ||f - Df|| on a tensor grid.
@@ -229,36 +252,15 @@ def perturbation_gap(net: Net, f, alpha, op: OperatorSpec,
     ||Ff|| - ||f|| <= a*||Id-D||/(1-a) * ||f||, which is also verified.
     """
     cfg = make_operator_config(net, f, alpha, op)
-    field = FractalField(cfg, tol=eval_tol)
-    axes = box_axes(net.box, resolution)
-    f_vals = mesh_eval(cfg.f, axes)
-    pert_vals = mesh_eval(field, axes)
-    lhs = float(np.max(np.abs(pert_vals - f_vals)))
-    gap = float(np.max(np.abs(f_vals - mesh_eval(cfg.s, axes))))
-    a = cfg.alpha_sup
-    rhs = a / (1.0 - a) * gap
-    margin = field.error_bound
-    passed = lhs <= rhs + margin + 1e-12 * max(1.0, rhs)
-
+    rep = _sup_gap(FractalField(cfg, tol=eval_tol), box_axes(net.box, resolution))
+    a, f_sup = rep.details["alpha_sup"], rep.details["f_sup"]
     _, norm_idd = operator_norms(op, net)
-    f_sup = float(np.max(np.abs(f_vals)))
-    norm_lhs = float(np.max(np.abs(pert_vals))) - f_sup
+    norm_lhs = rep.details["perturbed_sup"] - f_sup
     norm_rhs = a * norm_idd / (1.0 - a) * f_sup
-    norm_ok = norm_lhs <= norm_rhs + margin + 1e-12 * max(1.0, norm_rhs)
-    return BoundsReport(
-        name="perturbation_gap",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=passed,
-        details={
-            "alpha_sup": a,
-            "base_gap": gap,
-            "norm_form_lhs": norm_lhs,
-            "norm_form_rhs": norm_rhs,
-            "norm_form_passed": norm_ok,
-        },
-    )
+    norm_ok = norm_lhs <= norm_rhs + rep.margin + 1e-12 * max(1.0, norm_rhs)
+    rep.details.update(norm_form_lhs=norm_lhs, norm_form_rhs=norm_rhs,
+                       norm_form_passed=norm_ok)
+    return rep
 
 
 def linearity_check(net: Net, alpha, op: OperatorSpec, f1, f2,
@@ -306,7 +308,7 @@ def linearity_check(net: Net, alpha, op: OperatorSpec, f1, f2,
 def operator_norm_upper(net: Net, alpha, op: OperatorSpec,
                         resolution: int = 129) -> float:
     """Norm bound 1 + a*||Id-D||/(1-a)."""
-    a = _alpha_sup(alpha, net, resolution)
+    a = _scale_sup(alpha, net, resolution)
     _, norm_idd = operator_norms(op, net, resolution)
     return 1.0 + a * norm_idd / (1.0 - a)
 
@@ -398,7 +400,7 @@ def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
     target = as_field(target)
     validate_operator(op, net)
     norm_d, norm_idd = operator_norms(op, net)
-    a = _alpha_sup(alpha, net)
+    a = _scale_sup(alpha, net)
     rate_bound = a * norm_idd / (1.0 - a)
     pre_ok = rate_bound < 1.0
     if require_precondition and not pre_ok:
@@ -473,19 +475,14 @@ def fixed_point_check(net: Net, f, alpha, op: OperatorSpec,
     following the a/(1-a) scaling of the exact statement.
     """
     cfg = make_operator_config(net, f, alpha, op)
-    field = FractalField(cfg, tol=eval_tol)
-    axes = box_axes(net.box, resolution)
-    f_vals = mesh_eval(cfg.f, axes)
-    d_gap = float(np.max(np.abs(f_vals - mesh_eval(cfg.s, axes))))
-    err = float(np.max(np.abs(mesh_eval(field, axes) - f_vals)))
-    a = cfg.alpha_sup
-    limit = max(tol, a / (1.0 - a) * d_gap + field.error_bound + 1e-12)
+    rep = _sup_gap(FractalField(cfg, tol=eval_tol), box_axes(net.box, resolution))
+    limit = max(tol, rep.rhs + rep.margin + 1e-12)
     return CheckReport(
         name="fixed_point",
-        max_error=err,
+        max_error=rep.lhs,
         tol=limit,
-        passed=err <= limit,
-        details={"d_gap": d_gap, "margin": field.error_bound},
+        passed=rep.lhs <= limit,
+        details={"d_gap": rep.details["base_gap"], "margin": rep.margin},
     )
 
 
@@ -505,17 +502,12 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
     else:
         s = as_field(base)
     axes = box_axes(net.box, resolution)
-    f_vals = mesh_eval(f, axes)
-    gap = float(np.max(np.abs(f_vals - mesh_eval(s, axes))))
     steps = []
     for a_n in scales:
         cfg = make_config(net, f, float(a_n), s)
-        field = FractalField(cfg, tol=eval_tol)
-        err = float(np.max(np.abs(mesh_eval(field, axes) - f_vals)))
-        bound = cfg.alpha_sup / (1.0 - cfg.alpha_sup) * gap
-        passed = err <= bound + field.error_bound + 1e-12 * max(1.0, bound)
+        rep = _sup_gap(FractalField(cfg, tol=eval_tol), axes)
         steps.append(ConvergenceStep(
-            parameter=cfg.alpha_sup, error=err, bound=bound, passed=passed,
+            parameter=cfg.alpha_sup, error=rep.lhs, bound=rep.rhs, passed=rep.passed,
         ))
     return tuple(steps)
 
@@ -529,20 +521,13 @@ def operator_sequence_convergence(net: Net, f, alpha, blend_weights,
     and satisfies D_t f -> f as t -> 0; the errors obey the per-step
     bound a/(1-a) * ||f - D_t f|| and vanish with t.
     """
-    f = as_field(f)
     axes = box_axes(net.box, resolution)
-    f_vals = mesh_eval(f, axes)
     steps = []
     for t in blend_weights:
-        op = blend_operator(t)
-        cfg = make_operator_config(net, f, alpha, op)
-        field = FractalField(cfg, tol=eval_tol)
-        err = float(np.max(np.abs(mesh_eval(field, axes) - f_vals)))
-        gap = float(np.max(np.abs(f_vals - mesh_eval(cfg.s, axes))))
-        bound = cfg.alpha_sup / (1.0 - cfg.alpha_sup) * gap
-        passed = err <= bound + field.error_bound + 1e-12 * max(1.0, bound)
+        cfg = make_operator_config(net, f, alpha, blend_operator(t))
+        rep = _sup_gap(FractalField(cfg, tol=eval_tol), axes)
         steps.append(ConvergenceStep(
-            parameter=float(t), error=err, bound=bound, passed=passed,
+            parameter=float(t), error=rep.lhs, bound=rep.rhs, passed=rep.passed,
         ))
     return tuple(steps)
 
@@ -564,16 +549,14 @@ def vanishing_invariance_check(net: Net, alpha, op: OperatorSpec, f0,
     if start > 1e-12:
         raise ValueError(f"seed field must vanish at the net nodes, max {start}")
     worst = start
-    sups = []
     for _ in range(r_max):
         cfg = make_operator_config(net, current, alpha, op)
         current = FractalField(cfg, tol=eval_tol)
         worst = max(worst, float(np.max(np.abs(mesh_like(current, coords)))))
-        sups.append(grid_sup_norm(current, net.box, 65))
     return CheckReport(
         name="vanishing_invariance",
         max_error=worst,
         tol=tol,
         passed=worst <= tol,
-        details={"iterates": r_max, "sup_norms": tuple(sups)},
+        details={"iterates": r_max},
     )

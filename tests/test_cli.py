@@ -543,3 +543,48 @@ def test_eval_takes_negative_exponent_coordinates(tmp_path, capsys):
         main(["eval", "--config", plane, "--bogus", "0.5,0.5"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_norms_unreachable_tolerance_exits_one_before_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, fields={"f": "sin(7*x1)+x1", "alpha": 0.97},
+                       operator={"kind": "blend", "t": 0.6},
+                       run={"resolution": 9, "tol": 1e-300})
+    assert main(["norms", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "chain depth" in err
+
+
+@pytest.mark.parametrize("value, flag", [("abc", []), (-1, []), (float("inf"), []),
+                                         (None, []), (0, ["--seed", "-1"])])
+def test_bad_seed_exits_two(tmp_path, capsys, value, flag):
+    cfg = write_config(tmp_path, run={"resolution": 9, "seed": value})
+    assert main(["verify", "--config", cfg] + flag) == 2
+    assert "seed" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"net": {"knots": [[0.0, [0.5], 1.0]]}},
+    {"box": {"bounds": [[None, 1.0]]}},
+    {"fields": True},
+    {"fields": {"f": "x1", "alpha": 0.3}, "operator": {"kind": "blend", "t": [0.5]}},
+    {"fields": {"f": float("nan"), "alpha": 0.3, "s": "x1^2"}},
+    {"fields": {}, "fif": {"delta": None, "values": [0.0, 1.0, 0.0]}},
+    {"fields": {}, "fif": {"delta": 0.3, "values": [0.0, {}, 0.0]}},
+    {"fields": {}, "fif": 1.5},
+    {"run": {"resolution": float("inf")}},
+    {"run": {"resolution": 9, "p": float("nan")}},
+])
+def test_malformed_sections_exit_two(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["norms", "--config", cfg]) == 2
+    _one_line_error(capsys)
+
+
+def test_infinite_tail_constant_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, fields={},
+                       fif={"delta": 0.5, "values": [0.0, 1e308, 0.0]})
+    assert main(["eval", "--config", cfg, "0.25"]) == 1
+    assert "not finite" in _one_line_error(capsys)

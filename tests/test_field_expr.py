@@ -8,7 +8,6 @@ import pytest
 from fractalis import (
     FieldDomainError,
     FieldParseError,
-    eval_field,
     parse_field,
     sup_norm_grid,
 )
@@ -109,7 +108,7 @@ def test_sup_norm_grid():
     e = parse_field("x1 - x1^2", 1)
     # grid with 1001 points contains the maximizer x = 1/2
     assert sup_norm_grid(e, [(0.0, 1.0)], 1001) == pytest.approx(0.25, abs=1e-15)
-    assert eval_field(e, (0.5,)) == 0.25
+    assert e((0.5,)) == 0.25
 
 
 def test_arity_validation():
