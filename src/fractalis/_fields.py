@@ -1,9 +1,10 @@
-"""Internal field adapters shared across the package.
+"""Internal field adapters, multilinear interpolation and grid helpers.
 
 A *field* is duck-typed: callable on a point (sequence of k floats) and,
 when it can, exposing ``eval_arrays(coords)`` for elementwise evaluation
 over equal-shaped coordinate arrays. Everything here provides both paths
-so downstream code never needs to branch.
+so downstream code never needs to branch. ``_multilinear`` is the one
+2^k-corner kernel, of the node interpolant and of the node-data blend.
 """
 
 from __future__ import annotations
@@ -67,18 +68,14 @@ class ConstantField:
 
 @dataclass(frozen=True)
 class CallableField:
-    """Wrap a plain scalar callable; ``vectorized`` marks callables that
-    already accept coordinate arrays."""
+    """Wrap a plain scalar callable, evaluated point by point."""
 
     fn: object
-    vectorized: bool = False
 
     def __call__(self, point) -> float:
         return float(self.fn(point))
 
     def eval_arrays(self, coords) -> np.ndarray:
-        if self.vectorized:
-            return np.asarray(self.fn(coords), dtype=float)
         shape = np.shape(coords[0])
         flat = [np.asarray(c, dtype=float).ravel() for c in coords]
         out = np.fromiter(
@@ -166,23 +163,30 @@ class NetInterpolant:
             i = np.clip(i, 0, a.size - 2)
             lows.append(i)
             thetas.append((t - a[i]) / (a[i + 1] - a[i]))
-        out = np.zeros(lows[0].shape, dtype=float)
-        for mask in itertools.product((0, 1), repeat=self.dim):
-            w = np.ones_like(out)
-            idx = []
-            for bit, i, th in zip(mask, lows, thetas):
-                w = w * (th if bit else 1.0 - th)
-                idx.append(i + bit)
-            out += w * self.values[tuple(idx)]
+        out = _multilinear(thetas, lambda e, mask: self.values[
+            tuple(i + bit for bit, i in zip(mask, lows))])
         return out.reshape(shape)
 
 
-def as_field(obj, vectorized: bool = False):
+def _multilinear(thetas, corner) -> np.ndarray:
+    """Sum over the 2^k corner bit masks, in ``itertools.product`` order e,
+    of the weight prod_q (theta_q if bit_q else 1 - theta_q) times
+    ``corner(e, mask)``."""
+    out = np.zeros(np.shape(thetas[0]), dtype=float)
+    for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
+        weight = np.ones_like(out)
+        for bit, th in zip(mask, thetas):
+            weight = weight * (th if bit else 1.0 - th)
+        out += weight * corner(e, mask)
+    return out
+
+
+def as_field(obj):
     """Coerce numbers and callables into the field protocol."""
     if isinstance(obj, (int, float)):
         return ConstantField(float(obj))
     if callable(obj):
         if hasattr(obj, "eval_arrays"):
             return obj
-        return CallableField(obj, vectorized=vectorized)
+        return CallableField(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a field")

@@ -53,6 +53,8 @@ from .lp_space import (
 from .net import build_net, jacobian_sum, node_arrays
 from .operator_props import (
     OperatorSpec,
+    _inverse_norm_bound,
+    _rate_bound,
     _sup_gap,
     alpha_sequence_convergence,
     blend_operator,
@@ -64,7 +66,6 @@ from .operator_props import (
     multiplication_operator,
     neumann_inverse,
     operator_norm_check,
-    operator_norm_upper,
     operator_norms,
     operator_sequence_convergence,
     vanishing_invariance_check,
@@ -284,15 +285,14 @@ class _Problem:
                                  f"got {v:g}")
         return values
 
-    def alpha_config(self, sup_resolution: int = 129):
+    def alpha_config(self):
         if self.construction != "alpha":
             raise UsageError("this command needs the scale-field construction")
         if self.op is not None:
-            return make_operator_config(self.net, self.f, self.alpha, self.op,
-                                        sup_resolution)
+            return make_operator_config(self.net, self.f, self.alpha, self.op)
         if self.s is None:
             raise UsageError("fields section needs s or an operator section")
-        return make_config(self.net, self.f, self.alpha, self.s, sup_resolution)
+        return make_config(self.net, self.f, self.alpha, self.s)
 
     def evaluator(self, tol: float):
         if self.construction == "delta":
@@ -530,7 +530,7 @@ def _verify_alpha(problem, args) -> bool:
     mode = problem.verify.get("inverse", "auto")
     if mode not in ("auto", "require", "skip"):
         raise UsageError("verify.inverse must be auto, require or skip")
-    rate = a * norm_idd / (1.0 - a)
+    rate = _rate_bound(a, norm_idd)
     if mode == "skip":
         _skip_line("inverse", "disabled in config")
     elif rate >= 1.0 and mode == "auto":
@@ -681,14 +681,12 @@ def cmd_norms(args) -> int:
         norm_d, norm_idd = operator_norms(problem.op, problem.net)
         print(f"NORM operator_norm_d {_format(norm_d)}")
         print(f"NORM operator_norm_id_minus_d {_format(norm_idd)}")
-        print(f"NORM operator_norm_upper "
-              f"{_format(operator_norm_upper(problem.net, problem.alpha, problem.op))}")
-        rate = a * norm_idd / (1.0 - a)
+        rate = _rate_bound(a, norm_idd)
+        print(f"NORM operator_norm_upper {_format(1.0 + rate)}")
         print(f"NORM inverse_rate_bound {_format(rate)}")
         print(f"NORM inverse_precondition {'1' if rate < 1.0 else '0'}")
         if a * norm_d < 1.0:
-            print(f"NORM inverse_norm_bound "
-                  f"{_format((1.0 + a) / (1.0 - a * norm_d))}")
+            print(f"NORM inverse_norm_bound {_format(_inverse_norm_bound(a, norm_d))}")
 
     # integral norms of the germ, the perturbation and their gap, with the
     # gap bound and its pass flag, one block per requested exponent

@@ -13,8 +13,10 @@ Two constructions share the same chain machinery:
 Both are evaluated by unrolling the fixed-point equation along the chain
 x, Qx, Q^2 x, ...; the running product of scale factors damps the tail
 geometrically, which gives a certified truncation bound at every call.
-On net-compatible grids ``sample_grid`` takes the same sums as exact
-walks over grid indices.
+``_chain_walk`` is the one chain step of both (cell location, then the
+inverse cell map), where the chain's float drift enters. Each field
+class owns its sum along that walk (``_chain``) and the same sum as an
+exact walk over grid indices (``_orbit``, for ``sample_grid``).
 Truncated values are exact at the net nodes for every depth >= 1: node
 chains land on box corners after one step, and both constructions vanish
 there by the corner compatibility conditions.
@@ -31,6 +33,7 @@ import numpy as np
 from ._fields import (
     ConstantField,
     NetInterpolant,
+    _multilinear,
     as_field,
     box_axes,
     grid_sup_norm,
@@ -103,7 +106,6 @@ class FractalConfig:
     s: object
     alpha_sup: float
     fs_gap: float
-    sup_resolution: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +207,6 @@ def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConf
         s=s,
         alpha_sup=report.details["alpha_sup"],
         fs_gap=gap,
-        sup_resolution=sup_resolution,
     )
 
 
@@ -239,7 +240,10 @@ def _tail_constant(config: FractalConfig) -> float:
     return config.fs_gap / (1.0 - config.alpha_sup)
 
 
-def _as_point_array(net: Net, points) -> np.ndarray:
+def _eval_points(field, points) -> EvalReport:
+    """Check ``points`` (n, k) for shape and box, evaluate ``field`` there
+    and report the values with the field's bound and depth."""
+    net = field.net
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -249,33 +253,8 @@ def _as_point_array(net: Net, points) -> np.ndarray:
     if bad is not None:
         where = tuple(float(v) for v in pts[bad])
         raise ValueError(f"point {where} outside box {net.box.bounds}")
-    return pts
-
-
-def _alpha_chain(config: FractalConfig, coords, depth: int, top_cells=None):
-    """Unrolled fixed-point sum over the chain x, Qx, ..., Q^(depth-1) x.
-
-    v(x) = f(x) + sum_{l=1}^{depth-1} prod_{m<l} alpha(X_m) * (f - s)(X_l);
-    the level-depth term cancels against the base value s(X_depth).
-    ``top_cells`` optionally forces the 0-based cell index arrays for the
-    first step, which lets callers evaluate on a face from either side.
-    """
-    net = config.net
-    acc = mesh_like(config.f, coords)
-    if depth == 1:
-        return acc
-    scale = mesh_like(config.alpha, coords)
-    X = [np.asarray(c, dtype=float) for c in coords]
-    for level in range(1, depth):
-        if level == 1 and top_cells is not None:
-            cells = top_cells
-        else:
-            cells = _locate_arrays(net, X)
-        X = _inverse_step(net, X, cells)
-        acc = acc + scale * (mesh_like(config.f, X) - mesh_like(config.s, X))
-        if level < depth - 1:
-            scale = scale * mesh_like(config.alpha, X)
-    return acc
+    values = field.eval_arrays([pts[:, q] for q in range(net.dim)])
+    return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
 
 
 def eval_alpha_fractal(config: FractalConfig, points, tol: float = 1e-10,
@@ -286,10 +265,23 @@ def eval_alpha_fractal(config: FractalConfig, points, tol: float = 1e-10,
     bound, or force ``depth`` directly; the report carries the resulting
     bound on the truncation error. A checked wrapper of ``FractalField``.
     """
-    pts = _as_point_array(config.net, points)
-    field = FractalField(config, tol=tol, depth=depth)
-    values = field.eval_arrays([pts[:, q] for q in range(config.net.dim)])
-    return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
+    return _eval_points(FractalField(config, tol=tol, depth=depth), points)
+
+
+def _chain_walk(net: Net, coords, steps: int, top_cells=None):
+    """Yield (cells, X) for the chain Qx, ..., Q^steps x: the 0-based cells
+    of the previous point and X, its preimage under their maps.
+
+    ``top_cells`` forces the cells of the first step, which lets callers
+    evaluate on a face from either side. This is the chain step of both
+    constructions; the float drift described on ``FractalField`` enters here.
+    """
+    X = [np.asarray(c, dtype=float) for c in coords]
+    for level in range(steps):
+        forced = level == 0 and top_cells is not None
+        cells = top_cells if forced else _locate_arrays(net, X)
+        X = _inverse_step(net, X, cells)
+        yield cells, X
 
 
 class FractalField:
@@ -299,11 +291,12 @@ class FractalField:
     with the same certified error bound, ``tail_constant * alpha_sup **
     depth``.
 
-    The bound covers truncation. The inverse cell maps expand by 1/|a| per
-    level, so floating-point orbit noise is amplified geometrically; it
-    stays damped as long as the scale sup does not exceed the smallest
-    |a| in the net. Beyond that ratio, evaluations carry drift noise of
-    roughly scale_sup ** (log(1/eps) / log(1/min|a|)) on top of the bound.
+    The bound covers truncation. The inverse cell maps of ``_chain_walk``
+    expand by 1/|a| per level, so floating-point orbit noise is amplified
+    geometrically; it stays damped as long as the scale sup does not
+    exceed the smallest |a| in the net. Beyond that ratio, evaluations
+    carry drift noise of roughly scale_sup ** (log(1/eps) / log(1/min|a|))
+    on top of the bound.
 
     ``sample_grid`` has no such drift on net-compatible grids (uniform
     knots on every axis, and ``res - 1`` divisible by the cell count of
@@ -315,6 +308,7 @@ class FractalField:
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
                  depth: int | None = None):
         self.config = config
+        self.net = config.net
         self.tol = tol
         self.tail_constant = _tail_constant(config)
         if depth is None:
@@ -324,13 +318,48 @@ class FractalField:
 
     def __call__(self, point) -> float:
         coords = [np.asarray([float(t)]) for t in point]
-        return float(_alpha_chain(self.config, coords, self.depth)[0])
+        return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
         shape = np.shape(coords[0])
         flat = [np.asarray(c, dtype=float).ravel() for c in coords]
-        out = _alpha_chain(self.config, flat, self.depth)
-        return out.reshape(shape)
+        return self._chain(flat).reshape(shape)
+
+    def _chain(self, coords, top_cells=None) -> np.ndarray:
+        """Unrolled fixed-point sum over the chain x, Qx, ..., Q^(depth-1) x:
+        v(x) = f(x) + sum_{l=1}^{depth-1} prod_{m<l} alpha(X_m) * (f - s)(X_l);
+        the level-depth term cancels against the base value s(X_depth).
+        ``top_cells`` forces the cells of the first step (``_chain_walk``)."""
+        cfg, depth = self.config, self.depth
+        acc = mesh_like(cfg.f, coords)
+        if depth == 1:
+            return acc
+        scale = mesh_like(cfg.alpha, coords)
+        walk = _chain_walk(self.net, coords, depth - 1, top_cells)
+        for level, (_, X) in enumerate(walk, start=1):
+            acc = acc + scale * (mesh_like(cfg.f, X) - mesh_like(cfg.s, X))
+            if level < depth - 1:
+                scale = scale * mesh_like(cfg.alpha, X)
+        return acc
+
+    def _orbit(self, axes, maps) -> np.ndarray:
+        """``_chain`` on the tensor grid of ``axes``, walking the orbit by
+        the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
+        cfg, depth = self.config, self.depth
+        mesh = tensor_mesh(axes)
+        acc = mesh_like(cfg.f, mesh)
+        if depth == 1:
+            return acc
+        scale = mesh_like(cfg.alpha, mesh)
+        alpha = scale
+        g = acc - mesh_like(cfg.s, mesh)
+        walk = _orbit_walk(maps, depth - 1)
+        next(walk)  # Q^0 is the grid itself, whose f is already in acc
+        for level, at in enumerate(walk, start=1):
+            acc = acc + scale * g[at]
+            if level < depth - 1:
+                scale = scale * alpha[at]
+        return acc
 
 
 def make_delta_fif(net: Net, values, delta: float) -> DeltaFif:
@@ -351,7 +380,8 @@ def make_delta_fif(net: Net, values, delta: float) -> DeltaFif:
 
 def _corner_blend_table(fif: DeltaFif):
     """Per-cell corner data w[cells..., e] = z[eta(cell, corner)] -
-    delta * z[corner]; e runs over corner labels, axis 1 least significant."""
+    delta * z[corner]; e labels the corner masks in the order of
+    ``itertools.product((0, 1), repeat=k)``, as ``_multilinear`` does."""
     net, z, delta = fif.net, fif.values, fif.delta
     k = net.dim
     # per axis, the knots each cell's map sends the low and the high end of
@@ -373,34 +403,8 @@ def _corner_blend_table(fif: DeltaFif):
 
 def _blend_eval(net: Net, w, cells, coords):
     """Multilinear blend of the per-cell corner data at box coordinates."""
-    thetas = [
-        (t - lo) / (hi - lo) for t, (lo, hi) in zip(coords, net.box.bounds)
-    ]
-    out = np.zeros(coords[0].shape)
-    for e, mask in enumerate(itertools.product((0, 1), repeat=net.dim)):
-        weight = np.ones_like(out)
-        for bit, th in zip(mask, thetas):
-            weight = weight * (th if bit else 1.0 - th)
-        out += weight * w[tuple(cells) + (e,)]
-    return out
-
-
-def _delta_chain(fif: DeltaFif, coords, depth: int, w, base, top_cells=None):
-    # A(x) = sum_{l<depth} delta^l B_{cell(X_l)}(X_{l+1}) + delta^depth base(X_depth)
-    net = fif.net
-    X = [np.asarray(c, dtype=float) for c in coords]
-    acc = np.zeros(X[0].shape)
-    p = 1.0
-    for level in range(depth):
-        if level == 0 and top_cells is not None:
-            cells = top_cells
-        else:
-            cells = _locate_arrays(net, X)
-        X = _inverse_step(net, X, cells)
-        acc += p * _blend_eval(net, w, cells, X)
-        p *= fif.delta
-    acc += p * base.eval_arrays(X)
-    return acc
+    thetas = [(t - lo) / (hi - lo) for t, (lo, hi) in zip(coords, net.box.bounds)]
+    return _multilinear(thetas, lambda e, mask: w[tuple(cells) + (e,)])
 
 
 def _delta_tail_constant(fif: DeltaFif) -> float:
@@ -416,10 +420,7 @@ def eval_fif_delta(fif: DeltaFif, points, tol: float = 1e-10,
     data, so node values are exact at every depth. A checked wrapper of
     ``DeltaFifField``.
     """
-    pts = _as_point_array(fif.net, points)
-    field = DeltaFifField(fif, tol=tol, depth=depth)
-    values = field.eval_arrays([pts[:, q] for q in range(fif.net.dim)])
-    return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
+    return _eval_points(DeltaFifField(fif, tol=tol, depth=depth), points)
 
 
 class DeltaFifField:
@@ -433,6 +434,7 @@ class DeltaFifField:
 
     def __init__(self, fif: DeltaFif, tol: float = 1e-10, depth: int | None = None):
         self.fif = fif
+        self.net = fif.net
         self.tol = tol
         tail = _delta_tail_constant(fif)
         if depth is None:
@@ -444,13 +446,43 @@ class DeltaFifField:
 
     def __call__(self, point) -> float:
         coords = [np.asarray([float(t)]) for t in point]
-        return float(_delta_chain(self.fif, coords, self.depth, self._w, self._base)[0])
+        return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
         shape = np.shape(coords[0])
         flat = [np.asarray(c, dtype=float).ravel() for c in coords]
-        out = _delta_chain(self.fif, flat, self.depth, self._w, self._base)
-        return out.reshape(shape)
+        return self._chain(flat).reshape(shape)
+
+    def _chain(self, coords, top_cells=None) -> np.ndarray:
+        """A(x) = sum_{l<depth} delta^l B_cell(X_l)(X_{l+1})
+        + delta^depth base(X_depth) along ``_chain_walk``; ``top_cells``
+        forces the cells of the first step."""
+        acc = np.zeros(np.shape(coords[0]))
+        p = 1.0
+        X = coords
+        for cells, X in _chain_walk(self.net, coords, self.depth, top_cells):
+            acc += p * _blend_eval(self.net, self._w, cells, X)
+            p *= self.fif.delta
+        acc += p * self._base.eval_arrays(X)
+        return acc
+
+    def _orbit(self, axes, maps) -> np.ndarray:
+        """``_chain`` on the tensor grid of ``axes``, walking the orbit by
+        the index ``maps`` of ``_orbit_maps``; same sum in the same order.
+        The level blend B_cell(i)(Q i), with Q i from the maps, and the base
+        interpolant are evaluated once on the grid."""
+        cells = np.meshgrid(*_locate_arrays(self.net, axes), indexing="ij", sparse=True)
+        images = [a[p] for a, p in zip(axes, maps)]
+        blend = _blend_eval(self.net, self._w, cells, tensor_mesh(images))
+        base = self._base.eval_arrays(tensor_mesh(axes))
+        acc = np.zeros(blend.shape)
+        p = 1.0
+        walk = _orbit_walk(maps, self.depth)
+        for at in itertools.islice(walk, self.depth):
+            acc += p * blend[at]
+            p *= self.fif.delta
+        acc += p * base[next(walk)]
+        return acc
 
 
 def _grid_sweep(config: FractalConfig, axes):
@@ -575,13 +607,7 @@ def boundary_consistency_check(obj, n_samples: int = 16, tol: float = 1e-8,
         field = _field_for(obj, tol=tol / 4)
     except ToleranceError:
         field = _field_for(obj, depth=MAX_DEPTH)
-    net, depth, bound = obj.net, field.depth, field.error_bound
-
-    def eval_forced(coords, cells):
-        if isinstance(field, FractalField):
-            return _alpha_chain(obj, coords, depth, top_cells=cells)
-        return _delta_chain(obj, coords, depth, field._w, field._base, top_cells=cells)
-
+    net, depth, bound = field.net, field.depth, field.error_bound
     worst = 0.0
     n_faces = 0
     for q in range(1, net.dim + 1):
@@ -594,8 +620,8 @@ def boundary_consistency_check(obj, n_samples: int = 16, tol: float = 1e-8,
             left[q - 1] = np.full_like(cells[q - 1], j - 1)
             right = list(cells)
             right[q - 1] = np.full_like(cells[q - 1], j)
-            a = eval_forced(coords, left)
-            b = eval_forced(coords, right)
+            a = field._chain(coords, left)
+            b = field._chain(coords, right)
             worst = max(worst, float(np.max(np.abs(a - b))))
             n_faces += 1
     limit = max(tol, 2.0 * bound + 1e-12)
@@ -646,49 +672,6 @@ def _orbit_walk(maps, steps: int):
         yield np.ix_(*idx)
 
 
-def _alpha_orbit(field: FractalField, axes, maps) -> np.ndarray:
-    """``_alpha_chain`` on the tensor grid of ``axes``, walking the orbit
-    by the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
-    config, depth = field.config, field.depth
-    mesh = tensor_mesh(axes)
-    acc = mesh_like(config.f, mesh)
-    if depth == 1:
-        return acc
-    scale = mesh_like(config.alpha, mesh)
-    alpha = scale
-    g = acc - mesh_like(config.s, mesh)
-    walk = _orbit_walk(maps, depth - 1)
-    next(walk)  # Q^0 is the grid itself, whose f is already in acc
-    for level, at in enumerate(walk, start=1):
-        acc = acc + scale * g[at]
-        if level < depth - 1:
-            scale = scale * alpha[at]
-    return acc
-
-
-def _delta_orbit(field: DeltaFifField, axes, maps) -> np.ndarray:
-    """``_delta_chain`` on the tensor grid of ``axes``, walking the orbit
-    by the index ``maps`` of ``_orbit_maps``; same sum in the same order.
-
-    The level blend B_cell(i)(Q i) and the base interpolant are evaluated
-    once on the grid, with the cells ``_locate_arrays`` gives the grid
-    points and Q i taken from the index maps.
-    """
-    fif = field.fif
-    cells = np.meshgrid(*_locate_arrays(fif.net, axes), indexing="ij", sparse=True)
-    images = [a[p] for a, p in zip(axes, maps)]
-    blend = _blend_eval(fif.net, field._w, cells, tensor_mesh(images))
-    base = field._base.eval_arrays(tensor_mesh(axes))
-    acc = np.zeros(blend.shape)
-    p = 1.0
-    walk = _orbit_walk(maps, field.depth)
-    for at in itertools.islice(walk, field.depth):
-        acc += p * blend[at]
-        p *= fif.delta
-    acc += p * base[next(walk)]
-    return acc
-
-
 def _eval_chunked(field, coords, threads: int = 1) -> np.ndarray:
     """``field.eval_arrays`` on 1-d coordinate arrays, split into
     ``threads`` chunks run on a thread pool and concatenated in order;
@@ -716,17 +699,13 @@ def sample_grid(field, resolution, threads: int = 1):
     other input runs the chain on the flattened grid in ``threads``
     chunks. Depth and error bound are the field's either way.
     """
-    if isinstance(field, FractalField):
-        net, orbit = field.config.net, _alpha_orbit
-    elif isinstance(field, DeltaFifField):
-        net, orbit = field.fif.net, _delta_orbit
-    else:
+    if not isinstance(field, (FractalField, DeltaFifField)):
         raise TypeError("expected a FractalField or a DeltaFifField")
-    axes = box_axes(net.box, resolution)
+    axes = box_axes(field.net.box, resolution)
     shape = tuple(a.size for a in axes)
-    maps = _orbit_maps(net, shape)
+    maps = _orbit_maps(field.net, shape)
     if maps is not None:
-        return axes, orbit(field, axes, maps)
+        return axes, field._orbit(axes, maps)
     flat = [m.ravel() for m in tensor_mesh(axes)]
     return axes, _eval_chunked(field, flat, threads).reshape(shape)
 

@@ -96,14 +96,19 @@ def _abs_values(field, axes) -> np.ndarray:
 
 def lp_norm(field, rule: QuadratureRule, p: float) -> float:
     """(integral of |field|^p)^(1/p) under the rule; accepts real fields,
-    grid value arrays of the rule's shape, or ComplexFieldPair."""
+    grid value arrays of the rule's shape, or ComplexFieldPair. Scaled by
+    the largest |value| m first, so large p neither underflows nor overflows.
+    """
     if p < 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     if isinstance(field, np.ndarray):
         vals = np.abs(field)
     else:
         vals = _abs_values(field, rule.axes)
-    return float(rule.integrate_values(vals**p) ** (1.0 / p))
+    m = float(np.max(vals))
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    return m * float(rule.integrate_values((vals / m) ** p) ** (1.0 / p))
 
 
 def m_constant(p: float) -> float:

@@ -147,17 +147,12 @@ class CellMap:
         return self.a * t + self.b
 
     def inverse(self, y: float) -> float:
-        t = (y - self.b) / self.a
-        # guard float drift just past the axis endpoints
-        if t < self.lo:
-            if t < self.lo - _EDGE_TOL * max(1.0, abs(self.lo)):
-                raise ValueError(f"{y} is not in cell {self.j} of axis {self.axis}")
-            t = self.lo
-        elif t > self.hi:
-            if t > self.hi + _EDGE_TOL * max(1.0, abs(self.hi)):
-                raise ValueError(f"{y} is not in cell {self.j} of axis {self.axis}")
-            t = self.hi
-        return t
+        """Preimage of ``y``, which must lie in the cell up to the same
+        slack ``Box.contains`` allows; drift past the axis ends is clipped."""
+        slack = _EDGE_TOL * max(1.0, abs(self.u), abs(self.w))
+        if not self.u - slack <= y <= self.w + slack:
+            raise ValueError(f"{y} is not in cell {self.j} of axis {self.axis}")
+        return float(_preimage(y, self.a, self.b, self.lo, self.hi))
 
 
 def build_net(bounds, knots_per_axis) -> Net:
@@ -269,10 +264,15 @@ def _inverse_step(net: Net, coords, cells):
     """Preimages of the coordinate arrays under the maps of the 0-based
     ``cells``, clipped to the box."""
     coeffs = axis_coefficients(net)
-    out = []
-    for t, (a, b), c, (lo, hi) in zip(coords, coeffs, cells, net.box.bounds):
-        out.append(np.clip((t - b[c]) / a[c], lo, hi))
-    return out
+    return [_preimage(t, a[c], b[c], lo, hi)
+            for t, (a, b), c, (lo, hi) in zip(coords, coeffs, cells, net.box.bounds)]
+
+
+def _preimage(y, a, b, lo, hi):
+    """Preimage (y - b) / a under the cell map t -> a*t + b, clipped to the
+    axis interval [lo, hi] against float drift; the one inverse formula of
+    the scalar and the vectorized cell geometry."""
+    return np.clip((y - b) / a, lo, hi)
 
 
 def eta(part: AxisPartition, j: int, m: int) -> int:

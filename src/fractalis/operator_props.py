@@ -200,6 +200,24 @@ def operator_norms(op: OperatorSpec, net: Net, resolution: int = 129):
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
+def _require_contraction(a: float) -> None:
+    """AdmissibilityError unless a = sup|alpha| < 1, which the bounds need."""
+    if not a < 1.0:
+        raise AdmissibilityError(f"operator bounds need sup|alpha| < 1, got {a}")
+
+
+def _rate_bound(a: float, norm_idd: float) -> float:
+    """a*||Id-D||/(1-a): Neumann rate, norm bound minus one, norm-form factor."""
+    _require_contraction(a)
+    return a * norm_idd / (1.0 - a)
+
+
+def _inverse_norm_bound(a: float, norm_d: float) -> float:
+    """(1+a)/(1 - a*||D||): the lower-bound and inverse-norm factor, for a*||D|| < 1."""
+    _require_contraction(a)
+    return (1.0 + a) / (1.0 - a * norm_d)
+
+
 def make_operator_config(net: Net, f, alpha, op: OperatorSpec,
                          sup_resolution: int = 129) -> FractalConfig:
     """FractalConfig with base field s = Df."""
@@ -256,7 +274,7 @@ def perturbation_gap(net: Net, f, alpha, op: OperatorSpec,
     a, f_sup = rep.details["alpha_sup"], rep.details["f_sup"]
     _, norm_idd = operator_norms(op, net)
     norm_lhs = rep.details["perturbed_sup"] - f_sup
-    norm_rhs = a * norm_idd / (1.0 - a) * f_sup
+    norm_rhs = _rate_bound(a, norm_idd) * f_sup
     norm_ok = norm_lhs <= norm_rhs + rep.margin + 1e-12 * max(1.0, norm_rhs)
     rep.details.update(norm_form_lhs=norm_lhs, norm_form_rhs=norm_rhs,
                        norm_form_passed=norm_ok)
@@ -307,10 +325,10 @@ def linearity_check(net: Net, alpha, op: OperatorSpec, f1, f2,
 
 def operator_norm_upper(net: Net, alpha, op: OperatorSpec,
                         resolution: int = 129) -> float:
-    """Norm bound 1 + a*||Id-D||/(1-a)."""
+    """Norm bound 1 + a*||Id-D||/(1-a); AdmissibilityError if sup|alpha| >= 1."""
     a = _scale_sup(alpha, net, resolution)
     _, norm_idd = operator_norms(op, net, resolution)
-    return 1.0 + a * norm_idd / (1.0 - a)
+    return 1.0 + _rate_bound(a, norm_idd)
 
 
 def operator_norm_check(net: Net, alpha, op: OperatorSpec, samples,
@@ -357,7 +375,7 @@ def bounded_below_check(net: Net, f, alpha, op: OperatorSpec,
     axes = box_axes(net.box, resolution)
     lhs = float(np.max(np.abs(mesh_eval(cfg.f, axes))))
     pert_sup = float(np.max(np.abs(mesh_eval(field, axes))))
-    factor = (1.0 + a) / (1.0 - a * norm_d)
+    factor = _inverse_norm_bound(a, norm_d)
     rhs = factor * pert_sup
     margin = factor * field.error_bound
     passed = lhs <= rhs * (1.0 + slack) + margin
@@ -372,13 +390,11 @@ def bounded_below_check(net: Net, f, alpha, op: OperatorSpec,
 
 
 def _solver_config(net: Net, f, alpha, s, alpha_sup: float, axes) -> FractalConfig:
-    # internal: configs fed to the grid solver only; the gap estimate is
-    # taken on the solver grid itself
+    # internal: grid-solver configs, admissible by construction (D keeps the
+    # corner values of f; neumann_inverse checks sup|alpha| < 1 once, in
+    # _rate_bound). The gap estimate is taken on the solver grid.
     gap = float(np.max(np.abs(mesh_eval(f, axes) - mesh_eval(s, axes))))
-    return FractalConfig(
-        net=net, f=f, alpha=alpha, s=s,
-        alpha_sup=alpha_sup, fs_gap=gap, sup_resolution=0,
-    )
+    return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
 
 
 def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
@@ -394,14 +410,14 @@ def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
     computed to ``inner_tol`` by grid fixed-point sweeps; residual ratios
     are measured only while both residuals sit safely above that noise
     floor. The recovered field is also checked against the inverse norm
-    bound (1+a)/(1 - a*||D||).
+    bound (1+a)/(1 - a*||D||). AdmissibilityError when sup|alpha| >= 1.
     """
     alpha = as_field(alpha)
     target = as_field(target)
     validate_operator(op, net)
     norm_d, norm_idd = operator_norms(op, net)
     a = _scale_sup(alpha, net)
-    rate_bound = a * norm_idd / (1.0 - a)
+    rate_bound = _rate_bound(a, norm_idd)
     pre_ok = rate_bound < 1.0
     if require_precondition and not pre_ok:
         raise AdmissibilityError(
@@ -442,10 +458,7 @@ def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
     ]
     measured = float(np.exp(np.mean(np.log(ratios)))) if ratios else math.nan
 
-    if a * norm_d < 1.0:
-        inv_bound = (1.0 + a) / (1.0 - a * norm_d)
-    else:
-        inv_bound = math.inf
+    inv_bound = _inverse_norm_bound(a, norm_d) if a * norm_d < 1.0 else math.inf
     recovered_norm = float(np.max(np.abs(f_vals)))
     target_norm = float(np.max(np.abs(g_vals)))
     norm_ok = recovered_norm <= inv_bound * target_norm * (1.0 + norm_slack) + 1e-12

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +177,24 @@ def test_norms_integral_block(tmp_path, capsys):
     assert gap <= bound * 1.05 + 1e-8
     # the base gap of f=x1 against s=x1^2 integrates to 1/6
     assert abs(float(vals["lp_base_gap_p1"]) - 1.0 / 6.0) < 1e-4
+
+
+def test_large_exponents_keep_integral_norms_finite_and_positive(tmp_path, capsys):
+    # the gap x(1-x)/10 is at most 0.025, so its 400th power underflows, and
+    # |f| reaches 2.1, so its 4194305th power overflows, unless the
+    # integral norms scale by the maximum first
+    cfg = write_config(tmp_path, fields={"f": "0.1*x1 + 2", "alpha": 0.5,
+                                         "s": "0.1*x1^2 + 2"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--config", cfg, "--p", "400"]) == 0
+        out = capsys.readouterr().out
+        assert main(["norms", "--config", cfg, "--p", "400,4194305"]) == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("CHECK lp_gap_p400 "))
+    assert float(line.split()[2].removeprefix("lhs=")) > 0.0
+    vals = dict(ln.split()[1:] for ln in capsys.readouterr().out.splitlines())
+    assert float(vals["lp_gap_p400"]) > 0.0
+    assert all(math.isfinite(float(v)) for v in vals.values())
 
 
 def test_surface_per_axis_resolution(tmp_path, capsys):

@@ -2,6 +2,7 @@
 complexification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ def test_lp_norm_accepts_arrays_and_fields():
     assert direct == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-5)
     with pytest.raises(ValueError):
         lp_norm(f, rule, 0.5)
+
+
+def test_lp_norm_large_exponents_neither_underflow_nor_overflow():
+    # |v|^p of values near 0.05 underflows at p = 400, and of values near 3
+    # overflows at p = 4194305, unless the norm scales by the maximum first
+    rule = quadrature_rule([(0.0, 1.0)], 257)
+    x = rule.axes[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = lp_norm(0.05 * x, rule, 400)
+        big = lp_norm(2.0 + x, rule, 4194305)
+    assert 0.045 < small <= 0.05
+    assert big == pytest.approx(3.0, rel=1e-5)
+    assert lp_norm(np.zeros_like(x), rule, 3) == 0.0
 
 
 def test_norm_constants():

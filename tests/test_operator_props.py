@@ -125,6 +125,17 @@ def test_operator_norm_upper_arithmetic():
     assert operator_norm_upper(square, 0.2, op) == pytest.approx(1.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.2])
+def test_operator_bounds_reject_scale_sup_not_below_one(scale):
+    net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
+    with pytest.raises(AdmissibilityError):
+        operator_norm_upper(net, scale, blend_operator(0.5))
+    for required in (True, False):
+        with pytest.raises(AdmissibilityError):
+            neumann_inverse(net, scale, blend_operator(0.5), parse_field("x1", 1),
+                            resolution=33, require_precondition=required)
+
+
 def test_operator_norm_upper_controls_samples():
     rng = np.random.default_rng(53)
     for _ in range(8):
