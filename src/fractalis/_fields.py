@@ -2,14 +2,19 @@
 
 A *field* is duck-typed: callable on a point (sequence of k floats) and,
 when it can, exposing ``eval_arrays(coords)`` for elementwise evaluation
-over equal-shaped coordinate arrays. Everything here provides both paths
-so downstream code never needs to branch. ``_multilinear`` is the one
-2^k-corner kernel, of the node interpolant and of the node-data blend.
+over coordinate arrays that broadcast against one another; the result has
+their broadcast shape. Everything here provides both paths so downstream
+code never needs to branch. ``mesh_eval`` is the one tensor-grid
+evaluator: it passes the open mesh (one array per axis, each spanning its
+own axis) so that per-axis work, such as the cell search of
+``NetInterpolant``, runs on the axis values only. ``_multilinear`` is the
+one 2^k-corner kernel, of the node interpolant and of the node-data blend.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +33,42 @@ __all__ = [
 ]
 
 
+# Largest dense grid, in total points. The CLI caps a requested resolution
+# at it (surface and verify hold a few dozen float arrays of that size at
+# once), and grid maxima over larger grids run in slabs of at most it.
+MAX_GRID_POINTS = 2**22
+
+
 def tensor_mesh(axes):
     """Full coordinate mesh (indexing 'ij') from per-axis 1-d arrays."""
     return np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
 
 
 def mesh_eval(field, axes) -> np.ndarray:
-    """Evaluate ``field`` on the tensor grid spanned by ``axes``."""
-    return mesh_like(field, tensor_mesh(axes))
+    """Evaluate ``field`` on the tensor grid spanned by ``axes``.
+
+    The field gets the open mesh, one coordinate array per axis shaped to
+    broadcast against the others, and must return the grid shape; any
+    other shape raises ValueError.
+    """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    out = mesh_like(field, np.meshgrid(*axes, indexing="ij", sparse=True))
+    shape = tuple(a.size for a in axes)
+    if out.shape != shape:
+        raise ValueError(f"{type(field).__name__}.eval_arrays returned shape "
+                         f"{out.shape} on a grid of shape {shape}")
+    return out
+
+
+def _grid_max(values, axes) -> float:
+    """Max of ``values(slab_axes)`` over the tensor grid of ``axes``, taken
+    over slabs of whole entries of the first axis, as many per slab as fit
+    in MAX_GRID_POINTS points (at least one); a max does not depend on
+    the split, so memory stays bounded at the same result."""
+    first, rest = axes[0], list(axes[1:])
+    step = max(1, MAX_GRID_POINTS // math.prod(a.size for a in rest))
+    return float(np.max([np.max(values([first[i:i + step], *rest]))
+                         for i in range(0, first.size, step)]))
 
 
 def box_axes(box, resolution):
@@ -52,7 +85,8 @@ def box_axes(box, resolution):
 
 def grid_sup_norm(field, box, resolution) -> float:
     """Max of |field| over a uniform tensor grid on ``box``."""
-    return float(np.max(np.abs(mesh_eval(field, box_axes(box, resolution)))))
+    return _grid_max(lambda axes: np.abs(mesh_eval(field, axes)),
+                     box_axes(box, resolution))
 
 
 @dataclass(frozen=True)
@@ -63,7 +97,7 @@ class ConstantField:
         return self.value
 
     def eval_arrays(self, coords) -> np.ndarray:
-        return np.full(np.shape(coords[0]), self.value, dtype=float)
+        return np.full(np.broadcast(*coords).shape, self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -76,8 +110,7 @@ class CallableField:
         return float(self.fn(point))
 
     def eval_arrays(self, coords) -> np.ndarray:
-        shape = np.shape(coords[0])
-        flat = [np.asarray(c, dtype=float).ravel() for c in coords]
+        shape, flat = _flatten(coords)
         out = np.fromiter(
             (float(self.fn(p)) for p in zip(*flat)), dtype=float, count=flat[0].size
         )
@@ -95,7 +128,7 @@ class LinCombField:
         return float(sum(w * f(point) for w, f in zip(self.weights, self.fields)))
 
     def eval_arrays(self, coords) -> np.ndarray:
-        out = np.zeros(np.shape(coords[0]), dtype=float)
+        out = np.zeros(np.broadcast(*coords).shape, dtype=float)
         for w, f in zip(self.weights, self.fields):
             out += w * mesh_like(f, coords)
         return out
@@ -112,13 +145,31 @@ class ProductField:
         return float(self.left(point)) * float(self.right(point))
 
     def eval_arrays(self, coords) -> np.ndarray:
-        return mesh_like(self.left, coords) * mesh_like(self.right, coords)
+        out = mesh_like(self.left, coords) * mesh_like(self.right, coords)
+        return _full_shape(out, coords)
 
 
 def mesh_like(field, coords) -> np.ndarray:
-    """Evaluate a field on prebuilt coordinate arrays of equal shape; a
-    plain callable is evaluated point by point (``CallableField``)."""
+    """Evaluate a field on prebuilt coordinate arrays that broadcast
+    against one another; a plain callable is evaluated point by point
+    (``CallableField``)."""
     return np.asarray(as_field(field).eval_arrays(coords), dtype=float)
+
+
+def _flatten(coords):
+    """The broadcast shape of ``coords`` and the coordinate arrays
+    broadcast to it and flattened, for evaluators that work on points."""
+    coords = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
+    return coords[0].shape, [c.ravel() for c in coords]
+
+
+def _full_shape(out, coords) -> np.ndarray:
+    """``out`` broadcast up to the broadcast shape of ``coords``, as a new
+    array when it has to grow."""
+    shape = np.broadcast(*coords).shape
+    if out.shape == shape:
+        return out
+    return np.broadcast_to(out, shape).copy()
 
 
 class NetInterpolant:
@@ -154,28 +205,26 @@ class NetInterpolant:
     def eval_arrays(self, coords) -> np.ndarray:
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinate arrays")
-        shape = np.shape(coords[0])
         lows = []
         thetas = []
         for a, c in zip(self.axes, coords):
-            t = np.asarray(c, dtype=float).ravel()
+            t = np.asarray(c, dtype=float)
             i = np.searchsorted(a, t, side="right") - 1
             i = np.clip(i, 0, a.size - 2)
             lows.append(i)
             thetas.append((t - a[i]) / (a[i + 1] - a[i]))
-        out = _multilinear(thetas, lambda e, mask: self.values[
+        return _multilinear(thetas, lambda e, mask: self.values[
             tuple(i + bit for bit, i in zip(mask, lows))])
-        return out.reshape(shape)
 
 
 def _multilinear(thetas, corner) -> np.ndarray:
     """Sum over the 2^k corner bit masks, in ``itertools.product`` order e,
     of the weight prod_q (theta_q if bit_q else 1 - theta_q) times
-    ``corner(e, mask)``."""
-    out = np.zeros(np.shape(thetas[0]), dtype=float)
+    ``corner(e, mask)``, on the broadcast shape of the thetas."""
+    out = np.zeros(np.broadcast(*thetas).shape, dtype=float)
     for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
-        weight = np.ones_like(out)
-        for bit, th in zip(mask, thetas):
+        weight = thetas[0] if mask[0] else 1.0 - thetas[0]
+        for bit, th in zip(mask[1:], thetas[1:]):
             weight = weight * (th if bit else 1.0 - th)
         out += weight * corner(e, mask)
     return out

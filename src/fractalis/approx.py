@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as _P
 
-from ._fields import LinCombField, as_field, box_axes, mesh_eval
+from ._fields import LinCombField, _flatten, as_field, box_axes, mesh_eval
 from .fractal_core import FractalField
 from .net import Net
 from .operator_props import (
@@ -80,8 +80,7 @@ class TensorPolynomial:
         return float(self._eval_flat(flat)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        shape = np.shape(coords[0])
-        flat = [np.asarray(c, dtype=float).ravel() for c in coords]
+        shape, flat = _flatten(coords)
         return self._eval_flat(flat).reshape(shape)
 
     def _eval_flat(self, flat) -> np.ndarray:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._fields import ConstantField, NetInterpolant, box_axes, mesh_eval
+from ._fields import MAX_GRID_POINTS, ConstantField, NetInterpolant, box_axes, mesh_eval
 from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
 from .fractal_core import (
@@ -72,10 +72,6 @@ from .operator_props import (
 )
 
 __all__ = ["main"]
-
-# Largest grid, in total points, that a resolution may request: surface
-# and verify hold a few dozen float arrays of this size at once.
-MAX_GRID_POINTS = 2**22
 
 
 class UsageError(Exception):
@@ -586,7 +582,7 @@ class _KnotProduct:
 
     def __init__(self, net):
         self.knots = [np.asarray(part.knots, dtype=float) for part in net.axes]
-        mesh = np.meshgrid(*box_axes(net.box, 65), indexing="ij")
+        mesh = np.meshgrid(*box_axes(net.box, 65), indexing="ij", sparse=True)
         self.scale = max(1e-12, float(np.max(np.abs(self._raw(mesh)))))
 
     def _raw(self, coords):

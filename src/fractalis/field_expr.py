@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import grid_sup_norm
+from ._fields import _full_shape, grid_sup_norm
 
 __all__ = [
     "FieldExpr",
@@ -290,7 +290,9 @@ class FieldExpr:
 
     Instances are immutable; ``__call__`` evaluates at a point given as a
     sequence of k floats, ``eval_arrays`` evaluates elementwise over numpy
-    coordinate arrays (one array per variable, equal shapes).
+    coordinate arrays (one array per variable, broadcasting against one
+    another) and returns their broadcast shape, also for an expression
+    that reads fewer variables or none.
     """
 
     root: Node
@@ -308,11 +310,9 @@ class FieldExpr:
         with np.errstate(all="ignore"):
             out = _eval_arrays(self.root, list(coords))
         out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            out = np.broadcast_to(out, np.shape(coords[0])).copy()
         if not np.all(np.isfinite(out)):
             raise FieldDomainError(f"non-finite value while evaluating {self.source!r}")
-        return out
+        return _full_shape(out, coords)
 
     def to_source(self) -> str:
         """Render back to text; re-parsing yields an expression with

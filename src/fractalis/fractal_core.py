@@ -33,6 +33,8 @@ import numpy as np
 from ._fields import (
     ConstantField,
     NetInterpolant,
+    _flatten,
+    _grid_max,
     _multilinear,
     as_field,
     box_axes,
@@ -198,8 +200,8 @@ def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConf
             f"inadmissible configuration: sup|alpha| = {report.details['alpha_sup']}, "
             f"corner gap = {report.details['corner_gap']}"
         )
-    axes = box_axes(net.box, sup_resolution)
-    gap = float(np.max(np.abs(mesh_eval(f, axes) - mesh_eval(s, axes))))
+    gap = _grid_max(lambda axes: np.abs(mesh_eval(f, axes) - mesh_eval(s, axes)),
+                    box_axes(net.box, sup_resolution))
     return FractalConfig(
         net=net,
         f=f,
@@ -321,8 +323,7 @@ class FractalField:
         return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        shape = np.shape(coords[0])
-        flat = [np.asarray(c, dtype=float).ravel() for c in coords]
+        shape, flat = _flatten(coords)
         return self._chain(flat).reshape(shape)
 
     def _chain(self, coords, top_cells=None) -> np.ndarray:
@@ -346,13 +347,12 @@ class FractalField:
         """``_chain`` on the tensor grid of ``axes``, walking the orbit by
         the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
         cfg, depth = self.config, self.depth
-        mesh = tensor_mesh(axes)
-        acc = mesh_like(cfg.f, mesh)
+        acc = mesh_eval(cfg.f, axes)
         if depth == 1:
             return acc
-        scale = mesh_like(cfg.alpha, mesh)
+        scale = mesh_eval(cfg.alpha, axes)
         alpha = scale
-        g = acc - mesh_like(cfg.s, mesh)
+        g = acc - mesh_eval(cfg.s, axes)
         walk = _orbit_walk(maps, depth - 1)
         next(walk)  # Q^0 is the grid itself, whose f is already in acc
         for level, at in enumerate(walk, start=1):
@@ -449,8 +449,7 @@ class DeltaFifField:
         return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        shape = np.shape(coords[0])
-        flat = [np.asarray(c, dtype=float).ravel() for c in coords]
+        shape, flat = _flatten(coords)
         return self._chain(flat).reshape(shape)
 
     def _chain(self, coords, top_cells=None) -> np.ndarray:
@@ -473,8 +472,9 @@ class DeltaFifField:
         interpolant are evaluated once on the grid."""
         cells = np.meshgrid(*_locate_arrays(self.net, axes), indexing="ij", sparse=True)
         images = [a[p] for a, p in zip(axes, maps)]
-        blend = _blend_eval(self.net, self._w, cells, tensor_mesh(images))
-        base = self._base.eval_arrays(tensor_mesh(axes))
+        blend = _blend_eval(self.net, self._w, cells,
+                            np.meshgrid(*images, indexing="ij", sparse=True))
+        base = mesh_eval(self._base, axes)
         acc = np.zeros(blend.shape)
         p = 1.0
         walk = _orbit_walk(maps, self.depth)
@@ -492,19 +492,21 @@ def _grid_sweep(config: FractalConfig, axes):
     Returns f on the grid and the sweep as a function of grid values. The
     grid-fixed parts, Q x, f and alpha at x and s at Q x, are evaluated
     once, here; off-grid values of h come from multilinear interpolation.
+    Q acts axis by axis, so the preimages of the grid are the tensor grid
+    of the per-axis preimages.
     """
-    flat = [m.ravel() for m in tensor_mesh(axes)]
-    shape = tuple(len(a) for a in axes)
-    pre = _inverse_step(config.net, flat, _locate_arrays(config.net, flat))
-    f_here = mesh_like(config.f, flat)
-    a_here = mesh_like(config.alpha, flat)
-    s_pre = mesh_like(config.s, pre)
+    net = config.net
+    pre_axes = _inverse_step(net, axes, _locate_arrays(net, axes))
+    pre = np.meshgrid(*pre_axes, indexing="ij", sparse=True)
+    f_here = mesh_eval(config.f, axes)
+    a_here = mesh_eval(config.alpha, axes)
+    s_pre = mesh_eval(config.s, pre_axes)
 
     def sweep(values):
         h = NetInterpolant(axes, values)
-        return (f_here + a_here * (h.eval_arrays(pre) - s_pre)).reshape(shape)
+        return f_here + a_here * (h.eval_arrays(pre) - s_pre)
 
-    return f_here.reshape(shape), sweep
+    return f_here, sweep
 
 
 def rb_apply_grid(config: FractalConfig, grid: GridFunction) -> GridFunction:

@@ -36,7 +36,6 @@ from ._fields import (
     grid_sup_norm,
     mesh_eval,
     mesh_like,
-    tensor_mesh,
 )
 from .fractal_core import (
     AdmissibilityError,
@@ -428,8 +427,7 @@ def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
         inner_tol = tol * 1e-3
 
     axes = box_axes(net.box, resolution)
-    mesh = tensor_mesh(axes)
-    g_vals = mesh_like(target, mesh)
+    g_vals = mesh_eval(target, axes)
     f_vals = g_vals.copy()
     residuals = []
     for iteration in range(1, max_outer + 1):

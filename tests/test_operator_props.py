@@ -1,6 +1,8 @@
 """Operator-level properties: perturbation bounds, norm estimates,
 linearity, inversion, parameter convergence, subspace invariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,17 @@ def test_perturbation_reproduces_identity_operator():
     xs = np.linspace(0, 1, 81)
     np.testing.assert_allclose(field.eval_arrays([xs]), f.eval_arrays([xs]),
                                atol=1e-10)
+
+
+def test_blend_config_sup_grid_memory():
+    # the 129^3 sup grid of the 3-D blend config: one float array of it is
+    # 17 MB, and on the open mesh about five of them are alive at once
+    net = build_net([(0.0, 1.0)] * 3, [[0.0, 0.5, 1.0]] * 3)
+    f = parse_field("x1*x2+x3^2", 3)
+    tracemalloc.start()
+    try:
+        make_operator_config(net, f, 0.3, blend_operator(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 140e6, peak
