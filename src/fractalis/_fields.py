@@ -7,8 +7,16 @@ their broadcast shape. Everything here provides both paths so downstream
 code never needs to branch. ``mesh_eval`` is the one tensor-grid
 evaluator: it passes the open mesh (one array per axis, each spanning its
 own axis) so that per-axis work, such as the cell search of
-``NetInterpolant``, runs on the axis values only. ``_multilinear`` is the
-one 2^k-corner kernel, of the node interpolant and of the node-data blend.
+``NetInterpolant``, runs on the axis values only. The chain evaluators of
+``fractal_core`` keep such coordinates as they are at every level. Only
+the evaluators that work point by point flatten them (``_flatten``, in
+``CallableField`` and ``TensorPolynomial``), and ``sample_grid``'s
+threaded fallback hands the chain the flattened grid points.
+``_multilinear`` is the one 2^k-corner kernel, of the node interpolant and
+of the node-data blend.
+
+``with_base`` gives f and a base field s together, with f evaluated once:
+the blend base ``BlendField`` forms s from f's values.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ __all__ = [
     "LinCombField",
     "ProductField",
     "NetInterpolant",
+    "BlendField",
     "tensor_mesh",
     "mesh_eval",
     "grid_sup_norm",
@@ -44,6 +53,13 @@ def tensor_mesh(axes):
     return np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
 
 
+def _open_mesh(axes):
+    """One coordinate array per axis, each spanning its own axis of the
+    tensor grid of ``axes`` and broadcasting against the others."""
+    return np.meshgrid(*[np.asarray(a, dtype=float) for a in axes],
+                       indexing="ij", sparse=True)
+
+
 def mesh_eval(field, axes) -> np.ndarray:
     """Evaluate ``field`` on the tensor grid spanned by ``axes``.
 
@@ -51,24 +67,56 @@ def mesh_eval(field, axes) -> np.ndarray:
     broadcast against the others, and must return the grid shape; any
     other shape raises ValueError.
     """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    out = mesh_like(field, np.meshgrid(*axes, indexing="ij", sparse=True))
-    shape = tuple(a.size for a in axes)
+    return _checked(field, _open_mesh(axes))
+
+
+def mesh_eval_with_base(f, s, axes):
+    """``with_base`` on the tensor grid spanned by ``axes``."""
+    return with_base(f, s, _open_mesh(axes))
+
+
+def _checked(field, coords) -> np.ndarray:
+    """``mesh_like``, held to the broadcast shape of ``coords``: any other
+    result shape raises ValueError naming the field's type."""
+    out = mesh_like(field, coords)
+    shape = np.broadcast(*coords).shape
     if out.shape != shape:
         raise ValueError(f"{type(field).__name__}.eval_arrays returned shape "
-                         f"{out.shape} on a grid of shape {shape}")
+                         f"{out.shape} for coordinates of shape {shape}")
     return out
+
+
+def with_base(f, s, coords, cells=None, net=None):
+    """The values of f and of the base field s at ``coords``, each of the
+    broadcast shape (ValueError otherwise), with f evaluated once: a
+    ``BlendField`` of this f forms s from f's values. ``cells`` are the
+    0-based cells of ``coords`` in ``net``, as the chain locates them; a
+    blend on that net reuses them for its node interpolant."""
+    f_vals = _checked(f, coords)
+    if isinstance(s, BlendField) and s.fields[0] is f:
+        return f_vals, s.from_f_values(f_vals, coords,
+                                       cells if net is s.net else None)
+    return f_vals, _checked(s, coords)
 
 
 def _grid_max(values, axes) -> float:
     """Max of ``values(slab_axes)`` over the tensor grid of ``axes``, taken
-    over slabs of whole entries of the first axis, as many per slab as fit
-    in MAX_GRID_POINTS points (at least one); a max does not depend on
-    the split, so memory stays bounded at the same result."""
-    first, rest = axes[0], list(axes[1:])
-    step = max(1, MAX_GRID_POINTS // math.prod(a.size for a in rest))
-    return float(np.max([np.max(values([first[i:i + step], *rest]))
-                         for i in range(0, first.size, step)]))
+    over slabs of at most MAX_GRID_POINTS points; a max does not depend on
+    the split, so memory stays bounded at the same result.
+
+    A slab spans the trailing axes whole, from the first axis j on whose
+    grid fits in MAX_GRID_POINTS, takes as many entries of axis j - 1 as
+    fit, and one entry of each axis before it.
+    """
+    sizes = [a.size for a in axes]
+    j = next(j for j in range(1, len(axes) + 1)
+             if math.prod(sizes[j:]) <= MAX_GRID_POINTS)
+    step = MAX_GRID_POINTS // math.prod(sizes[j:])
+    return float(np.max([
+        np.max(values([*(a[i:i + 1] for a, i in zip(axes, head)),
+                       axes[j - 1][i:i + step], *axes[j:]]))
+        for head in itertools.product(*map(range, sizes[:j - 1]))
+        for i in range(0, sizes[j - 1], step)]))
 
 
 def box_axes(box, resolution):
@@ -202,30 +250,55 @@ class NetInterpolant:
         coords = [np.asarray([float(t)]) for t in point]
         return float(self.eval_arrays(coords)[0])
 
-    def eval_arrays(self, coords) -> np.ndarray:
+    def eval_arrays(self, coords, cells=None) -> np.ndarray:
+        """Values at ``coords``. ``cells``, when given, are the 0-based
+        cell indices of the coordinates on each axis, as the chain has
+        located them on the same knots; they replace the search here,
+        which finds the same cells (interior knots go right)."""
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinate arrays")
-        lows = []
-        thetas = []
-        for a, c in zip(self.axes, coords):
-            t = np.asarray(c, dtype=float)
-            i = np.searchsorted(a, t, side="right") - 1
-            i = np.clip(i, 0, a.size - 2)
-            lows.append(i)
-            thetas.append((t - a[i]) / (a[i + 1] - a[i]))
+        coords = [np.asarray(c, dtype=float) for c in coords]
+        if cells is None:
+            cells = [np.clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
+                     for a, t in zip(self.axes, coords)]
+        ends = [(i, i + 1) for i in cells]
+        thetas = [(t - a[i]) / (a[j] - a[i])
+                  for a, t, (i, j) in zip(self.axes, coords, ends)]
         return _multilinear(thetas, lambda e, mask: self.values[
-            tuple(i + bit for bit, i in zip(mask, lows))])
+            tuple(end[bit] for bit, end in zip(mask, ends))])
+
+
+@dataclass(frozen=True, eq=False)
+class BlendField(LinCombField):
+    """The blend base (1 - t)*f + t*I f, with I f the node interpolant of
+    f on ``net``: the ``LinCombField`` of weights (1 - t, t) and fields
+    (f, I f), which it is operation for operation. ``with_base`` forms it
+    from f's values instead of evaluating f a second time."""
+
+    net: object
+
+    def from_f_values(self, f_vals, coords, cells=None) -> np.ndarray:
+        """``eval_arrays(coords)`` given ``f_vals``, f at ``coords``;
+        ``cells`` are handed to the node interpolant. The interpolant term
+        is formed before the sum's buffer, which lowers the peak memory;
+        the sum adds in ``LinCombField``'s order."""
+        term = self.weights[1] * self.fields[1].eval_arrays(coords, cells)
+        out = np.zeros(np.broadcast(*coords).shape, dtype=float)
+        out += self.weights[0] * f_vals
+        out += term
+        return out
 
 
 def _multilinear(thetas, corner) -> np.ndarray:
     """Sum over the 2^k corner bit masks, in ``itertools.product`` order e,
     of the weight prod_q (theta_q if bit_q else 1 - theta_q) times
     ``corner(e, mask)``, on the broadcast shape of the thetas."""
+    factors = [(1.0 - th, th) for th in thetas]
     out = np.zeros(np.broadcast(*thetas).shape, dtype=float)
     for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
-        weight = thetas[0] if mask[0] else 1.0 - thetas[0]
-        for bit, th in zip(mask[1:], thetas[1:]):
-            weight = weight * (th if bit else 1.0 - th)
+        weight = factors[0][mask[0]]
+        for bit, pair in zip(mask[1:], factors[1:]):
+            weight = weight * pair[bit]
         out += weight * corner(e, mask)
     return out
 

@@ -26,7 +26,14 @@ import sys
 
 import numpy as np
 
-from ._fields import MAX_GRID_POINTS, ConstantField, NetInterpolant, box_axes, mesh_eval
+from ._fields import (
+    MAX_GRID_POINTS,
+    ConstantField,
+    NetInterpolant,
+    box_axes,
+    mesh_eval,
+    mesh_eval_with_base,
+)
 from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
 from .fractal_core import (
@@ -688,9 +695,8 @@ def cmd_norms(args) -> int:
     # gap bound and its pass flag, one block per requested exponent
     q_res = res if res % 2 == 1 else res + 1
     rule = quadrature_rule(problem.net.box, q_res)
-    f_vals = mesh_eval(cfg.f, rule.axes)
+    f_vals, s_vals = mesh_eval_with_base(cfg.f, cfg.s, rule.axes)
     h_vals = mesh_eval(field, rule.axes)
-    s_vals = mesh_eval(cfg.s, rule.axes)
     for p in ps:
         base_gap = lp_norm(f_vals - s_vals, rule, p)
         gap = lp_norm(h_vals - f_vals, rule, p)

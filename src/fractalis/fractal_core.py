@@ -16,7 +16,10 @@ geometrically, which gives a certified truncation bound at every call.
 ``_chain_walk`` is the one chain step of both (cell location, then the
 inverse cell map), where the chain's float drift enters. Each field
 class owns its sum along that walk (``_chain``) and the same sum as an
-exact walk over grid indices (``_orbit``, for ``sample_grid``).
+exact walk over grid indices (``_orbit``, for ``sample_grid``). The chain
+runs on coordinate arrays as they come, broadcasting against one another:
+on an open mesh, cell location, inverse steps and the per-axis work of
+each field run on the axis values, and only the sums are grid-sized.
 Truncated values are exact at the net nodes for every depth >= 1: node
 chains land on box corners after one step, and both constructions vanish
 there by the corner compatibility conditions.
@@ -33,15 +36,17 @@ import numpy as np
 from ._fields import (
     ConstantField,
     NetInterpolant,
-    _flatten,
+    _checked,
     _grid_max,
     _multilinear,
     as_field,
     box_axes,
     grid_sup_norm,
     mesh_eval,
+    mesh_eval_with_base,
     mesh_like,
     tensor_mesh,
+    with_base,
 )
 from .net import Net, _inverse_step, _locate_arrays, eta, node_arrays, node_points
 
@@ -200,7 +205,7 @@ def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConf
             f"inadmissible configuration: sup|alpha| = {report.details['alpha_sup']}, "
             f"corner gap = {report.details['corner_gap']}"
         )
-    gap = _grid_max(lambda axes: np.abs(mesh_eval(f, axes) - mesh_eval(s, axes)),
+    gap = _grid_max(lambda axes: np.abs(np.subtract(*mesh_eval_with_base(f, s, axes))),
                     box_axes(net.box, sup_resolution))
     return FractalConfig(
         net=net,
@@ -271,19 +276,23 @@ def eval_alpha_fractal(config: FractalConfig, points, tol: float = 1e-10,
 
 
 def _chain_walk(net: Net, coords, steps: int, top_cells=None):
-    """Yield (cells, X) for the chain Qx, ..., Q^steps x: the 0-based cells
-    of the previous point and X, its preimage under their maps.
+    """Yield (cells, X, X_cells) for the chain Qx, ..., Q^steps x: the
+    0-based cells of the previous point, X, its preimage under their maps,
+    and the cells of X, by which the next step maps it.
 
     ``top_cells`` forces the cells of the first step, which lets callers
     evaluate on a face from either side. This is the chain step of both
     constructions; the float drift described on ``FractalField`` enters here.
+    The coordinate arrays may broadcast against one another (an open mesh);
+    each step then works per axis.
     """
     X = [np.asarray(c, dtype=float) for c in coords]
-    for level in range(steps):
-        forced = level == 0 and top_cells is not None
-        cells = top_cells if forced else _locate_arrays(net, X)
+    cells = _locate_arrays(net, X) if top_cells is None else top_cells
+    for _ in range(steps):
         X = _inverse_step(net, X, cells)
-        yield cells, X
+        X_cells = _locate_arrays(net, X)
+        yield cells, X, X_cells
+        cells = X_cells
 
 
 class FractalField:
@@ -305,6 +314,13 @@ class FractalField:
     each axis): there Q maps grid points onto grid points, so the chain is
     an exact walk over grid indices and f, s and alpha are evaluated only
     once, on the grid.
+
+    ``eval_arrays`` runs the chain on its coordinate arrays as given, with
+    no flattening: on an open mesh every level evaluates f, s and alpha on
+    the open mesh of the level's preimages. Each of their results must
+    have the broadcast shape of the coordinates (ValueError otherwise).
+    f is evaluated once per level; a blend base (``BlendField``) forms s
+    from those values and from the cells the walk has located.
     """
 
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
@@ -323,8 +339,7 @@ class FractalField:
         return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        shape, flat = _flatten(coords)
-        return self._chain(flat).reshape(shape)
+        return self._chain(coords)
 
     def _chain(self, coords, top_cells=None) -> np.ndarray:
         """Unrolled fixed-point sum over the chain x, Qx, ..., Q^(depth-1) x:
@@ -332,27 +347,29 @@ class FractalField:
         the level-depth term cancels against the base value s(X_depth).
         ``top_cells`` forces the cells of the first step (``_chain_walk``)."""
         cfg, depth = self.config, self.depth
-        acc = mesh_like(cfg.f, coords)
+        acc = _checked(cfg.f, coords)
         if depth == 1:
             return acc
-        scale = mesh_like(cfg.alpha, coords)
+        scale = _checked(cfg.alpha, coords)
         walk = _chain_walk(self.net, coords, depth - 1, top_cells)
-        for level, (_, X) in enumerate(walk, start=1):
-            acc = acc + scale * (mesh_like(cfg.f, X) - mesh_like(cfg.s, X))
+        for level, (_, X, cells) in enumerate(walk, start=1):
+            f_vals, s_vals = with_base(cfg.f, cfg.s, X, cells, self.net)
+            acc = acc + scale * (f_vals - s_vals)
             if level < depth - 1:
-                scale = scale * mesh_like(cfg.alpha, X)
+                scale = scale * _checked(cfg.alpha, X)
         return acc
 
     def _orbit(self, axes, maps) -> np.ndarray:
         """``_chain`` on the tensor grid of ``axes``, walking the orbit by
         the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
         cfg, depth = self.config, self.depth
-        acc = mesh_eval(cfg.f, axes)
+        acc, s_vals = mesh_eval_with_base(cfg.f, cfg.s, axes)
         if depth == 1:
             return acc
         scale = mesh_eval(cfg.alpha, axes)
         alpha = scale
-        g = acc - mesh_eval(cfg.s, axes)
+        g = acc - s_vals
+        del s_vals  # one grid array fewer alive through the walk below
         walk = _orbit_walk(maps, depth - 1)
         next(walk)  # Q^0 is the grid itself, whose f is already in acc
         for level, at in enumerate(walk, start=1):
@@ -429,7 +446,9 @@ class DeltaFifField:
 
     ``sample_grid`` walks the chain by grid indices on net-compatible
     grids, as for ``FractalField``: the level blend and the base
-    interpolant are evaluated once, on the grid.
+    interpolant are evaluated once, on the grid. ``eval_arrays`` runs the
+    chain on its coordinate arrays as given, as ``FractalField`` does; the
+    base interpolant takes the cells the walk has located.
     """
 
     def __init__(self, fif: DeltaFif, tol: float = 1e-10, depth: int | None = None):
@@ -449,20 +468,19 @@ class DeltaFifField:
         return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        shape, flat = _flatten(coords)
-        return self._chain(flat).reshape(shape)
+        return self._chain(coords)
 
     def _chain(self, coords, top_cells=None) -> np.ndarray:
         """A(x) = sum_{l<depth} delta^l B_cell(X_l)(X_{l+1})
         + delta^depth base(X_depth) along ``_chain_walk``; ``top_cells``
         forces the cells of the first step."""
-        acc = np.zeros(np.shape(coords[0]))
+        acc = np.zeros(np.broadcast(*coords).shape)
         p = 1.0
-        X = coords
-        for cells, X in _chain_walk(self.net, coords, self.depth, top_cells):
+        X, X_cells = coords, None
+        for cells, X, X_cells in _chain_walk(self.net, coords, self.depth, top_cells):
             acc += p * _blend_eval(self.net, self._w, cells, X)
             p *= self.fif.delta
-        acc += p * self._base.eval_arrays(X)
+        acc += p * self._base.eval_arrays(X, X_cells)
         return acc
 
     def _orbit(self, axes, maps) -> np.ndarray:

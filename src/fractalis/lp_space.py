@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import as_field, box_axes, mesh_eval
+from ._fields import as_field, box_axes, mesh_eval, mesh_eval_with_base
 from .fractal_core import CheckReport, FractalField
 from .net import Net
 from .operator_props import (
@@ -177,9 +177,9 @@ def _lp_gap(field: FractalField, rule: QuadratureRule, p: float,
     """||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed ``field`` of
     a config, both sides by quadrature under ``rule``."""
     cfg = field.config
-    f_vals = mesh_eval(cfg.f, rule.axes)
+    f_vals, s_vals = mesh_eval_with_base(cfg.f, cfg.s, rule.axes)
     lhs = lp_norm(mesh_eval(field, rule.axes) - f_vals, rule, p)
-    gap = lp_norm(f_vals - mesh_eval(cfg.s, rule.axes), rule, p)
+    gap = lp_norm(f_vals - s_vals, rule, p)
     a = cfg.alpha_sup
     rhs = a / (1.0 - a) * gap
     margin = field.error_bound * _volume(rule) ** (1.0 / p)
@@ -208,14 +208,10 @@ def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
     fld_im = FractalField(cfg_im, tol=eval_tol)
     pert_re = mesh_eval(fld_re, rule.axes)
     pert_im = mesh_eval(fld_im, rule.axes)
-    diff = np.hypot(
-        pert_re - mesh_eval(cfg_re.f, rule.axes),
-        pert_im - mesh_eval(cfg_im.f, rule.axes),
-    )
-    gap = np.hypot(
-        pert_re - mesh_eval(cfg_re.s, rule.axes),
-        pert_im - mesh_eval(cfg_im.s, rule.axes),
-    )
+    f_re, s_re = mesh_eval_with_base(cfg_re.f, cfg_re.s, rule.axes)
+    f_im, s_im = mesh_eval_with_base(cfg_im.f, cfg_im.s, rule.axes)
+    diff = np.hypot(pert_re - f_re, pert_im - f_im)
+    gap = np.hypot(pert_re - s_re, pert_im - s_im)
     lhs = lp_norm(diff, rule, p)
     a = max(cfg_re.alpha_sup, cfg_im.alpha_sup)
     rhs = m_constant(p) * a * lp_norm(gap, rule, p)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import (
+    BlendField,
     ConstantField,
     LinCombField,
     NetInterpolant,
@@ -35,6 +36,7 @@ from ._fields import (
     box_axes,
     grid_sup_norm,
     mesh_eval,
+    mesh_eval_with_base,
     mesh_like,
 )
 from .fractal_core import (
@@ -82,7 +84,9 @@ class OperatorSpec:
 
     kind "identity": Df = f. kind "multiplication": Df = b*f with b = 1 at
     the box corners. kind "blend": Df = (1-t)*f + t*(node interpolant of
-    f), t in [0, 1]; agrees with f at every net node.
+    f), t in [0, 1]; agrees with f at every net node. ``apply_operator``
+    builds the blend base as a ``BlendField``, which the chain and the gap
+    measurements form from f values they already hold.
     """
 
     kind: str
@@ -164,7 +168,13 @@ def validate_operator(op: OperatorSpec, net: Net) -> None:
 
 
 def apply_operator(op: OperatorSpec, f, net: Net):
-    """The field Df."""
+    """The field Df.
+
+    For the blend operator this is a ``BlendField``: the ``LinCombField``
+    of (1-t)*f and t*(node interpolant of f on ``net``), value for value,
+    which ``with_base`` forms from f values a caller already holds, with
+    one evaluation of f per point instead of two.
+    """
     f = as_field(f)
     if op.kind == "identity":
         return f
@@ -173,7 +183,7 @@ def apply_operator(op: OperatorSpec, f, net: Net):
     if op.kind == "blend":
         nodes = node_arrays(net)
         interp = NetInterpolant(nodes, mesh_eval(f, nodes))
-        return LinCombField((1.0 - op.t, op.t), (f, interp))
+        return BlendField((1.0 - op.t, op.t), (f, interp), net)
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
@@ -239,10 +249,10 @@ def _sup_gap(field: FractalField, axes) -> BoundsReport:
     sup, ||f - s|| and the grid sups of f and Ff.
     """
     cfg = field.config
-    f_vals = mesh_eval(cfg.f, axes)
+    f_vals, s_vals = mesh_eval_with_base(cfg.f, cfg.s, axes)
     pert_vals = mesh_eval(field, axes)
     lhs = float(np.max(np.abs(pert_vals - f_vals)))
-    gap = float(np.max(np.abs(f_vals - mesh_eval(cfg.s, axes))))
+    gap = float(np.max(np.abs(f_vals - s_vals)))
     a = cfg.alpha_sup
     rhs = a / (1.0 - a) * gap
     return BoundsReport(
@@ -392,7 +402,7 @@ def _solver_config(net: Net, f, alpha, s, alpha_sup: float, axes) -> FractalConf
     # internal: grid-solver configs, admissible by construction (D keeps the
     # corner values of f; neumann_inverse checks sup|alpha| < 1 once, in
     # _rate_bound). The gap estimate is taken on the solver grid.
-    gap = float(np.max(np.abs(mesh_eval(f, axes) - mesh_eval(s, axes))))
+    gap = float(np.max(np.abs(np.subtract(*mesh_eval_with_base(f, s, axes)))))
     return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
 
 

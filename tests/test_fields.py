@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fractalis import (
+    BlendField,
     CallableField,
     ConstantField,
     DeltaFifField,
@@ -14,6 +15,7 @@ from fractalis import (
     NetInterpolant,
     ProductField,
     TensorPolynomial,
+    apply_operator,
     blend_operator,
     build_net,
     grid_sup_norm,
@@ -22,8 +24,9 @@ from fractalis import (
     parse_field,
 )
 from fractalis import _fields
-from fractalis._fields import box_axes, mesh_eval, tensor_mesh
+from fractalis._fields import box_axes, mesh_eval, tensor_mesh, with_base
 from fractalis.cli import _KnotProduct
+from fractalis.net import _locate_arrays, node_arrays
 
 _EXPR = {1: "sin(3*x1)+x1^2", 2: "sin(3*x1)*cos(x2)+x1*x2", 3: "x1*x2+x3^2-x2*x3"}
 
@@ -43,6 +46,10 @@ def _fractal(rng, dim):
     return FractalField(cfg, depth=3)
 
 
+def _blend(rng, dim):
+    return apply_operator(blend_operator(0.6), parse_field(_EXPR[dim], dim), _net(dim))
+
+
 def _delta(rng, dim):
     fif = make_delta_fif(_net(dim), rng.uniform(-1.0, 1.0, size=(4,) * dim), -0.4)
     return DeltaFifField(fif, depth=3)
@@ -59,6 +66,7 @@ FIELDS = {
     "product": lambda rng, dim: ProductField(
         parse_field(f"x{dim}", dim), _nonuniform_interpolant(rng, dim)),
     "interpolant": _nonuniform_interpolant,
+    "blend": _blend,
     "fractal": _fractal,
     "delta": _delta,
     "polynomial": lambda rng, dim: TensorPolynomial(rng.uniform(-1.0, 1.0, size=(3,) * dim)),
@@ -128,3 +136,62 @@ def test_slabbed_grid_maxima_equal_one_dense_evaluation(monkeypatch, dim, cap):
     cfg = make_operator_config(net, f, alpha, op, sup_resolution=res)
     assert cfg.fs_gap == want_gap
     assert cfg.alpha_sup == want_sup
+
+
+@pytest.mark.parametrize("dim, cap", [(3, 100), (3, 10), (2, 7)])
+def test_grid_maxima_slab_leading_axes_below_one_first_axis_slab(monkeypatch, dim, cap):
+    # one entry of the first axis holds 17^(dim-1) points, more than the cap
+    net = _net(dim)
+    alpha = _Recorder(parse_field("0.2+0.1*x1*x2-0.05*x2", dim))
+    res = 17
+    want = float(np.max(np.abs(alpha.field.eval_arrays(tensor_mesh(box_axes(net.box, res))))))
+    assert res ** (dim - 1) > cap
+    monkeypatch.setattr(_fields, "MAX_GRID_POINTS", cap)
+    assert grid_sup_norm(alpha, net.box, res) == want
+    assert max(alpha.sizes) <= cap
+    assert sum(alpha.sizes) == res**dim
+
+
+def _scattered_with_knots(rng, net, n=40):
+    """Random points plus points on every knot, on the box ends among them."""
+    coords = []
+    for part in net.axes:
+        knots = np.asarray(part.knots, dtype=float)
+        pts = rng.uniform(knots[0], knots[-1], size=n)
+        coords.append(rng.permutation(np.concatenate([pts, knots])))
+    return coords
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_blend_base_is_the_lincomb_base(dim):
+    rng = np.random.default_rng(10 + dim)
+    net = build_net([(0.0, 1.0)] * dim, [[0.0, 0.15, 0.4, 0.45, 1.0]] * dim)
+    f = parse_field(_EXPR[dim], dim)
+    blend = apply_operator(blend_operator(0.6), f, net)
+    assert isinstance(blend, BlendField)
+    interp = NetInterpolant(node_arrays(net), mesh_eval(f, node_arrays(net)))
+    old = LinCombField((1.0 - 0.6, 0.6), (f, interp))
+    coords = _scattered_with_knots(rng, net)
+    want = old.eval_arrays(coords)
+    np.testing.assert_array_equal(blend.eval_arrays(coords), want)
+    for cells in (None, _locate_arrays(net, coords)):
+        f_vals, s_vals = with_base(f, blend, coords, cells, net)
+        np.testing.assert_array_equal(f_vals, f.eval_arrays(coords))
+        np.testing.assert_array_equal(s_vals, want)
+    point = [c[0] for c in coords]
+    assert blend(point) == old(point)
+    axes = box_axes(net.box, [9, 6, 7][:dim])
+    np.testing.assert_array_equal(mesh_eval(blend, axes), mesh_eval(old, axes))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interpolant_with_the_chain_cells_equals_its_own_search(dim):
+    rng = np.random.default_rng(20 + dim)
+    net = build_net([(-1.0, 2.0)] * dim, [[-1.0, -0.4, 0.1, 1.2, 2.0]] * dim)
+    interp = NetInterpolant(node_arrays(net), rng.uniform(-1.0, 1.0, size=(5,) * dim))
+    coords = _scattered_with_knots(rng, net)
+    got = interp.eval_arrays(coords, _locate_arrays(net, coords))
+    np.testing.assert_array_equal(got, interp.eval_arrays(coords))
+    mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
+    got = interp.eval_arrays(mesh, _locate_arrays(net, mesh))
+    np.testing.assert_array_equal(got, interp.eval_arrays(mesh))
