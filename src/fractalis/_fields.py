@@ -13,7 +13,16 @@ the evaluators that work point by point flatten them (``_flatten``, in
 ``CallableField`` and ``TensorPolynomial``), and ``sample_grid``'s
 threaded fallback hands the chain the flattened grid points.
 ``_multilinear`` is the one 2^k-corner kernel, of the node interpolant and
-of the node-data blend.
+of the node-data blend. It gathers the corner values through one helper,
+``_corner_gather``: on an open mesh by one ``take`` along each axis in turn,
+each on the axis values, the last into a reused buffer; on other shapes,
+such as scattered points, from the raveled table at the flat index of the
+low corner plus a per-corner offset.
+
+Grid maxima (``grid_sup_norm``, and ``make_config``'s gap through
+``_grid_max``) are taken over slabs of at most ``_SLAB_POINTS`` points, so
+that a slab's arrays stay in a core's cache and no array of the whole grid
+is formed.
 
 ``with_base`` gives f and a base field s together, with f evaluated once:
 the blend base ``BlendField`` forms s from f's values.
@@ -42,10 +51,15 @@ __all__ = [
 ]
 
 
-# Largest dense grid, in total points. The CLI caps a requested resolution
-# at it (surface and verify hold a few dozen float arrays of that size at
-# once), and grid maxima over larger grids run in slabs of at most it.
+# Largest grid, in total points, that a requested resolution may ask for:
+# the CLI's cap (surface and verify hold a few dozen float arrays of that
+# size at once). It is only that cap; grid maxima run in slabs of
+# _SLAB_POINTS whatever the grid's size.
 MAX_GRID_POINTS = 2**22
+
+# Points per slab of a grid maximum: a slab's few float arrays (256 KiB
+# each) fit in a core's L2 cache together.
+_SLAB_POINTS = 2**15
 
 
 def tensor_mesh(axes):
@@ -101,17 +115,18 @@ def with_base(f, s, coords, cells=None, net=None):
 
 def _grid_max(values, axes) -> float:
     """Max of ``values(slab_axes)`` over the tensor grid of ``axes``, taken
-    over slabs of at most MAX_GRID_POINTS points; a max does not depend on
-    the split, so memory stays bounded at the same result.
+    over slabs of at most _SLAB_POINTS points. A max does not depend on the
+    split, so the result is that of one dense evaluation, while memory stays
+    at a few slab-sized arrays and a slab's work stays in cache.
 
     A slab spans the trailing axes whole, from the first axis j on whose
-    grid fits in MAX_GRID_POINTS, takes as many entries of axis j - 1 as
-    fit, and one entry of each axis before it.
+    grid fits in _SLAB_POINTS, takes as many entries of axis j - 1 as fit,
+    and one entry of each axis before it.
     """
     sizes = [a.size for a in axes]
     j = next(j for j in range(1, len(axes) + 1)
-             if math.prod(sizes[j:]) <= MAX_GRID_POINTS)
-    step = MAX_GRID_POINTS // math.prod(sizes[j:])
+             if math.prod(sizes[j:]) <= _SLAB_POINTS)
+    step = _SLAB_POINTS // math.prod(sizes[j:])
     return float(np.max([
         np.max(values([*(a[i:i + 1] for a, i in zip(axes, head)),
                        axes[j - 1][i:i + step], *axes[j:]]))
@@ -259,13 +274,11 @@ class NetInterpolant:
             raise ValueError(f"expected {self.dim} coordinate arrays")
         coords = [np.asarray(c, dtype=float) for c in coords]
         if cells is None:
-            cells = [np.clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
+            cells = [_clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
                      for a, t in zip(self.axes, coords)]
-        ends = [(i, i + 1) for i in cells]
-        thetas = [(t - a[i]) / (a[j] - a[i])
-                  for a, t, (i, j) in zip(self.axes, coords, ends)]
-        return _multilinear(thetas, lambda e, mask: self.values[
-            tuple(end[bit] for bit, end in zip(mask, ends))])
+        thetas = [(t - a[i]) / (a[i + 1] - a[i])
+                  for a, t, i in zip(self.axes, coords, cells)]
+        return _multilinear(thetas, cells, lambda e, mask: (self.values, mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,18 +302,101 @@ class BlendField(LinCombField):
         return out
 
 
-def _multilinear(thetas, corner) -> np.ndarray:
+def _multilinear(thetas, cells, corner) -> np.ndarray:
     """Sum over the 2^k corner bit masks, in ``itertools.product`` order e,
-    of the weight prod_q (theta_q if bit_q else 1 - theta_q) times
-    ``corner(e, mask)``, on the broadcast shape of the thetas."""
-    factors = [(1.0 - th, th) for th in thetas]
-    out = np.zeros(np.broadcast(*thetas).shape, dtype=float)
+    of the weight prod_q (theta_q if bit_q else 1 - theta_q) times the
+    corner value, on the broadcast shape of the thetas. ``cells`` are the
+    low corners, one index array per axis; ``corner(e, mask)`` gives a
+    table and a shift, and the corner value at low corner i is
+    table[i + shift] (``_corner_gather``).
+
+    Each weight is the product over the axes taken left to right; the
+    product over the first k - 1 axes is shared by the two corners that
+    differ only in the last bit. Each term is formed in one work buffer and
+    added to ``out``, which starts from zeros, so a -0.0 term sums to +0.0.
+    The corner values go to a second buffer; the gather may use the work
+    buffer for its intermediates, as the weight is formed after it. So the
+    loop holds three arrays of the broadcast shape, allocated once.
+    """
+    *head, last = [(1.0 - th, th) for th in thetas]
+    shape = np.broadcast(*thetas).shape
+    table, _ = corner(0, (0,) * len(thetas))
+    gather = _corner_gather(cells, table.shape, shape)
+    out = np.zeros(shape)
+    work = np.empty(shape)
+    values = np.empty(shape)
     for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
-        weight = factors[0][mask[0]]
-        for bit, pair in zip(mask[1:], factors[1:]):
-            weight = weight * pair[bit]
-        out += weight * corner(e, mask)
+        if mask[-1] == 0:
+            prefix = None
+            for bit, pair in zip(mask, head):
+                prefix = pair[bit] if prefix is None else prefix * pair[bit]
+        gather(*corner(e, mask), values, work)
+        weight = last[mask[-1]]
+        if prefix is not None:
+            weight = np.multiply(prefix, weight, out=work)
+        np.multiply(weight, values, out=work)
+        out += work
     return out
+
+
+def _corner_gather(cells, table_shape, shape):
+    """``gather(table, shift, out, spare)``: table[cells + shift] for a
+    table of ``table_shape``, written to ``out`` of the broadcast ``shape``,
+    for the low corners ``cells`` (one index array per table axis, in range)
+    and a shift of 0s and 1s; ``spare`` is an array that the gather may
+    overwrite.
+
+    On an open mesh, where ``cells[q]`` spans only axis q of ``shape``, it
+    takes along one axis after another, each take on the axis values. The
+    intermediates alternate between ``spare`` and ``out`` where they fit,
+    so that the last take, into ``out``, reads from ``spare``. Otherwise it
+    takes from the raveled table at one flat index of the low corner, formed
+    here, plus the shift's offset. The takes use mode "clip", which writes
+    into ``out`` directly where the default mode goes through a copy; every
+    index is in range, so nothing is clipped.
+    """
+    k = len(cells)
+    if len(shape) == k and all(
+            np.shape(c) == tuple(n if p == q else 1 for p, n in enumerate(shape))
+            for q, c in enumerate(cells)):
+        axis_cells = [np.ravel(c) for c in cells]
+
+        def gather(table, shift, out, spare):
+            for q in range(k - 1):
+                index = axis_cells[q] + shift[q]
+                into = _scratch(spare if (k - q) % 2 == 0 else out,
+                                table.shape[:q] + index.shape + table.shape[q + 1:])
+                table = np.take(table, index, axis=q, out=into, mode="clip")
+            return np.take(table, axis_cells[-1] + shift[-1], axis=k - 1,
+                           out=out, mode="clip")
+        return gather
+
+    strides = [math.prod(table_shape[q + 1:]) for q in range(k)]
+    low = np.zeros(shape, dtype=np.intp)
+    for c, stride in zip(cells, strides):
+        low += c * stride
+
+    def gather(table, shift, out, spare):
+        offset = sum(d * stride for d, stride in zip(shift, strides))
+        return np.take(table.ravel()[offset:], low, out=out, mode="clip")
+    return gather
+
+
+def _scratch(buffer, shape) -> np.ndarray:
+    """An array of ``shape`` in the memory of the contiguous ``buffer``
+    when it fits there, a new one otherwise."""
+    size = math.prod(shape)
+    if size > buffer.size:
+        return np.empty(shape)
+    return buffer.reshape(-1)[:size].reshape(shape)
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` bit for bit, signed zeros included (a value
+    equal to a bound is kept), and NaN propagates; without ``np.clip``'s
+    wrapper, which costs a few times the ufuncs on the small arrays of a
+    chain step."""
+    return np.minimum(hi, np.maximum(lo, x))
 
 
 def as_field(obj):

@@ -396,9 +396,10 @@ def make_delta_fif(net: Net, values, delta: float) -> DeltaFif:
 
 
 def _corner_blend_table(fif: DeltaFif):
-    """Per-cell corner data w[cells..., e] = z[eta(cell, corner)] -
+    """Per-cell corner data w[e, cells...] = z[eta(cell, corner)] -
     delta * z[corner]; e labels the corner masks in the order of
-    ``itertools.product((0, 1), repeat=k)``, as ``_multilinear`` does."""
+    ``itertools.product((0, 1), repeat=k)``, as ``_multilinear`` does, and
+    each w[e] is one contiguous table over the cells."""
     net, z, delta = fif.net, fif.values, fif.delta
     k = net.dim
     # per axis, the knots each cell's map sends the low and the high end of
@@ -408,12 +409,12 @@ def _corner_blend_table(fif: DeltaFif):
          for m in (0, part.n_cells)]
         for part in net.axes
     ]
-    shape = tuple(part.n_cells for part in net.axes) + (2**k,)
+    shape = (2**k,) + tuple(part.n_cells for part in net.axes)
     w = np.empty(shape)
     for e, mask in enumerate(itertools.product((0, 1), repeat=k)):
         idx = [eta_tables[q][bit] for q, bit in enumerate(mask)]
         corner = tuple(bit * part.n_cells for bit, part in zip(mask, net.axes))
-        w[..., e] = z[np.ix_(*idx)] - delta * z[corner]
+        w[e] = z[np.ix_(*idx)] - delta * z[corner]
     w.setflags(write=False)
     return w
 
@@ -421,7 +422,7 @@ def _corner_blend_table(fif: DeltaFif):
 def _blend_eval(net: Net, w, cells, coords):
     """Multilinear blend of the per-cell corner data at box coordinates."""
     thetas = [(t - lo) / (hi - lo) for t, (lo, hi) in zip(coords, net.box.bounds)]
-    return _multilinear(thetas, lambda e, mask: w[tuple(cells) + (e,)])
+    return _multilinear(thetas, cells, lambda e, mask: (w[e], (0,) * len(mask)))
 
 
 def _delta_tail_constant(fif: DeltaFif) -> float:

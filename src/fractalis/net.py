@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._fields import _clip
+
 __all__ = [
     "Box",
     "AxisPartition",
@@ -256,7 +258,7 @@ def _locate_arrays(net: Net, coords):
     out = []
     for part, t in zip(net.axes, coords):
         i = np.searchsorted(np.asarray(part.knots), t, side="right") - 1
-        out.append(np.clip(i, 0, part.n_cells - 1))
+        out.append(_clip(i, 0, part.n_cells - 1))
     return out
 
 
@@ -272,7 +274,7 @@ def _preimage(y, a, b, lo, hi):
     """Preimage (y - b) / a under the cell map t -> a*t + b, clipped to the
     axis interval [lo, hi] against float drift; the one inverse formula of
     the scalar and the vectorized cell geometry."""
-    return np.clip((y - b) / a, lo, hi)
+    return _clip((y - b) / a, lo, hi)
 
 
 def eta(part: AxisPartition, j: int, m: int) -> int:

@@ -362,7 +362,8 @@ def test_surface_bytes_match_reference_on_stdout_and_out(tmp_path, capsys, knots
                  "--out", str(out)]) == 0
     assert out.read_bytes() == stdout.encode("ascii")
 
-    spec = json.loads(open(cfg).read())
+    with open(cfg) as fh:
+        spec = json.load(fh)
     net = build_net(spec["box"]["bounds"], spec["net"]["knots"])
     config = make_operator_config(net, parse_field(spec["fields"]["f"], 2),
                                   parse_field(spec["fields"]["alpha"], 2),

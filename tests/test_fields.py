@@ -1,6 +1,11 @@
 """The field contract on tensor grids: ``mesh_eval`` hands every field the
 open mesh and must get the values of the dense mesh, bit for bit; grid
-maxima taken in slabs equal the maxima of one dense evaluation."""
+maxima taken in slabs equal the maxima of one dense evaluation; the
+multilinear kernel's gathers give the fancy-index kernel's values bit for
+bit on every coordinate shape."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +29,9 @@ from fractalis import (
     parse_field,
 )
 from fractalis import _fields
-from fractalis._fields import box_axes, mesh_eval, tensor_mesh, with_base
+from fractalis._fields import _clip, box_axes, mesh_eval, tensor_mesh, with_base
 from fractalis.cli import _KnotProduct
+from fractalis.fractal_core import _blend_eval, _corner_blend_table
 from fractalis.net import _locate_arrays, node_arrays
 
 _EXPR = {1: "sin(3*x1)+x1^2", 2: "sin(3*x1)*cos(x2)+x1*x2", 3: "x1*x2+x3^2-x2*x3"}
@@ -129,7 +135,7 @@ def test_slabbed_grid_maxima_equal_one_dense_evaluation(monkeypatch, dim, cap):
     s = make_operator_config(net, f, 0.3, op, sup_resolution=res).s
     want_gap = float(np.max(np.abs(f.eval_arrays(dense) - s.eval_arrays(dense))))
 
-    monkeypatch.setattr(_fields, "MAX_GRID_POINTS", cap)
+    monkeypatch.setattr(_fields, "_SLAB_POINTS", cap)
     assert grid_sup_norm(alpha, net.box, res) == want_sup
     assert len(alpha.sizes) > 1 and max(alpha.sizes) <= cap
     assert sum(alpha.sizes) == res**dim
@@ -146,7 +152,7 @@ def test_grid_maxima_slab_leading_axes_below_one_first_axis_slab(monkeypatch, di
     res = 17
     want = float(np.max(np.abs(alpha.field.eval_arrays(tensor_mesh(box_axes(net.box, res))))))
     assert res ** (dim - 1) > cap
-    monkeypatch.setattr(_fields, "MAX_GRID_POINTS", cap)
+    monkeypatch.setattr(_fields, "_SLAB_POINTS", cap)
     assert grid_sup_norm(alpha, net.box, res) == want
     assert max(alpha.sizes) <= cap
     assert sum(alpha.sizes) == res**dim
@@ -195,3 +201,147 @@ def test_interpolant_with_the_chain_cells_equals_its_own_search(dim):
     mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
     got = interp.eval_arrays(mesh, _locate_arrays(net, mesh))
     np.testing.assert_array_equal(got, interp.eval_arrays(mesh))
+
+
+def _reference_multilinear(thetas, corner):
+    """The fancy-index kernel the gathers replaced: the weight of each
+    corner mask formed left to right, times ``corner(e, mask)``, added to
+    a zero array."""
+    factors = [(1.0 - th, th) for th in thetas]
+    out = np.zeros(np.broadcast(*thetas).shape, dtype=float)
+    for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
+        weight = factors[0][mask[0]]
+        for bit, pair in zip(mask[1:], factors[1:]):
+            weight = weight * pair[bit]
+        out += weight * corner(e, mask)
+    return out
+
+
+def _reference_interpolant(interp, coords, cells=None):
+    """``NetInterpolant.eval_arrays`` with one broadcast fancy index per
+    corner."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    if cells is None:
+        cells = [np.clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
+                 for a, t in zip(interp.axes, coords)]
+    ends = [(i, i + 1) for i in cells]
+    thetas = [(t - a[i]) / (a[j] - a[i]) for a, t, (i, j) in zip(interp.axes, coords, ends)]
+    return _reference_multilinear(thetas, lambda e, mask: interp.values[
+        tuple(end[bit] for bit, end in zip(mask, ends))])
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _layouts(axis_points):
+    """Coordinate arrays of the tensor grid of ``axis_points`` in several
+    broadcasting shapes: the open mesh, the flattened points and, for
+    k > 1, shapes that are neither (one array spans every axis; the last
+    array is 1-d)."""
+    k = len(axis_points)
+    mesh = np.meshgrid(*axis_points, indexing="ij", sparse=True)
+    dense = np.meshgrid(*axis_points, indexing="ij")
+    out = {"open": mesh, "flat": [d.ravel() for d in dense]}
+    if k > 1:
+        out["first_dense"] = [dense[0], *mesh[1:]]
+        out["last_1d"] = [*mesh[:-1], mesh[-1].ravel()]
+    return out
+
+
+_UNIFORM = [-1.0, -0.25, 0.5, 1.25, 2.0]
+_NONUNIFORM = [-1.0, -0.4, 0.1, 1.2, 2.0]
+
+
+@pytest.mark.parametrize("knots", [_UNIFORM, _NONUNIFORM], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_multilinear_gathers_equal_the_fancy_index_kernel(dim, knots):
+    rng = np.random.default_rng(30 + dim)
+    net = build_net([(-1.0, 2.0)] * dim, [knots] * dim)
+    interp = NetInterpolant(node_arrays(net), rng.uniform(-1.0, 1.0, size=(5,) * dim))
+    # on every knot, the box ends among them, and between knots
+    points = [rng.permutation(np.concatenate([knots, rng.uniform(-1.0, 2.0, size=3)]))
+              for _ in range(dim)]
+    for coords in _layouts(points).values():
+        want = _reference_interpolant(interp, coords)
+        _assert_same_bits(interp.eval_arrays(coords), want)
+        cells = _locate_arrays(net, coords)
+        _assert_same_bits(interp.eval_arrays(coords, cells),
+                          _reference_interpolant(interp, coords, cells))
+    point = [p[0] for p in points]
+    assert interp(point) == _reference_interpolant(interp, [[t] for t in point])[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multilinear_keeps_signed_zeros_of_the_fancy_index_kernel(dim):
+    # every corner term is +-0.0 at the nodes of a table of signed zeros
+    axes = [np.array([0.0, 0.5, 1.0])] * dim
+    table = np.random.default_rng(dim).choice([-1.0, 1.0], size=(3,) * dim) * 0.0
+    assert np.signbit(table).any()
+    interp = NetInterpolant(axes, table)
+    points = [np.array([0.0, 0.25, 0.5, 1.0])] * dim
+    for coords in _layouts(points).values():
+        _assert_same_bits(interp.eval_arrays(coords), _reference_interpolant(interp, coords))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_node_data_blend_gathers_equal_the_fancy_index_kernel(dim):
+    rng = np.random.default_rng(40 + dim)
+    net = build_net([(0.0, 1.0)] * dim, [[0.0, 0.3, 0.6, 1.0]] * dim)
+    fif = make_delta_fif(net, rng.uniform(-1.0, 1.0, size=(4,) * dim), -0.4)
+    w = _corner_blend_table(fif)
+    points = [rng.permutation(np.concatenate([[0.0, 0.3, 0.6, 1.0], rng.uniform(size=4)]))
+              for _ in range(dim)]
+    for coords in _layouts(points).values():
+        cells = _locate_arrays(net, coords)
+        thetas = [(t - lo) / (hi - lo) for t, (lo, hi) in zip(coords, net.box.bounds)]
+        want = _reference_multilinear(thetas, lambda e, mask: w[e][tuple(cells)])
+        _assert_same_bits(_blend_eval(net, w, cells, coords), want)
+    field = DeltaFifField(fif, depth=4)
+    mesh = np.meshgrid(*points, indexing="ij", sparse=True)
+    flat = [d.ravel() for d in np.meshgrid(*points, indexing="ij")]
+    _assert_same_bits(field.eval_arrays(mesh),
+                      field.eval_arrays(flat).reshape(tuple(p.size for p in points)))
+
+
+def test_clip_is_np_clip_bit_for_bit():
+    x = np.array([-0.0, 0.0, np.nan, -1.0, 2.0, 0.5, -np.inf, np.inf, 1.0])
+    for lo, hi in [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (0.5, 0.5)]:
+        _assert_same_bits(_clip(x, lo, hi), np.clip(x, lo, hi))
+    i = np.array([-3, 0, 2, 5])
+    _assert_same_bits(_clip(i, 0, 3), np.clip(i, 0, 3))
+
+
+def test_3d_config_build_stays_in_slabs():
+    # the eval-3d benchmark config at the default 129^3 sup grid
+    net = build_net([(0.0, 1.0)] * 3, [[0.0, 0.5, 1.0]] * 3)
+    f = _Recorder(parse_field("x1*x2+x3^2", 3))
+    tracemalloc.start()
+    try:
+        cfg = make_operator_config(net, f, 0.3, blend_operator(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(f.sizes) == 129**3 + 3**3
+    assert max(f.sizes) <= _fields._SLAB_POINTS
+    assert peak < 129**3 * 8
+    assert cfg.fs_gap > 0.0
+
+
+@pytest.mark.parametrize("dim, n", [(2, 257), (3, 41)])
+def test_interpolant_on_an_open_mesh_holds_three_grid_arrays(dim, n):
+    # a table as large as the grid, as in the grid sweep: the gather's
+    # intermediates are grid-sized too and must reuse the kernel's buffers
+    rng = np.random.default_rng(50 + dim)
+    interp = NetInterpolant([np.linspace(0.0, 1.0, n)] * dim, rng.uniform(size=(n,) * dim))
+    mesh = np.meshgrid(*[np.sort(rng.uniform(size=n)) for _ in range(dim)],
+                       indexing="ij", sparse=True)
+    tracemalloc.start()
+    try:
+        interp.eval_arrays(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n**dim * 8
