@@ -8,10 +8,10 @@ code never needs to branch. ``mesh_eval`` is the one tensor-grid
 evaluator: it passes the open mesh (one array per axis, each spanning its
 own axis) so that per-axis work, such as the cell search of
 ``NetInterpolant``, runs on the axis values only. The chain evaluators of
-``fractal_core`` keep such coordinates as they are at every level. Only
-the evaluators that work point by point flatten them (``_flatten``, in
-``CallableField`` and ``TensorPolynomial``), and ``sample_grid``'s
-threaded fallback hands the chain the flattened grid points.
+``fractal_core`` keep such coordinates as they are at every level, and
+``sample_grid`` hands every grid that its orbit path does not take to
+``mesh_eval``. Only the evaluators that work point by point flatten them
+(``_flatten``, in ``CallableField`` and ``TensorPolynomial``).
 ``_multilinear`` is the one 2^k-corner kernel, of the node interpolant and
 of the node-data blend. It gathers the corner values through one helper,
 ``_corner_gather``: on an open mesh by one ``take`` along each axis in turn,
@@ -22,7 +22,8 @@ low corner plus a per-corner offset.
 Grid maxima (``grid_sup_norm``, and ``make_config``'s gap through
 ``_grid_max``) are taken over slabs of at most ``_SLAB_POINTS`` points, so
 that a slab's arrays stay in a core's cache and no array of the whole grid
-is formed.
+is formed; scattered points are evaluated in slices of the same size
+(``fractal_core._eval_chunked``).
 
 ``with_base`` gives f and a base field s together, with f evaluated once:
 the blend base ``BlendField`` forms s from f's values.
@@ -44,7 +45,6 @@ __all__ = [
     "ProductField",
     "NetInterpolant",
     "BlendField",
-    "tensor_mesh",
     "mesh_eval",
     "grid_sup_norm",
     "box_axes",
@@ -57,14 +57,10 @@ __all__ = [
 # _SLAB_POINTS whatever the grid's size.
 MAX_GRID_POINTS = 2**22
 
-# Points per slab of a grid maximum: a slab's few float arrays (256 KiB
-# each) fit in a core's L2 cache together.
+# Points per slab of a grid maximum, and per slice of a pointwise
+# evaluation: a slab's few float arrays (256 KiB each) fit in a core's L2
+# cache together.
 _SLAB_POINTS = 2**15
-
-
-def tensor_mesh(axes):
-    """Full coordinate mesh (indexing 'ij') from per-axis 1-d arrays."""
-    return np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
 
 
 def _open_mesh(axes):

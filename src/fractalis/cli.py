@@ -8,12 +8,11 @@ constants. Configuration is a JSON file; all output is deterministic for
 a fixed config and seed. Exit codes: 0 success, 1 a check or tolerance
 failed, 2 usage or configuration error.
 
-FRACTALIS_THREADS (integer >= 1) splits chain evaluation into that many
-chunks executed on a thread pool; results are concatenated in order, so
-the output does not depend on the thread count. Grids that take the exact
-orbit path (see ``fractal_core.sample_grid``), for either construction,
-run on one thread. A resolution may ask for at most MAX_GRID_POINTS grid
-points.
+``surface`` takes the exact orbit path on a net-compatible grid and the
+open mesh on every other grid (see ``fractal_core.sample_grid``), for
+either construction; ``eval`` evaluates its points in slices of
+``_SLAB_POINTS`` (see ``fractal_core._eval_chunked``). A resolution may
+ask for at most MAX_GRID_POINTS grid points.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -303,19 +301,6 @@ class _Problem:
         return FractalField(self.alpha_config(), tol=tol)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FRACTALIS_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"FRACTALIS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise UsageError(f"FRACTALIS_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _format(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -363,7 +348,7 @@ def _point_blocks(pts, values, bound, rows: int = 4096):
 
 
 def _write_surface(out_path, field, resolution) -> None:
-    axes, values = sample_grid(field, resolution, _thread_count())
+    axes, values = sample_grid(field, resolution)
     _write_csv(out_path, _header(len(axes)), _grid_blocks(axes, values, field.error_bound))
 
 
@@ -425,7 +410,7 @@ def cmd_eval(args) -> int:
     field = problem.evaluator(problem.tol(args, 1e-10))
     pts = _parse_points(args, problem)
     coords = [pts[:, q] for q in range(problem.net.dim)]
-    values = _eval_chunked(field, coords, _thread_count())
+    values = _eval_chunked(field, coords)
     _write_csv(args.out, _header(problem.net.dim),
                _point_blocks(pts, values, field.error_bound))
     return 0

@@ -36,6 +36,7 @@ import numpy as np
 from ._fields import (
     ConstantField,
     NetInterpolant,
+    _SLAB_POINTS,
     _checked,
     _grid_max,
     _multilinear,
@@ -45,7 +46,6 @@ from ._fields import (
     mesh_eval,
     mesh_eval_with_base,
     mesh_like,
-    tensor_mesh,
     with_base,
 )
 from .net import Net, _inverse_step, _locate_arrays, eta, node_arrays, node_points
@@ -260,7 +260,7 @@ def _eval_points(field, points) -> EvalReport:
     if bad is not None:
         where = tuple(float(v) for v in pts[bad])
         raise ValueError(f"point {where} outside box {net.box.bounds}")
-    values = field.eval_arrays([pts[:, q] for q in range(net.dim)])
+    values = _eval_chunked(field, [pts[:, q] for q in range(net.dim)])
     return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
 
 
@@ -693,42 +693,35 @@ def _orbit_walk(maps, steps: int):
         yield np.ix_(*idx)
 
 
-def _eval_chunked(field, coords, threads: int = 1) -> np.ndarray:
-    """``field.eval_arrays`` on 1-d coordinate arrays, split into
-    ``threads`` chunks run on a thread pool and concatenated in order;
-    the values do not depend on the thread count."""
+def _eval_chunked(field, coords) -> np.ndarray:
+    """``field.eval_arrays`` on 1-d coordinate arrays, in slices of at most
+    ``_SLAB_POINTS`` points concatenated in order; each point's value does
+    not depend on the slice it is evaluated in."""
     n = coords[0].shape[0]
-    if threads == 1 or n < 2 * threads:
+    if n <= _SLAB_POINTS:
         return field.eval_arrays(coords)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(n), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda idx: field.eval_arrays([c[idx] for c in coords]), chunks)
-        )
-    return np.concatenate(parts)
+    return np.concatenate([
+        field.eval_arrays([c[i:i + _SLAB_POINTS] for c in coords])
+        for i in range(0, n, _SLAB_POINTS)])
 
 
-def sample_grid(field, resolution, threads: int = 1):
+def sample_grid(field, resolution):
     """Evaluate a FractalField or DeltaFifField on the uniform grid over
     its box; returns (axes, values) with values indexed like the axes.
 
     On a net-compatible grid (see ``_orbit_maps``) either construction
     walks its chain by integer grid indices: f, s and alpha, or the level
     blend and the base interpolant, are evaluated once on the grid. Every
-    other input runs the chain on the flattened grid in ``threads``
-    chunks. Depth and error bound are the field's either way.
+    other grid runs the chain on the open mesh (``mesh_eval``). Depth and
+    error bound are the field's either way.
     """
     if not isinstance(field, (FractalField, DeltaFifField)):
         raise TypeError("expected a FractalField or a DeltaFifField")
     axes = box_axes(field.net.box, resolution)
-    shape = tuple(a.size for a in axes)
-    maps = _orbit_maps(field.net, shape)
+    maps = _orbit_maps(field.net, tuple(a.size for a in axes))
     if maps is not None:
         return axes, field._orbit(axes, maps)
-    flat = [m.ravel() for m in tensor_mesh(axes)]
-    return axes, _eval_chunked(field, flat, threads).reshape(shape)
+    return axes, mesh_eval(field, axes)
 
 
 def sample_surface(config, resolution, tol: float = 1e-8):

@@ -16,7 +16,7 @@ from fractalis import (
     make_operator_config,
     parse_field,
 )
-from fractalis._fields import box_axes, mesh_eval, tensor_mesh
+from fractalis._fields import box_axes, mesh_eval
 
 _KNOTS = [[0.0, 0.3, 0.6, 1.0], [0.0, 0.7, 1.2, 2.0], [-1.0, -0.2, 0.5]]
 _BOUNDS = [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)]
@@ -51,7 +51,7 @@ def test_open_mesh_equals_flattened_points(make, dim):
     field = make(dim)
     axes = box_axes(field.net.box, [11, 9, 7][:dim])
     shape = tuple(a.size for a in axes)
-    flat = field.eval_arrays([m.ravel() for m in tensor_mesh(axes)]).reshape(shape)
+    flat = field.eval_arrays([m.ravel() for m in np.meshgrid(*axes, indexing="ij")]).reshape(shape)
     np.testing.assert_array_equal(mesh_eval(field, axes), flat)
 
 

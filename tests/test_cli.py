@@ -18,6 +18,7 @@ from fractalis import (
     make_operator_config,
     parse_field,
 )
+from fractalis import fractal_core
 from fractalis._fields import box_axes
 from fractalis.cli import _grid_blocks, _point_blocks, main
 
@@ -91,12 +92,11 @@ def test_eval_uses_config_points(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == 0.375
 
 
-def test_surface_deterministic_and_thread_invariant(tmp_path, monkeypatch):
+def test_surface_deterministic(tmp_path):
     cfg = blend_config(tmp_path)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["surface", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("FRACTALIS_THREADS", "3")
     assert main(["surface", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -278,13 +278,6 @@ def test_analytic_failures_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_thread_env_exits_two(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("FRACTALIS_THREADS", "0")
-    assert main(["surface", "--config", cfg]) == 2
-    capsys.readouterr()
-
-
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path)
     proc = subprocess.run(
@@ -385,7 +378,11 @@ def test_surface_bytes_match_reference_on_stdout_and_out(tmp_path, capsys, knots
         assert stdout == want
 
 
-def test_eval_bytes_match_reference_on_stdout_and_out(tmp_path, capsys):
+@pytest.mark.parametrize("slab", [None, 1000])
+def test_eval_bytes_match_reference_on_stdout_and_out(tmp_path, capsys, monkeypatch,
+                                                      slab):
+    if slab is not None:   # 5000 points in five slabs, as one call
+        monkeypatch.setattr(fractal_core, "_SLAB_POINTS", slab)
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, size=(5000, 1))
     pts[:2, 0] = [-0.0, 1e-300]
@@ -403,14 +400,19 @@ def test_eval_bytes_match_reference_on_stdout_and_out(tmp_path, capsys):
     assert stdout == _reference_csv(["x1", "value", "error_bound"], rows)
 
 
-def test_surface_chain_fallback_is_thread_invariant(tmp_path, monkeypatch):
+def test_surface_chain_fallback_matches_flattened_chain(tmp_path):
     cfg = _mixed_net_config(tmp_path, x1_knots=(0.0, 0.3, 0.6, 1.0))
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(["surface", "--config", cfg, "--resolution", "17", "--out", str(out1)]) == 0
-    monkeypatch.setenv("FRACTALIS_THREADS", "3")
-    assert main(["surface", "--config", cfg, "--resolution", "17", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    out = tmp_path / "a.csv"
+    assert main(["surface", "--config", cfg, "--resolution", "17", "--out", str(out)]) == 0
+    net = build_net([[0.0, 1.0], [-0.5, 1.0]], [[0.0, 0.3, 0.6, 1.0], [-0.5, 0.0, 0.5, 1.0]])
+    config = make_operator_config(net, parse_field("sin(3*x1)*cos(2*x2)+x1*x2", 2),
+                                  parse_field("0.2+0.05*x1*x2", 2), blend_operator(0.6))
+    field = FractalField(config, tol=1e-8)
+    axes = box_axes(net.box, 17)
+    flat = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    values = field.eval_arrays(flat).reshape(17, 17)
+    assert out.read_text() == _reference_csv(["x1", "x2", "value", "error_bound"],
+                                             _grid_rows(axes, values, field.error_bound))
 
 
 def _one_line_error(capsys):

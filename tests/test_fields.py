@@ -29,7 +29,7 @@ from fractalis import (
     parse_field,
 )
 from fractalis import _fields
-from fractalis._fields import _clip, box_axes, mesh_eval, tensor_mesh, with_base
+from fractalis._fields import _clip, box_axes, mesh_eval, with_base
 from fractalis.cli import _KnotProduct
 from fractalis.fractal_core import _blend_eval, _corner_blend_table
 from fractalis.net import _locate_arrays, node_arrays
@@ -88,7 +88,7 @@ def test_open_mesh_matches_dense_mesh(name, dim):
     axes = box_axes([(0.0, 1.0)] * dim, [9, 6, 7][:dim])
     got = mesh_eval(field, axes)
     assert got.shape == tuple(a.size for a in axes)
-    np.testing.assert_array_equal(got, field.eval_arrays(tensor_mesh(axes)))
+    np.testing.assert_array_equal(got, field.eval_arrays(np.meshgrid(*axes, indexing="ij")))
 
 
 class _FirstAxisShaped:
@@ -130,7 +130,7 @@ def test_slabbed_grid_maxima_equal_one_dense_evaluation(monkeypatch, dim, cap):
     net = _net(dim)
     op = blend_operator(0.6)
     res = 65 if dim == 2 else 33
-    dense = tensor_mesh(box_axes(net.box, res))
+    dense = np.meshgrid(*box_axes(net.box, res), indexing="ij")
     want_sup = float(np.max(np.abs(alpha.field.eval_arrays(dense))))
     s = make_operator_config(net, f, 0.3, op, sup_resolution=res).s
     want_gap = float(np.max(np.abs(f.eval_arrays(dense) - s.eval_arrays(dense))))
@@ -150,7 +150,8 @@ def test_grid_maxima_slab_leading_axes_below_one_first_axis_slab(monkeypatch, di
     net = _net(dim)
     alpha = _Recorder(parse_field("0.2+0.1*x1*x2-0.05*x2", dim))
     res = 17
-    want = float(np.max(np.abs(alpha.field.eval_arrays(tensor_mesh(box_axes(net.box, res))))))
+    want = float(np.max(np.abs(alpha.field.eval_arrays(
+        np.meshgrid(*box_axes(net.box, res), indexing="ij")))))
     assert res ** (dim - 1) > cap
     monkeypatch.setattr(_fields, "_SLAB_POINTS", cap)
     assert grid_sup_norm(alpha, net.box, res) == want

@@ -40,6 +40,7 @@ from fractalis import (
     sample_surface,
     solve_fixed_point_grid,
 )
+from fractalis import fractal_core
 from fractalis._fields import mesh_eval
 
 
@@ -389,3 +390,33 @@ def test_point_evaluators_are_the_field_views():
                                                               field.error_bound)
             if depth is not None:
                 assert field.depth == depth
+
+
+@pytest.mark.parametrize("construction", ["alpha", "delta"])
+def test_point_evaluation_runs_in_slabs(monkeypatch, construction):
+    # 2 * _SLAB_POINTS + 3 points: two full slabs and a part slab, through
+    # the CLI's path and the library's, each valued as in one whole call
+    rng = np.random.default_rng(43)
+    cfg = conditioned_config(rng, dim=2)
+    shape = tuple(p.n_cells + 1 for p in cfg.net.axes)
+    fif = make_delta_fif(cfg.net, rng.uniform(-1, 1, size=shape), -0.3)
+    cls, evaluate, data = ((FractalField, eval_alpha_fractal, cfg)
+                           if construction == "alpha" else
+                           (DeltaFifField, eval_fif_delta, fif))
+    slab = 5
+    pts = np.column_stack([rng.uniform(p.lo, p.hi, 2 * slab + 3) for p in cfg.net.axes])
+    coords = [pts[:, 0], pts[:, 1]]
+    field = cls(data, tol=1e-9)
+    whole = field.eval_arrays(coords)
+    sizes = []
+    chain = cls.eval_arrays
+
+    def spy(self, coords):
+        sizes.append(np.broadcast(*coords).size)
+        return chain(self, coords)
+
+    monkeypatch.setattr(fractal_core, "_SLAB_POINTS", slab)
+    monkeypatch.setattr(cls, "eval_arrays", spy)
+    np.testing.assert_array_equal(fractal_core._eval_chunked(field, coords), whole)
+    np.testing.assert_array_equal(evaluate(data, pts, tol=1e-9).values, whole)
+    assert sizes == [slab, slab, 3] * 2

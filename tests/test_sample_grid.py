@@ -17,8 +17,8 @@ from fractalis import (
     sample_surface,
     solve_fixed_point_grid,
 )
-from fractalis._fields import tensor_mesh
-from fractalis.fractal_core import _orbit_maps
+from fractalis import fractal_core
+from fractalis.fractal_core import _eval_chunked, _orbit_maps
 
 
 def _dyadic_uniform_net(rng, cells):
@@ -43,7 +43,18 @@ def _random_field(rng, net, tol=1e-9, depth=None, sup_target=None):
 
 
 def _chain_values(field, axes):
-    return field.eval_arrays(tensor_mesh(axes))
+    return field.eval_arrays(np.meshgrid(*axes, indexing="ij"))
+
+
+def _slab_values(monkeypatch, field, axes):
+    """The chain on the flattened grid points, in slabs of 7 points."""
+    monkeypatch.setattr(fractal_core, "_SLAB_POINTS", 7)
+    flat = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    return _eval_chunked(field, flat).reshape(tuple(a.size for a in axes))
+
+
+# a 3-D net whose first axis is compatible at res 9 and whose other two are not
+_MIXED_3D = [[0.0, 0.5, 1.0], [0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 1.0]]
 
 
 def test_orbit_maps_hand_values():
@@ -155,16 +166,16 @@ def test_orbit_path_evaluates_each_field_once():
 @pytest.mark.parametrize("knots,res", [
     ([[0.0, 0.3, 0.6, 1.0]], 10),   # nonuniform knots
     ([[0.0, 0.5, 1.0]], 10),        # two cells, res - 1 odd
+    (_MIXED_3D, 9),                 # one compatible axis, two nonuniform
 ])
-def test_fallback_returns_the_chain_values(knots, res):
+def test_fallback_returns_the_chain_values(monkeypatch, knots, res):
     rng = np.random.default_rng(11)
-    net = build_net([(0.0, 1.0)], knots)
+    net = build_net([(0.0, 1.0)] * len(knots), knots)
     field = _random_field(rng, net)
-    assert _orbit_maps(net, (res,)) is None
+    assert _orbit_maps(net, (res,) * len(knots)) is None
     axes, values = sample_grid(field, res)
     np.testing.assert_array_equal(values, _chain_values(field, axes))
-    _, threaded = sample_grid(field, res, threads=3)
-    np.testing.assert_array_equal(threaded, values)
+    np.testing.assert_array_equal(_slab_values(monkeypatch, field, axes), values)
 
 
 def test_fallback_in_two_dimensions_and_delta_construction():
@@ -247,16 +258,42 @@ def test_delta_orbit_on_random_bounds_and_per_axis_resolution():
 @pytest.mark.parametrize("knots,res", [
     ([[0.0, 0.3, 0.6, 1.0]] * 2, 10),   # nonuniform knots
     ([[0.0, 0.5, 1.0]] * 2, 10),        # two cells, res - 1 odd
+    (_MIXED_3D, 9),                     # one compatible axis, two nonuniform
 ])
-def test_delta_fallback_returns_the_chain_values(knots, res):
+def test_delta_fallback_returns_the_chain_values(monkeypatch, knots, res):
     rng = np.random.default_rng(15)
-    net = build_net([(0.0, 1.0)] * 2, knots)
+    net = build_net([(0.0, 1.0)] * len(knots), knots)
     field = _random_delta_field(rng, net, 1)
-    assert _orbit_maps(net, (res, res)) is None
+    assert _orbit_maps(net, (res,) * len(knots)) is None
     axes, values = sample_grid(field, res)
     np.testing.assert_array_equal(values, _chain_values(field, axes))
-    _, threaded = sample_grid(field, res, threads=3)
-    np.testing.assert_array_equal(threaded, values)
+    np.testing.assert_array_equal(_slab_values(monkeypatch, field, axes), values)
+
+
+@pytest.mark.parametrize("knots,res", [
+    ([[0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 1.0]], (10, 9)),
+    (_MIXED_3D, (9, 8, 7)),
+])
+@pytest.mark.parametrize("construction", ["alpha", "delta"])
+def test_fallback_hands_the_field_the_open_mesh(monkeypatch, construction, knots, res):
+    rng = np.random.default_rng(16)
+    net = build_net([(0.0, 1.0)] * len(knots), knots)
+    field = (_random_field(rng, net) if construction == "alpha"
+             else _random_delta_field(rng, net, -1))
+    assert _orbit_maps(net, res) is None
+    shapes = []
+    chain = field.eval_arrays
+
+    def spy(coords):
+        shapes.append([np.shape(c) for c in coords])
+        return chain(coords)
+
+    monkeypatch.setattr(field, "eval_arrays", spy)
+    axes, values = sample_grid(field, res)
+    # one call, on one array per axis spanning that axis alone
+    assert shapes == [[tuple(n if p == q else 1 for p in range(len(res)))
+                       for q, n in enumerate(res)]]
+    np.testing.assert_array_equal(values, _chain_values(field, axes))
 
 
 def test_sample_surface_reports_the_field_bound():

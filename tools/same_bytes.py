@@ -11,13 +11,17 @@ their stdout, stderr, exit code and CSV output byte for byte:
   (``perfbench/workloads.py`` of this checkout, seed 0; ``eval`` gets a few
   points on the command line when the input lists none);
 - ``norms`` and ``approx --epsilon 0.05`` on the ``verify-2d`` input;
+- ``surface --resolution 513`` on the ``verify-2d`` input, whose
+  nonuniform net keeps the grid off the orbit path;
+- ``eval`` of ``EVAL_2D_POINTS`` seeded points on the ``verify-2d`` input,
+  more than one slab of ``_SLAB_POINTS``;
 - ``verify`` on the 3-D blend config of ROADMAP.md.
 
 The two sides of a command run one after the other, each in its own
-working directory with the same relative output name, on one thread
-(FRACTALIS_THREADS unset, BLAS threads 1). Each command's wall times are
-printed. Exits 0 when everything matches, 1 at the first difference, which
-it names, and 2 when a path is not a checkout.
+working directory with the same relative output name, with BLAS on one
+thread. Each command's wall times are printed. Exits 0 when everything
+matches, 1 at the first difference, which it names, and 2 when a path is
+not a checkout.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 INPUTS = ("surface-2d", "eval-3d", "verify-2d", "fif-surface-3d")
@@ -40,6 +46,8 @@ VERIFY_3D = {
     "operator": {"kind": "blend", "t": 0.5},
     "run": {"resolution": 17},
 }
+# seeded points of the verify-2d eval, in run.points of a copy of its input
+EVAL_2D_POINTS = 40_000
 # eval points for the inputs without run.points: box corners, knots and
 # interior points
 EVAL_POINTS = {
@@ -61,6 +69,13 @@ def write_inputs(work: Path) -> dict:
     path = work / "verify-3d.json"
     path.write_text(json.dumps(VERIFY_3D))
     configs["verify-3d"] = str(path)
+    cfg = json.loads(Path(configs["verify-2d"]).read_text())
+    lo, hi = np.array(cfg["box"]["bounds"], dtype=float).T
+    pts = np.random.default_rng(SEED).uniform(lo, hi, size=(EVAL_2D_POINTS, lo.size))
+    cfg["run"]["points"] = pts.tolist()
+    path = work / "eval-2d-points.json"
+    path.write_text(json.dumps(cfg))
+    configs["eval-2d-points"] = str(path)
     return configs
 
 
@@ -77,14 +92,18 @@ def commands(configs: dict) -> list:
     cfg = ["--config", configs["verify-2d"]]
     out.append(("norms verify-2d", ["norms", *cfg], None))
     out.append(("approx verify-2d", ["approx", *cfg, "--epsilon", "0.05"], None))
+    out.append(("surface verify-2d at 513",
+                ["surface", *cfg, "--resolution", "513", "--out", "out.csv"], "out.csv"))
+    out.append((f"eval verify-2d at {EVAL_2D_POINTS} points",
+                ["eval", "--config", configs["eval-2d-points"], "--out", "out.csv"],
+                "out.csv"))
     out.append(("verify verify-3d", ["verify", "--config", configs["verify-3d"]], None))
     return out
 
 
 def run(checkout: Path, args: list, csv: str | None, cwd: Path):
     """Outputs of one command and its wall time."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("FRACTALIS_THREADS", "PYTHONPATH")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(checkout / "src")
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                               "MKL_NUM_THREADS"), "1"))
