@@ -12,12 +12,11 @@ own axis) so that per-axis work, such as the cell search of
 ``sample_grid`` hands every grid that its orbit path does not take to
 ``mesh_eval``. Only the evaluators that work point by point flatten them
 (``_flatten``, in ``CallableField`` and ``TensorPolynomial``).
-``_multilinear`` is the one 2^k-corner kernel, of the node interpolant and
-of the node-data blend. It gathers the corner values through one helper,
-``_corner_gather``: on an open mesh by one ``take`` along each axis in turn,
-each on the axis values, the last into a reused buffer; on other shapes,
-such as scattered points, from the raveled table at the flat index of the
-low corner plus a per-corner offset.
+``_multilinear`` is the one multilinear kernel, of the node interpolant and
+of the node-data blend: nested per-axis lerps, which on an open mesh
+contract the table one axis at a time, each take on the axis values, and on
+other shapes, such as scattered points, reduce corners gathered from the
+raveled table pairwise along one axis after another.
 
 Grid maxima (``grid_sup_norm``, and ``make_config``'s gap through
 ``_grid_max``) are taken over slabs of at most ``_SLAB_POINTS`` points, so
@@ -25,8 +24,9 @@ that a slab's arrays stay in a core's cache and no array of the whole grid
 is formed; scattered points are evaluated in slices of the same size
 (``fractal_core._eval_chunked``).
 
-``with_base`` gives f and a base field s together, with f evaluated once:
-the blend base ``BlendField`` forms s from f's values.
+``with_gap`` gives f and the gap f - s to a base field s together, with f
+evaluated once: for the blend base ``BlendField`` the gap is t*(f - I f),
+formed in one step from f's values.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ def mesh_eval(field, axes) -> np.ndarray:
     return _checked(field, _open_mesh(axes))
 
 
-def mesh_eval_with_base(f, s, axes):
-    """``with_base`` on the tensor grid spanned by ``axes``."""
-    return with_base(f, s, _open_mesh(axes))
-
-
 def _checked(field, coords) -> np.ndarray:
     """``mesh_like``, held to the broadcast shape of ``coords``: any other
     result shape raises ValueError naming the field's type."""
@@ -96,17 +91,20 @@ def _checked(field, coords) -> np.ndarray:
     return out
 
 
-def with_base(f, s, coords, cells=None, net=None):
-    """The values of f and of the base field s at ``coords``, each of the
-    broadcast shape (ValueError otherwise), with f evaluated once: a
-    ``BlendField`` of this f forms s from f's values. ``cells`` are the
-    0-based cells of ``coords`` in ``net``, as the chain locates them; a
-    blend on that net reuses them for its node interpolant."""
+def with_gap(f, s, coords, cells=None, net=None):
+    """The values of f and of the gap f - s to the base field s at
+    ``coords``, each of the broadcast shape (ValueError otherwise), with f
+    evaluated once. For a ``BlendField`` of this f the gap is t*(f - I f),
+    formed in place from f's values; ``cells`` are the 0-based cells of
+    ``coords`` in ``net``, as the chain locates them, and a blend on that
+    net hands them to its node interpolant."""
     f_vals = _checked(f, coords)
     if isinstance(s, BlendField) and s.fields[0] is f:
-        return f_vals, s.from_f_values(f_vals, coords,
-                                       cells if net is s.net else None)
-    return f_vals, _checked(s, coords)
+        gap = s.fields[1].eval_arrays(coords, cells if net is s.net else None)
+        np.subtract(f_vals, gap, out=gap)
+        gap *= s.weights[1]
+        return f_vals, gap
+    return f_vals, f_vals - _checked(s, coords)
 
 
 def _grid_max(values, axes) -> float:
@@ -256,6 +254,7 @@ class NetInterpolant:
         self.values = values.copy()
         self.values.setflags(write=False)
         self.dim = len(self.axes)
+        self._steps = [np.diff(a) for a in self.axes]
 
     def __call__(self, point) -> float:
         coords = [np.asarray([float(t)]) for t in point]
@@ -272,119 +271,102 @@ class NetInterpolant:
         if cells is None:
             cells = [_clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
                      for a, t in zip(self.axes, coords)]
-        thetas = [(t - a[i]) / (a[i + 1] - a[i])
-                  for a, t, i in zip(self.axes, coords, cells)]
-        return _multilinear(thetas, cells, lambda e, mask: (self.values, mask))
+        thetas = []
+        for a, step, t, i in zip(self.axes, self._steps, coords, cells):
+            theta = t - a[i]
+            theta /= step[i]
+            thetas.append(theta)
+        return _multilinear(self.values, cells, thetas)
 
 
 @dataclass(frozen=True, eq=False)
 class BlendField(LinCombField):
     """The blend base (1 - t)*f + t*I f, with I f the node interpolant of
     f on ``net``: the ``LinCombField`` of weights (1 - t, t) and fields
-    (f, I f), which it is operation for operation. ``with_base`` forms it
-    from f's values instead of evaluating f a second time."""
+    (f, I f), which it is operation for operation. ``with_gap`` forms the
+    gap f - s = t*(f - I f) from f's values instead."""
 
     net: object
 
-    def from_f_values(self, f_vals, coords, cells=None) -> np.ndarray:
-        """``eval_arrays(coords)`` given ``f_vals``, f at ``coords``;
-        ``cells`` are handed to the node interpolant. The interpolant term
-        is formed before the sum's buffer, which lowers the peak memory;
-        the sum adds in ``LinCombField``'s order."""
-        term = self.weights[1] * self.fields[1].eval_arrays(coords, cells)
-        out = np.zeros(np.broadcast(*coords).shape, dtype=float)
-        out += self.weights[0] * f_vals
-        out += term
-        return out
 
+def _multilinear(table, lows, thetas) -> np.ndarray:
+    """Nested per-axis lerps of ``table``: along each axis q in turn, axis 0
+    innermost, v = (1 - theta_q)*lo + theta_q*hi, where lo and hi are the
+    entries ``lows[q]`` and ``lows[q] + 1`` of axis q. ``lows`` (index
+    arrays, in range) and ``thetas`` broadcast against one another, and the
+    result has their broadcast shape; it ends with ``+= 0.0``, so that no
+    -0.0 comes out.
 
-def _multilinear(thetas, cells, corner) -> np.ndarray:
-    """Sum over the 2^k corner bit masks, in ``itertools.product`` order e,
-    of the weight prod_q (theta_q if bit_q else 1 - theta_q) times the
-    corner value, on the broadcast shape of the thetas. ``cells`` are the
-    low corners, one index array per axis; ``corner(e, mask)`` gives a
-    table and a shift, and the corner value at low corner i is
-    table[i + shift] (``_corner_gather``).
-
-    Each weight is the product over the axes taken left to right; the
-    product over the first k - 1 axes is shared by the two corners that
-    differ only in the last bit. Each term is formed in one work buffer and
-    added to ``out``, which starts from zeros, so a -0.0 term sums to +0.0.
-    The corner values go to a second buffer; the gather may use the work
-    buffer for its intermediates, as the weight is formed after it. So the
-    loop holds three arrays of the broadcast shape, allocated once.
+    On an open mesh (``lows[q]`` and ``thetas[q]`` each span only axis q)
+    the table is contracted one axis at a time, each take on the axis
+    values, so that only the last axis is grid-sized. Other layouts, such
+    as scattered points, gather corners from the raveled table and reduce
+    them pairwise along axis 0, then axis 1 and so on, as they come, so
+    that O(k) point-sized arrays are alive at once. Both do the same arithmetic
+    on the same values, so they give the same bits. The takes use mode
+    "clip", which writes into ``out`` directly where the default mode goes
+    through a copy; every index is in range, so nothing is clipped.
     """
-    *head, last = [(1.0 - th, th) for th in thetas]
-    shape = np.broadcast(*thetas).shape
-    table, _ = corner(0, (0,) * len(thetas))
-    gather = _corner_gather(cells, table.shape, shape)
-    out = np.zeros(shape)
-    work = np.empty(shape)
-    values = np.empty(shape)
-    for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
-        if mask[-1] == 0:
-            prefix = None
-            for bit, pair in zip(mask, head):
-                prefix = pair[bit] if prefix is None else prefix * pair[bit]
-        gather(*corner(e, mask), values, work)
-        weight = last[mask[-1]]
-        if prefix is not None:
-            weight = np.multiply(prefix, weight, out=work)
-        np.multiply(weight, values, out=work)
-        out += work
+    k = len(lows)
+    shape = np.broadcast(*lows, *thetas).shape
+    if len(shape) == k and all(
+            np.shape(a) == tuple(n if p == q else 1 for p, n in enumerate(shape))
+            for q in range(k) for a in (lows[q], thetas[q])):
+        out = _contract_axes(table, lows, thetas)
+    else:
+        out = _contract_points(table, lows, thetas, shape)
+    out += 0.0
     return out
 
 
-def _corner_gather(cells, table_shape, shape):
-    """``gather(table, shift, out, spare)``: table[cells + shift] for a
-    table of ``table_shape``, written to ``out`` of the broadcast ``shape``,
-    for the low corners ``cells`` (one index array per table axis, in range)
-    and a shift of 0s and 1s; ``spare`` is an array that the gather may
-    overwrite.
+def _contract_axes(table, lows, thetas) -> np.ndarray:
+    """``_multilinear`` on an open mesh: one contraction per axis. The high
+    ends of axis 0 are taken from the table shifted by one entry, a
+    contiguous view; on the other axes such a view is not contiguous, and
+    ``np.take`` would copy it whole, so they take at the index plus one."""
+    for q, (low, th) in enumerate(zip(lows, thetas)):
+        index = np.ravel(low)
+        lo = np.take(table, index, axis=q, mode="clip")
+        lo *= 1.0 - th
+        if q == 0:
+            hi = np.take(table[1:], index, axis=0, mode="clip")
+        else:
+            hi = np.take(table, index + 1, axis=q, mode="clip")
+        hi *= th
+        lo += hi
+        table = lo
+        del hi  # one grid-sized array fewer alive during the next takes
+    return table
 
-    On an open mesh, where ``cells[q]`` spans only axis q of ``shape``, it
-    takes along one axis after another, each take on the axis values. The
-    intermediates alternate between ``spare`` and ``out`` where they fit,
-    so that the last take, into ``out``, reads from ``spare``. Otherwise it
-    takes from the raveled table at one flat index of the low corner, formed
-    here, plus the shift's offset. The takes use mode "clip", which writes
-    into ``out`` directly where the default mode goes through a copy; every
-    index is in range, so nothing is clipped.
-    """
-    k = len(cells)
-    if len(shape) == k and all(
-            np.shape(c) == tuple(n if p == q else 1 for p, n in enumerate(shape))
-            for q, c in enumerate(cells)):
-        axis_cells = [np.ravel(c) for c in cells]
 
-        def gather(table, shift, out, spare):
-            for q in range(k - 1):
-                index = axis_cells[q] + shift[q]
-                into = _scratch(spare if (k - q) % 2 == 0 else out,
-                                table.shape[:q] + index.shape + table.shape[q + 1:])
-                table = np.take(table, index, axis=q, out=into, mode="clip")
-            return np.take(table, axis_cells[-1] + shift[-1], axis=k - 1,
-                           out=out, mode="clip")
-        return gather
-
-    strides = [math.prod(table_shape[q + 1:]) for q in range(k)]
+def _contract_points(table, lows, thetas, shape) -> np.ndarray:
+    """``_multilinear`` on any layout. The 2^k corners, gathered from the
+    raveled table at the flat index of the low corner plus the corner's
+    offset, come in the order of their bits, axis 0 lowest; each corner
+    that ends a pair on axis q is reduced with the value waiting for it,
+    so that at most k values wait at once. Spent arrays are reused."""
+    flat = table.ravel()
+    strides = [math.prod(table.shape[q + 1:]) for q in range(len(lows))]
     low = np.zeros(shape, dtype=np.intp)
-    for c, stride in zip(cells, strides):
+    for c, stride in zip(lows, strides):
         low += c * stride
-
-    def gather(table, shift, out, spare):
-        offset = sum(d * stride for d, stride in zip(shift, strides))
-        return np.take(table.ravel()[offset:], low, out=out, mode="clip")
-    return gather
-
-
-def _scratch(buffer, shape) -> np.ndarray:
-    """An array of ``shape`` in the memory of the contiguous ``buffer``
-    when it fits there, a new one otherwise."""
-    size = math.prod(shape)
-    if size > buffer.size:
-        return np.empty(shape)
-    return buffer.reshape(-1)[:size].reshape(shape)
+    waiting, free = [], []
+    for e in range(2 ** len(lows)):
+        offset = sum(stride for q, stride in enumerate(strides) if e >> q & 1)
+        value = np.take(flat[offset:], low, out=free.pop() if free else np.empty(shape),
+                        mode="clip")
+        q = 0
+        while e >> q & 1:  # value is the high end of axis q
+            lo = waiting.pop()
+            weight = np.subtract(1.0, thetas[q], out=free.pop() if free else np.empty(shape))
+            lo *= weight
+            value *= thetas[q]
+            lo += value
+            free += [weight, value]
+            value = lo
+            q += 1
+        waiting.append(value)
+    return waiting.pop()
 
 
 def _clip(x, lo, hi):

@@ -28,9 +28,10 @@ from ._fields import (
     MAX_GRID_POINTS,
     ConstantField,
     NetInterpolant,
+    _open_mesh,
     box_axes,
     mesh_eval,
-    mesh_eval_with_base,
+    with_gap,
 )
 from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
@@ -680,10 +681,10 @@ def cmd_norms(args) -> int:
     # gap bound and its pass flag, one block per requested exponent
     q_res = res if res % 2 == 1 else res + 1
     rule = quadrature_rule(problem.net.box, q_res)
-    f_vals, s_vals = mesh_eval_with_base(cfg.f, cfg.s, rule.axes)
+    f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(rule.axes))
     h_vals = mesh_eval(field, rule.axes)
     for p in ps:
-        base_gap = lp_norm(f_vals - s_vals, rule, p)
+        base_gap = lp_norm(gap_vals, rule, p)
         gap = lp_norm(h_vals - f_vals, rule, p)
         bound = a / (1.0 - a) * base_gap
         print(f"NORM lp_f_p{p:g} {_format(lp_norm(f_vals, rule, p))}")

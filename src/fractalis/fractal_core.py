@@ -40,13 +40,13 @@ from ._fields import (
     _checked,
     _grid_max,
     _multilinear,
+    _open_mesh,
     as_field,
     box_axes,
     grid_sup_norm,
     mesh_eval,
-    mesh_eval_with_base,
     mesh_like,
-    with_base,
+    with_gap,
 )
 from .net import Net, _inverse_step, _locate_arrays, eta, node_arrays, node_points
 
@@ -170,10 +170,8 @@ def check_admissible(net: Net, f, alpha, s, sup_resolution: int = 129) -> CheckR
     f = as_field(f)
     s = as_field(s)
     alpha_sup = _scale_sup(alpha, net, sup_resolution)
-    corner_gap = 0.0
-    for corner in net.box.corners():
-        fv, sv = float(f(corner)), float(s(corner))
-        corner_gap = max(corner_gap, abs(fv - sv) / max(1.0, abs(fv)))
+    f_vals, gap = with_gap(f, s, list(net.box.corners().T))
+    corner_gap = float(np.max(np.abs(gap) / np.maximum(1.0, np.abs(f_vals))))
     passed = alpha_sup < 1.0 and corner_gap <= _CORNER_TOL
     return CheckReport(
         name="admissible",
@@ -205,7 +203,7 @@ def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConf
             f"inadmissible configuration: sup|alpha| = {report.details['alpha_sup']}, "
             f"corner gap = {report.details['corner_gap']}"
         )
-    gap = _grid_max(lambda axes: np.abs(np.subtract(*mesh_eval_with_base(f, s, axes))),
+    gap = _grid_max(lambda axes: np.abs(with_gap(f, s, _open_mesh(axes))[1]),
                     box_axes(net.box, sup_resolution))
     return FractalConfig(
         net=net,
@@ -319,8 +317,9 @@ class FractalField:
     no flattening: on an open mesh every level evaluates f, s and alpha on
     the open mesh of the level's preimages. Each of their results must
     have the broadcast shape of the coordinates (ValueError otherwise).
-    f is evaluated once per level; a blend base (``BlendField``) forms s
-    from those values and from the cells the walk has located.
+    f is evaluated once per level; the gap f - s to a blend base
+    (``BlendField``) is formed from those values and from the cells the
+    walk has located (``with_gap``).
     """
 
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
@@ -353,8 +352,8 @@ class FractalField:
         scale = _checked(cfg.alpha, coords)
         walk = _chain_walk(self.net, coords, depth - 1, top_cells)
         for level, (_, X, cells) in enumerate(walk, start=1):
-            f_vals, s_vals = with_base(cfg.f, cfg.s, X, cells, self.net)
-            acc = acc + scale * (f_vals - s_vals)
+            _, gap = with_gap(cfg.f, cfg.s, X, cells, self.net)
+            acc = acc + scale * gap
             if level < depth - 1:
                 scale = scale * _checked(cfg.alpha, X)
         return acc
@@ -363,13 +362,11 @@ class FractalField:
         """``_chain`` on the tensor grid of ``axes``, walking the orbit by
         the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
         cfg, depth = self.config, self.depth
-        acc, s_vals = mesh_eval_with_base(cfg.f, cfg.s, axes)
+        acc, g = with_gap(cfg.f, cfg.s, _open_mesh(axes))
         if depth == 1:
             return acc
         scale = mesh_eval(cfg.alpha, axes)
         alpha = scale
-        g = acc - s_vals
-        del s_vals  # one grid array fewer alive through the walk below
         walk = _orbit_walk(maps, depth - 1)
         next(walk)  # Q^0 is the grid itself, whose f is already in acc
         for level, at in enumerate(walk, start=1):
@@ -396,10 +393,10 @@ def make_delta_fif(net: Net, values, delta: float) -> DeltaFif:
 
 
 def _corner_blend_table(fif: DeltaFif):
-    """Per-cell corner data w[e, cells...] = z[eta(cell, corner)] -
-    delta * z[corner]; e labels the corner masks in the order of
-    ``itertools.product((0, 1), repeat=k)``, as ``_multilinear`` does, and
-    each w[e] is one contiguous table over the cells."""
+    """Per-cell corner data in a per-axis layout: for cell c = (c_q) and
+    corner bits b = (b_q), the entry at (2 c_q + b_q)_q is
+    z[eta(c, b)] - delta * z[corner b], so that the corners of a cell are
+    the ends (2 c_q, 2 c_q + 1) of each axis q of ``_multilinear``."""
     net, z, delta = fif.net, fif.values, fif.delta
     k = net.dim
     # per axis, the knots each cell's map sends the low and the high end of
@@ -409,12 +406,11 @@ def _corner_blend_table(fif: DeltaFif):
          for m in (0, part.n_cells)]
         for part in net.axes
     ]
-    shape = (2**k,) + tuple(part.n_cells for part in net.axes)
-    w = np.empty(shape)
-    for e, mask in enumerate(itertools.product((0, 1), repeat=k)):
+    w = np.empty(tuple(2 * part.n_cells for part in net.axes))
+    for mask in itertools.product((0, 1), repeat=k):
         idx = [eta_tables[q][bit] for q, bit in enumerate(mask)]
         corner = tuple(bit * part.n_cells for bit, part in zip(mask, net.axes))
-        w[e] = z[np.ix_(*idx)] - delta * z[corner]
+        w[tuple(slice(bit, None, 2) for bit in mask)] = z[np.ix_(*idx)] - delta * z[corner]
     w.setflags(write=False)
     return w
 
@@ -422,7 +418,7 @@ def _corner_blend_table(fif: DeltaFif):
 def _blend_eval(net: Net, w, cells, coords):
     """Multilinear blend of the per-cell corner data at box coordinates."""
     thetas = [(t - lo) / (hi - lo) for t, (lo, hi) in zip(coords, net.box.bounds)]
-    return _multilinear(thetas, cells, lambda e, mask: (w[e], (0,) * len(mask)))
+    return _multilinear(w, [2 * c for c in cells], thetas)
 
 
 def _delta_tail_constant(fif: DeltaFif) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import as_field, box_axes, mesh_eval, mesh_eval_with_base
+from ._fields import _open_mesh, as_field, box_axes, mesh_eval, with_gap
 from .fractal_core import CheckReport, FractalField
 from .net import Net
 from .operator_props import (
@@ -177,9 +177,9 @@ def _lp_gap(field: FractalField, rule: QuadratureRule, p: float,
     """||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed ``field`` of
     a config, both sides by quadrature under ``rule``."""
     cfg = field.config
-    f_vals, s_vals = mesh_eval_with_base(cfg.f, cfg.s, rule.axes)
+    f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(rule.axes))
     lhs = lp_norm(mesh_eval(field, rule.axes) - f_vals, rule, p)
-    gap = lp_norm(f_vals - s_vals, rule, p)
+    gap = lp_norm(gap_vals, rule, p)
     a = cfg.alpha_sup
     rhs = a / (1.0 - a) * gap
     margin = field.error_bound * _volume(rule) ** (1.0 / p)
@@ -208,10 +208,13 @@ def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
     fld_im = FractalField(cfg_im, tol=eval_tol)
     pert_re = mesh_eval(fld_re, rule.axes)
     pert_im = mesh_eval(fld_im, rule.axes)
-    f_re, s_re = mesh_eval_with_base(cfg_re.f, cfg_re.s, rule.axes)
-    f_im, s_im = mesh_eval_with_base(cfg_im.f, cfg_im.s, rule.axes)
-    diff = np.hypot(pert_re - f_re, pert_im - f_im)
-    gap = np.hypot(pert_re - s_re, pert_im - s_im)
+    f_re, g_re = with_gap(cfg_re.f, cfg_re.s, _open_mesh(rule.axes))
+    f_im, g_im = with_gap(cfg_im.f, cfg_im.s, _open_mesh(rule.axes))
+    # pert - s = (pert - f) + (f - s)
+    d_re = pert_re - f_re
+    d_im = pert_im - f_im
+    diff = np.hypot(d_re, d_im)
+    gap = np.hypot(d_re + g_re, d_im + g_im)
     lhs = lp_norm(diff, rule, p)
     a = max(cfg_re.alpha_sup, cfg_im.alpha_sup)
     rhs = m_constant(p) * a * lp_norm(gap, rule, p)

@@ -32,12 +32,13 @@ from ._fields import (
     LinCombField,
     NetInterpolant,
     ProductField,
+    _open_mesh,
     as_field,
     box_axes,
     grid_sup_norm,
     mesh_eval,
-    mesh_eval_with_base,
     mesh_like,
+    with_gap,
 )
 from .fractal_core import (
     AdmissibilityError,
@@ -85,8 +86,8 @@ class OperatorSpec:
     kind "identity": Df = f. kind "multiplication": Df = b*f with b = 1 at
     the box corners. kind "blend": Df = (1-t)*f + t*(node interpolant of
     f), t in [0, 1]; agrees with f at every net node. ``apply_operator``
-    builds the blend base as a ``BlendField``, which the chain and the gap
-    measurements form from f values they already hold.
+    builds the blend base as a ``BlendField``, whose gap f - s the chain and
+    the gap measurements form from f values they already hold.
     """
 
     kind: str
@@ -171,9 +172,9 @@ def apply_operator(op: OperatorSpec, f, net: Net):
     """The field Df.
 
     For the blend operator this is a ``BlendField``: the ``LinCombField``
-    of (1-t)*f and t*(node interpolant of f on ``net``), value for value,
-    which ``with_base`` forms from f values a caller already holds, with
-    one evaluation of f per point instead of two.
+    of (1-t)*f and t*(node interpolant of f on ``net``), value for value;
+    ``with_gap`` forms its gap t*(f - I f) from f values a caller already
+    holds, with one evaluation of f per point instead of two.
     """
     f = as_field(f)
     if op.kind == "identity":
@@ -249,10 +250,10 @@ def _sup_gap(field: FractalField, axes) -> BoundsReport:
     sup, ||f - s|| and the grid sups of f and Ff.
     """
     cfg = field.config
-    f_vals, s_vals = mesh_eval_with_base(cfg.f, cfg.s, axes)
+    f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(axes))
     pert_vals = mesh_eval(field, axes)
     lhs = float(np.max(np.abs(pert_vals - f_vals)))
-    gap = float(np.max(np.abs(f_vals - s_vals)))
+    gap = float(np.max(np.abs(gap_vals)))
     a = cfg.alpha_sup
     rhs = a / (1.0 - a) * gap
     return BoundsReport(
@@ -402,7 +403,7 @@ def _solver_config(net: Net, f, alpha, s, alpha_sup: float, axes) -> FractalConf
     # internal: grid-solver configs, admissible by construction (D keeps the
     # corner values of f; neumann_inverse checks sup|alpha| < 1 once, in
     # _rate_bound). The gap estimate is taken on the solver grid.
-    gap = float(np.max(np.abs(np.subtract(*mesh_eval_with_base(f, s, axes)))))
+    gap = float(np.max(np.abs(with_gap(f, s, _open_mesh(axes))[1])))
     return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
 
 

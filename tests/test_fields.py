@@ -1,8 +1,8 @@
 """The field contract on tensor grids: ``mesh_eval`` hands every field the
 open mesh and must get the values of the dense mesh, bit for bit; grid
 maxima taken in slabs equal the maxima of one dense evaluation; the
-multilinear kernel's gathers give the fancy-index kernel's values bit for
-bit on every coordinate shape."""
+multilinear kernel gives the fancy-index nested lerps bit for bit on every
+coordinate shape, and the corner sum within rounding."""
 
 import itertools
 import tracemalloc
@@ -29,7 +29,7 @@ from fractalis import (
     parse_field,
 )
 from fractalis import _fields
-from fractalis._fields import _clip, box_axes, mesh_eval, with_base
+from fractalis._fields import _clip, _multilinear, box_axes, mesh_eval, with_gap
 from fractalis.cli import _KnotProduct
 from fractalis.fractal_core import _blend_eval, _corner_blend_table
 from fractalis.net import _locate_arrays, node_arrays
@@ -133,7 +133,9 @@ def test_slabbed_grid_maxima_equal_one_dense_evaluation(monkeypatch, dim, cap):
     dense = np.meshgrid(*box_axes(net.box, res), indexing="ij")
     want_sup = float(np.max(np.abs(alpha.field.eval_arrays(dense))))
     s = make_operator_config(net, f, 0.3, op, sup_resolution=res).s
-    want_gap = float(np.max(np.abs(f.eval_arrays(dense) - s.eval_arrays(dense))))
+    # the blend gap t*(f - I f), evaluated once on the dense mesh
+    gap = 0.6 * (f.eval_arrays(dense) - s.fields[1].eval_arrays(dense))
+    want_gap = float(np.max(np.abs(gap)))
 
     monkeypatch.setattr(_fields, "_SLAB_POINTS", cap)
     assert grid_sup_norm(alpha, net.box, res) == want_sup
@@ -181,10 +183,17 @@ def test_blend_base_is_the_lincomb_base(dim):
     coords = _scattered_with_knots(rng, net)
     want = old.eval_arrays(coords)
     np.testing.assert_array_equal(blend.eval_arrays(coords), want)
+    f_want = f.eval_arrays(coords)
+    gap_want = 0.6 * (f_want - interp.eval_arrays(coords))
+    np.testing.assert_allclose(gap_want, f_want - want, rtol=0.0, atol=1e-15)
     for cells in (None, _locate_arrays(net, coords)):
-        f_vals, s_vals = with_base(f, blend, coords, cells, net)
-        np.testing.assert_array_equal(f_vals, f.eval_arrays(coords))
-        np.testing.assert_array_equal(s_vals, want)
+        f_vals, gap = with_gap(f, blend, coords, cells, net)
+        np.testing.assert_array_equal(f_vals, f_want)
+        _assert_same_bits(gap, gap_want)
+        # any other base field: the plain difference
+        f_vals, gap = with_gap(f, old, coords, cells, net)
+        np.testing.assert_array_equal(f_vals, f_want)
+        _assert_same_bits(gap, f_want - want)
     point = [c[0] for c in coords]
     assert blend(point) == old(point)
     axes = box_axes(net.box, [9, 6, 7][:dim])
@@ -204,31 +213,45 @@ def test_interpolant_with_the_chain_cells_equals_its_own_search(dim):
     np.testing.assert_array_equal(got, interp.eval_arrays(mesh))
 
 
-def _reference_multilinear(thetas, corner):
-    """The fancy-index kernel the gathers replaced: the weight of each
-    corner mask formed left to right, times ``corner(e, mask)``, added to
-    a zero array."""
+def _reference_multilinear(table, lows, thetas):
+    """The kernel's nested lerps with one broadcast fancy index per corner:
+    v = (1 - theta_q)*lo + theta_q*hi along axis q, axis 0 innermost, with
+    lo and hi the entries lows[q] and lows[q] + 1, plus 0.0 at the end."""
+    def contract(q, upper):
+        if q < 0:
+            return table[upper]
+        lo = contract(q - 1, (lows[q],) + upper)
+        hi = contract(q - 1, (lows[q] + 1,) + upper)
+        return (1.0 - thetas[q]) * lo + thetas[q] * hi
+    return contract(len(lows) - 1, ()) + 0.0
+
+
+def _corner_sum(table, lows, thetas):
+    """The 2^k-corner sum the kernel replaced: the weight of each corner
+    mask formed left to right, times the corner value, added to a zero
+    array."""
     factors = [(1.0 - th, th) for th in thetas]
-    out = np.zeros(np.broadcast(*thetas).shape, dtype=float)
-    for e, mask in enumerate(itertools.product((0, 1), repeat=len(thetas))):
+    out = np.zeros(np.broadcast(*lows, *thetas).shape, dtype=float)
+    for mask in itertools.product((0, 1), repeat=len(thetas)):
         weight = factors[0][mask[0]]
         for bit, pair in zip(mask[1:], factors[1:]):
             weight = weight * pair[bit]
-        out += weight * corner(e, mask)
+        out += weight * table[tuple(c + bit for c, bit in zip(lows, mask))]
     return out
 
 
-def _reference_interpolant(interp, coords, cells=None):
-    """``NetInterpolant.eval_arrays`` with one broadcast fancy index per
-    corner."""
+def _cells_and_thetas(interp, coords, cells=None):
     coords = [np.asarray(c, dtype=float) for c in coords]
     if cells is None:
         cells = [np.clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
                  for a, t in zip(interp.axes, coords)]
-    ends = [(i, i + 1) for i in cells]
-    thetas = [(t - a[i]) / (a[j] - a[i]) for a, t, (i, j) in zip(interp.axes, coords, ends)]
-    return _reference_multilinear(thetas, lambda e, mask: interp.values[
-        tuple(end[bit] for bit, end in zip(mask, ends))])
+    thetas = [(t - a[i]) / (a[i + 1] - a[i]) for a, t, i in zip(interp.axes, coords, cells)]
+    return cells, thetas
+
+
+def _reference_interpolant(interp, coords, cells=None):
+    """``NetInterpolant.eval_arrays`` by ``_reference_multilinear``."""
+    return _reference_multilinear(interp.values, *_cells_and_thetas(interp, coords, cells))
 
 
 def _assert_same_bits(got, want):
@@ -273,6 +296,10 @@ def test_multilinear_gathers_equal_the_fancy_index_kernel(dim, knots):
                           _reference_interpolant(interp, coords, cells))
     point = [p[0] for p in points]
     assert interp(point) == _reference_interpolant(interp, [[t] for t in point])[0]
+    # 0-d coordinates give a 0-d array
+    got = interp.eval_arrays(point)
+    assert isinstance(got, np.ndarray)
+    _assert_same_bits(got, _reference_interpolant(interp, point))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -293,12 +320,13 @@ def test_node_data_blend_gathers_equal_the_fancy_index_kernel(dim):
     net = build_net([(0.0, 1.0)] * dim, [[0.0, 0.3, 0.6, 1.0]] * dim)
     fif = make_delta_fif(net, rng.uniform(-1.0, 1.0, size=(4,) * dim), -0.4)
     w = _corner_blend_table(fif)
+    assert w.shape == (6,) * dim
     points = [rng.permutation(np.concatenate([[0.0, 0.3, 0.6, 1.0], rng.uniform(size=4)]))
               for _ in range(dim)]
     for coords in _layouts(points).values():
         cells = _locate_arrays(net, coords)
         thetas = [(t - lo) / (hi - lo) for t, (lo, hi) in zip(coords, net.box.bounds)]
-        want = _reference_multilinear(thetas, lambda e, mask: w[e][tuple(cells)])
+        want = _reference_multilinear(w, [2 * c for c in cells], thetas)
         _assert_same_bits(_blend_eval(net, w, cells, coords), want)
     field = DeltaFifField(fif, depth=4)
     mesh = np.meshgrid(*points, indexing="ij", sparse=True)
@@ -325,7 +353,8 @@ def test_3d_config_build_stays_in_slabs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(f.sizes) == 129**3 + 3**3
+    # the sup grid, the node grid and the 2^3 box corners of the corner check
+    assert sum(f.sizes) == 129**3 + 3**3 + 2**3
     assert max(f.sizes) <= _fields._SLAB_POINTS
     assert peak < 129**3 * 8
     assert cfg.fs_gap > 0.0
@@ -346,3 +375,68 @@ def test_interpolant_on_an_open_mesh_holds_three_grid_arrays(dim, n):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * n**dim * 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_multilinear_is_the_corner_sum_within_rounding(dim):
+    # seeded tables with sign changes and zeros; points on every knot and
+    # between knots, in every coordinate layout
+    rng = np.random.default_rng(60 + dim)
+    axes = [np.sort(np.concatenate([[-1.0, 2.0], rng.uniform(-1.0, 2.0, size=3)]))
+            for _ in range(dim)]
+    table = rng.uniform(-4.0, 4.0, size=(5,) * dim)
+    table[rng.random(table.shape) < 0.2] = -0.0
+    interp = NetInterpolant(axes, table)
+    points = [rng.permutation(np.concatenate([a, rng.uniform(-1.0, 2.0, size=4)]))
+              for a in axes]
+    tol = (2**dim + 4 * dim) * np.finfo(float).eps * np.max(np.abs(table))
+    for name, coords in _layouts(points).items():
+        cells, thetas = _cells_and_thetas(interp, coords)
+        got = _multilinear(interp.values, cells, thetas)
+        want = _corner_sum(interp.values, cells, thetas)
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol, err_msg=name)
+        assert not np.any(np.signbit(got) & (got == 0.0)), name
+        # exact at the nodes: every coordinate on a knot
+        on_knots = np.ones(got.shape, dtype=bool)
+        for c, a in zip(coords, axes):
+            on_knots &= np.isin(c, a)
+        assert on_knots.any(), name
+        nodes = interp.values[tuple(np.broadcast_to(
+            np.searchsorted(a, c), got.shape)[on_knots] for a, c in zip(axes, coords))]
+        np.testing.assert_array_equal(got[on_knots], nodes + 0.0, err_msg=name)
+
+
+def test_interpolant_at_scattered_points_holds_few_point_arrays():
+    # a 1-d table as large as the point set: cells, thetas, the result and
+    # one gather buffer
+    n = 4097
+    rng = np.random.default_rng(70)
+    interp = NetInterpolant([np.linspace(0.0, 1.0, n)], rng.uniform(size=n))
+    coords = [rng.uniform(size=n)]
+    tracemalloc.start()
+    try:
+        interp.eval_arrays(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * 8
+
+
+def test_chain_at_scattered_points_holds_memory_independent_of_depth():
+    # each level's kernel arrays must be freed by reference counting when
+    # the level ends, not kept until a garbage collection
+    net = _net(3)
+    cfg = make_operator_config(net, parse_field(_EXPR[3], 3), 0.3, blend_operator(0.6),
+                               sup_resolution=9)
+    n = 20000
+    coords = list(np.random.default_rng(80).uniform(size=(3, n)))
+    peaks = []
+    for depth in (2, 16):
+        tracemalloc.start()
+        try:
+            FractalField(cfg, depth=depth).eval_arrays(coords)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 * n * 8

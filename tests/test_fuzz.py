@@ -3,9 +3,10 @@
 Each trial takes one of the benchmark workloads' configs (shrunk to small
 grids and few points), applies a few random mutations (a dropped key, a
 value of another JSON type, NaN, infinity, a huge or a negative number),
-runs ``norms``, ``eval`` or ``surface`` in process and requires exit code
-0, 1 or 2. A traceback fails the test through the exception itself; a
-failing exit code must come with exactly one ``error:`` line on stderr.
+runs ``norms``, ``eval`` or ``surface``, or else ``verify`` or ``approx``
+at a tiny resolution, in process and requires exit code 0, 1 or 2. A
+traceback fails the test through the exception itself; a failing exit code
+must come with exactly one ``error:`` line on stderr.
 """
 
 import copy
@@ -53,6 +54,9 @@ BASES = {
 
 # the 3-D scale-field config builds a 129^3 sup grid per run
 TRIALS = {"surface-2d": 200, "eval-3d": 20, "verify-2d": 200, "fif-surface-3d": 200}
+# verify and approx: a valid 2-D scale-field config takes about 0.3 s of
+# verify, a valid 3-D one about 2 s
+BATTERY_TRIALS = {"surface-2d": 40, "eval-3d": 3, "verify-2d": 40, "fif-surface-3d": 60}
 
 OTHER_TYPES = (None, True, "text", "x1", [], {}, [1, 2], [[0, 1]], 3, 0.5)
 
@@ -101,17 +105,35 @@ def _command(rng, path):
     return argv
 
 
+def _battery_command(rng, path):
+    cmd = rng.choice(("verify", "approx"))
+    argv = [cmd, "--config", str(path), "--resolution", "5"]
+    if cmd == "approx":
+        argv += ["--epsilon", "0.1"]
+    return argv
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_mutated_configs_exit_cleanly(tmp_path, capsys, name):
-    rng = random.Random(f"fuzz-{name}")
+    _run_trials(random.Random(f"fuzz-{name}"), name, TRIALS[name], _command,
+                tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_mutated_configs_exit_cleanly_under_verify_and_approx(tmp_path, capsys, name):
+    _run_trials(random.Random(f"fuzz-battery-{name}"), name, BATTERY_TRIALS[name],
+                _battery_command, tmp_path, capsys)
+
+
+def _run_trials(rng, name, trials, command, tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    for trial in range(TRIALS[name]):
+    for trial in range(trials):
         cfg = copy.deepcopy(BASES[name])
         for _ in range(rng.randint(1, 3)):
             if cfg:
                 _mutate(rng, cfg)
         path.write_text(json.dumps(cfg))
-        argv = _command(rng, path)
+        argv = command(rng, path)
         code = main(argv)
         err = capsys.readouterr().err
         where = f"trial {trial}: {argv[0]} on {json.dumps(cfg)}"

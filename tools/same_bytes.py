@@ -19,14 +19,25 @@ their stdout, stderr, exit code and CSV output byte for byte:
 
 The two sides of a command run one after the other, each in its own
 working directory with the same relative output name, with BLAS on one
-thread. Each command's wall times are printed. Exits 0 when everything
-matches, 1 at the first difference, which it names, and 2 when a path is
-not a checkout.
+thread. Each command's wall times are printed. When a command's outputs
+differ, it names the outputs that differ and goes on to the next command,
+after printing:
+
+- whether the exit codes match, and whether the ``CHECK`` names and
+  verdicts (and the ``VERIFY`` and ``APPROX`` verdicts) match;
+- the max |delta| of each numeric CSV column, and for a CSV with ``value``
+  and ``error_bound`` columns the largest |delta value| / error_bound;
+- the |delta| of each ``CHECK`` lhs and rhs and of each ``NORM`` and
+  ``APPROX`` value that differs.
+
+Exits 0 when everything matches, 1 when any command differs, and 2 when a
+path is not a checkout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +133,74 @@ def run(checkout: Path, args: list, csv: str | None, cwd: Path):
     return outputs, wall
 
 
+def records(stdout: bytes):
+    """The verdicts and the numeric values of a command's stdout: the
+    (kind, name, verdict) of each CHECK, VERIFY and APPROX verdict line in
+    order, and by name the value of each CHECK lhs and rhs and of each NORM
+    and APPROX line."""
+    verdicts, values = [], {}
+    for line in stdout.decode(errors="replace").splitlines():
+        kind, _, rest = line.partition(" ")
+        words = rest.split()
+        if kind == "CHECK" and words:
+            verdict = next((w for w in words[1:] if w in ("PASS", "FAIL", "SKIP")), None)
+            verdicts.append((kind, words[0], verdict))
+            for word in words[1:]:
+                side, eq, number = word.partition("=")
+                if eq and side in ("lhs", "rhs"):
+                    values[f"CHECK {words[0]} {side}"] = float(number)
+        elif kind in ("VERIFY", "APPROX") and words in (["PASS"], ["FAIL"]):
+            verdicts.append((kind, "", words[0]))
+        elif kind in ("NORM", "APPROX") and len(words) == 2:
+            try:
+                values[f"{kind} {words[0]}"] = float(words[1])
+            except ValueError:
+                pass
+    return verdicts, values
+
+
+def delta(a: float, b: float) -> float:
+    """|a - b|, 0 when both are NaN or equal infinities."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b)
+
+
+def read_csv(data: bytes):
+    """Header and float rows of a CSV output."""
+    header, *rows = data.decode().splitlines()
+    return header.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
+def report(a: dict, b: dict) -> list:
+    """Lines that say how two outputs of one command differ."""
+    lines = [f"exit codes match: {a['exit code'] == b['exit code']}"]
+    (verdicts_a, values_a), (verdicts_b, values_b) = records(a["stdout"]), records(b["stdout"])
+    lines.append(f"CHECK names and verdicts match: {verdicts_a == verdicts_b}")
+    if values_a.keys() != values_b.keys():
+        lines.append("CHECK/NORM/APPROX names differ")
+    for name in [name for name in values_a if name in values_b]:
+        d = delta(values_a[name], values_b[name])
+        if d:
+            lines.append(f"{name}: max |delta| {d:.3e}")
+    if a["csv"] is not None and b["csv"] is not None and a["csv"] != b["csv"]:
+        (head_a, rows_a), (head_b, rows_b) = read_csv(a["csv"]), read_csv(b["csv"])
+        if head_a != head_b or rows_a.shape != rows_b.shape:
+            lines.append("csv headers or row counts differ")
+        else:
+            diff = np.abs(rows_a - rows_b)
+            diff[(rows_a == rows_b) | (np.isnan(rows_a) & np.isnan(rows_b))] = 0.0
+            lines.append("csv max |delta|: " + ", ".join(
+                f"{name} {d:.3e}" for name, d in zip(head_a, diff.max(axis=0))))
+            if {"value", "error_bound"} <= set(head_a):
+                moved = diff[:, head_a.index("value")]
+                bound = rows_a[:, head_a.index("error_bound")]
+                ratio = np.max(np.divide(moved, bound, out=np.where(moved > 0, np.inf, 0.0),
+                                         where=bound > 0))
+                lines.append(f"csv max |delta value| / error_bound: {ratio:.3e}")
+    return lines
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_bytes.py CHECKOUT_A CHECKOUT_B", file=sys.stderr)
@@ -135,15 +214,21 @@ def main(argv: list) -> int:
         work = Path(tmp)
         (work / "inputs").mkdir()
         cmds = commands(write_inputs(work / "inputs"))
+        differing = 0
         for label, args, csv in cmds:
             results = [run(side, args, csv, work / f"side{n}")
                        for n, side in enumerate(sides)]
             (a, wall_a), (b, wall_b) = results
             print(f"{label}: {wall_a:.2f} s / {wall_b:.2f} s", flush=True)
-            for key in a:
-                if a[key] != b[key]:
-                    print(f"DIFFERENT: {label}: {key}")
-                    return 1
+            keys = [key for key in a if a[key] != b[key]]
+            if keys:
+                differing += 1
+                print(f"DIFFERENT: {label}: {', '.join(keys)}")
+                for line in report(a, b):
+                    print(f"  {line}")
+    if differing:
+        print(f"DIFFERENT: {differing} of {len(cmds)} commands")
+        return 1
     print(f"SAME BYTES: {len(cmds)} commands")
     return 0
 
