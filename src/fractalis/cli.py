@@ -28,10 +28,8 @@ from ._fields import (
     MAX_GRID_POINTS,
     ConstantField,
     NetInterpolant,
-    _open_mesh,
     box_axes,
     mesh_eval,
-    with_gap,
 )
 from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
@@ -53,7 +51,6 @@ from .lp_space import (
     _lp_gap,
     complex_l2_identity_check,
     complex_perturbation_gap,
-    lp_norm,
     quadrature_rule,
 )
 from .net import build_net, jacobian_sum, node_arrays
@@ -165,7 +162,6 @@ class _Problem:
     (explicit base or operator) or node data for the delta construction."""
 
     def __init__(self, cfg: dict):
-        self.cfg = cfg
         self.net = _build_net(cfg)
         run = cfg.get("run", {})
         if not isinstance(run, dict):
@@ -251,11 +247,14 @@ class _Problem:
                              f"{total} grid points, more than {MAX_GRID_POINTS}")
         return res
 
-    def tol(self, args, default: float) -> float:
-        if getattr(args, "tol", None) is not None:
-            return _positive(args.tol, "--tol")
-        if "tol" in self.run:
-            return _positive(self.run["tol"], "run.tol")
+    def positive(self, args, name: str, default: float | None = None) -> float:
+        """``--name``, else ``run.name``, else ``default``: positive and finite."""
+        if getattr(args, name, None) is not None:
+            return _positive(getattr(args, name), f"--{name}")
+        if name in self.run:
+            return _positive(self.run[name], f"run.{name}")
+        if default is None:
+            raise UsageError(f"no {name} given (--{name} or run.{name})")
         return default
 
     def seed(self, args) -> int:
@@ -287,19 +286,15 @@ class _Problem:
                                  f"got {v:g}")
         return values
 
-    def alpha_config(self):
-        if self.construction != "alpha":
-            raise UsageError("this command needs the scale-field construction")
-        if self.op is not None:
-            return make_operator_config(self.net, self.f, self.alpha, self.op)
-        if self.s is None:
-            raise UsageError("fields section needs s or an operator section")
-        return make_config(self.net, self.f, self.alpha, self.s)
-
     def evaluator(self, tol: float):
         if self.construction == "delta":
             return DeltaFifField(self.fif, tol=tol)
-        return FractalField(self.alpha_config(), tol=tol)
+        if self.op is not None:
+            return FractalField(make_operator_config(self.net, self.f, self.alpha, self.op),
+                                tol=tol)
+        if self.s is None:
+            raise UsageError("fields section needs s or an operator section")
+        return FractalField(make_config(self.net, self.f, self.alpha, self.s), tol=tol)
 
 
 def _format(v: float) -> str:
@@ -356,7 +351,7 @@ def _write_surface(out_path, field, resolution) -> None:
 def cmd_surface(args) -> int:
     problem = _Problem(_load_config(args.config))
     resolution = problem.resolution(args)
-    field = problem.evaluator(problem.tol(args, 1e-8))
+    field = problem.evaluator(problem.positive(args, "tol", 1e-8))
     _write_surface(args.out, field, resolution)
     return 0
 
@@ -408,22 +403,13 @@ def _config_points(entries, k: int) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     problem = _Problem(_load_config(args.config))
-    field = problem.evaluator(problem.tol(args, 1e-10))
+    field = problem.evaluator(problem.positive(args, "tol", 1e-10))
     pts = _parse_points(args, problem)
     coords = [pts[:, q] for q in range(problem.net.dim)]
     values = _eval_chunked(field, coords)
     _write_csv(args.out, _header(problem.net.dim),
                _point_blocks(pts, values, field.error_bound))
     return 0
-
-
-def _check_line(name: str, lhs: float, rhs: float, ok: bool) -> bool:
-    print(f"CHECK {name} lhs={lhs:.9e} rhs={rhs:.9e} {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def _skip_line(name: str, reason: str) -> None:
-    print(f"CHECK {name} SKIP {reason}")
 
 
 def _sample_polynomials(net, rng, count: int):
@@ -438,136 +424,6 @@ def _sample_polynomials(net, rng, count: int):
             parts.append(f"{c[2]:.6f}*{v}^2")
         out.append(parse_field(" + ".join(parts), net.dim))
     return out
-
-
-def _verify_alpha(problem, args) -> bool:
-    net = problem.net
-    seed = problem.seed(args)
-    res = problem.scalar_resolution(args)
-    eval_tol = problem.tol(args, 1e-9)
-    rng = np.random.default_rng(seed)
-    ok = True
-
-    cfg = problem.alpha_config()
-    field = FractalField(cfg, tol=eval_tol)
-
-    rep = interpolation_check(field, net, cfg.f, tol=1e-9)
-    ok &= _check_line("interpolation", rep.max_error, rep.tol, rep.passed)
-
-    rep = boundary_consistency_check(cfg, seed=seed)
-    ok &= _check_line("boundary_consistency", rep.max_error, rep.tol, rep.passed)
-
-    a = cfg.alpha_sup
-    # the gap-form perturbation bounds work for explicit bases and operators alike
-    rep = _sup_gap(field, box_axes(net.box, res))
-    ok &= _check_line("perturbation_gap", rep.lhs, rep.rhs + rep.margin, rep.passed)
-
-    ok &= _check_line("jacobian_sum", abs(jacobian_sum(net) - 1.0), 1e-12,
-                      abs(jacobian_sum(net) - 1.0) <= 1e-12)
-
-    scales = [0.5 / n for n in range(1, 7)]
-    base = problem.op if problem.op is not None else cfg.s
-    steps = alpha_sequence_convergence(net, cfg.f, base, scales, resolution=res,
-                                       eval_tol=eval_tol)
-    ok &= _check_line("scale_sequence", steps[-1].error, steps[-1].bound,
-                      all(st.passed for st in steps))
-
-    ps = problem.p_values(args)
-    q_res = res if res % 2 == 1 else res + 1
-    rule = quadrature_rule(net.box, q_res)
-    for p in ps:
-        rep = _lp_gap(field, rule, p)
-        ok &= _check_line(f"lp_gap_p{p:g}", rep.lhs,
-                          rep.rhs * 1.05 + rep.margin + 1e-8, rep.passed)
-
-    if problem.op is None:
-        for name in ("operator_norm", "bounded_below", "linearity", "fixed_point",
-                     "inverse", "operator_sequence", "vanishing_invariance",
-                     "complex_gap", "complex_l2_identity"):
-            _skip_line(name, "needs an operator section")
-        return ok
-
-    op = problem.op
-    samples = _sample_polynomials(net, rng, 4) + [cfg.f]
-    rep = operator_norm_check(net, problem.alpha, op, samples, resolution=res,
-                              eval_tol=eval_tol)
-    ok &= _check_line("operator_norm", rep.lhs, rep.rhs, rep.passed)
-
-    norm_d, norm_idd = operator_norms(op, net)
-    if a * norm_d < 1.0:
-        rep = bounded_below_check(net, cfg.f, problem.alpha, op, resolution=res,
-                                  eval_tol=eval_tol)
-        ok &= _check_line("bounded_below", rep.lhs, rep.rhs + rep.margin, rep.passed)
-    else:
-        _skip_line("bounded_below", "needs sup|alpha|*||D|| < 1")
-
-    g1, g2 = _sample_polynomials(net, rng, 2)
-    c1, c2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-    rep = linearity_check(net, problem.alpha, op, g1, g2, c1, c2, seed=seed,
-                          eval_tol=eval_tol)
-    ok &= _check_line("linearity", rep.max_error, rep.tol, rep.passed)
-
-    if op.kind == "multiplication":
-        _skip_line("fixed_point", "multiplication base maps fix only the zero field")
-    else:
-        nodes = node_arrays(net)
-        interp = NetInterpolant(nodes, mesh_eval(cfg.f, nodes))
-        rep = fixed_point_check(net, interp, problem.alpha, op, resolution=res,
-                                eval_tol=eval_tol)
-        ok &= _check_line("fixed_point", rep.max_error, rep.tol, rep.passed)
-
-    mode = problem.verify.get("inverse", "auto")
-    if mode not in ("auto", "require", "skip"):
-        raise UsageError("verify.inverse must be auto, require or skip")
-    rate = _rate_bound(a, norm_idd)
-    if mode == "skip":
-        _skip_line("inverse", "disabled in config")
-    elif rate >= 1.0 and mode == "auto":
-        _skip_line("inverse", f"contraction bound {rate:.6g} >= 1")
-    else:
-        try:
-            inv = neumann_inverse(net, problem.alpha, op, cfg.f, resolution=res,
-                                  tol=problem.tol(args, 1e-6),
-                                  require_precondition=(mode == "require"))
-            ok &= _check_line("inverse_residual", inv.residuals[-1],
-                              problem.tol(args, 1e-6),
-                              inv.residuals[-1] <= problem.tol(args, 1e-6))
-            ok &= _check_line("inverse_norm", inv.recovered_norm,
-                              inv.inverse_norm_bound * inv.target_norm,
-                              inv.norm_bound_ok)
-            if math.isfinite(inv.measured_rate):
-                ok &= _check_line("inverse_rate", inv.measured_rate,
-                                  1.1 * inv.rate_bound,
-                                  inv.measured_rate <= 1.1 * inv.rate_bound)
-            else:
-                _skip_line("inverse_rate", "too few iterations to estimate")
-        except (AdmissibilityError, IterationError) as exc:
-            print(f"CHECK inverse_residual lhs=nan rhs=nan FAIL ({exc})")
-            ok = False
-
-    steps = operator_sequence_convergence(net, cfg.f, problem.alpha,
-                                          [1.0 / n for n in range(1, 7)],
-                                          resolution=res, eval_tol=eval_tol)
-    ok &= _check_line("operator_sequence", steps[-1].error, steps[-1].bound,
-                      all(st.passed for st in steps))
-
-    # two nesting levels keep the cost near depth^2 while still exercising
-    # a genuinely nested application
-    rep = vanishing_invariance_check(net, problem.alpha, op, _KnotProduct(net),
-                                     r_max=2, eval_tol=eval_tol)
-    ok &= _check_line("vanishing_invariance", rep.max_error, rep.tol, rep.passed)
-
-    pair = ComplexFieldPair(real=cfg.f, imag=_sample_polynomials(net, rng, 1)[0])
-    for p in ps:
-        rep = complex_perturbation_gap(net, pair, problem.alpha, op, p,
-                                       resolution=q_res, eval_tol=eval_tol)
-        ok &= _check_line(f"complex_gap_p{p:g}", rep.lhs,
-                          rep.rhs * 1.05 + rep.margin + 1e-8, rep.passed)
-
-    rep = complex_l2_identity_check(net, pair, problem.alpha, op,
-                                    resolution=q_res, eval_tol=eval_tol)
-    ok &= _check_line("complex_l2_identity", rep.max_error, rep.tol, rep.passed)
-    return ok
 
 
 class _KnotProduct:
@@ -593,27 +449,150 @@ class _KnotProduct:
         return self._raw(coords) / self.scale
 
 
-def _verify_delta(problem, args) -> bool:
-    net = problem.net
-    ok = True
-    rep = interpolation_check(
-        DeltaFifField(problem.fif, tol=problem.tol(args, 1e-9)),
-        net, problem.fif.values, tol=1e-9,
-    )
-    ok &= _check_line("interpolation", rep.max_error, rep.tol, rep.passed)
-    rep = boundary_consistency_check(problem.fif, seed=problem.seed(args))
-    ok &= _check_line("boundary_consistency", rep.max_error, rep.tol, rep.passed)
+class _Battery:
+    """What one ``verify`` or ``norms`` run reads, all checked before the
+    first output line: the tolerance and the seed (``verify``), and for the
+    scale-field construction the shared grid, the exponents, and the
+    ``verify.inverse`` mode and inverse tolerance (``verify``)."""
+
+    def __init__(self, problem, args, tol_default: float):
+        self.problem = problem
+        verify = args.command == "verify"
+        if verify:
+            self.seed = problem.seed(args)
+            self.rng = np.random.default_rng(self.seed)
+        self.eval_tol = problem.positive(args, "tol", tol_default)
+        if problem.construction == "alpha":
+            self.res = problem.scalar_resolution(args)
+            self.ps = problem.p_values(args)
+            self.q_res = self.res if self.res % 2 == 1 else self.res + 1
+            self.rule = quadrature_rule(problem.net.box, self.q_res)
+            if verify:
+                self.inverse = problem.verify.get("inverse", "auto")
+                if self.inverse not in ("auto", "require", "skip"):
+                    raise UsageError("verify.inverse must be auto, require or skip")
+                self.inverse_tol = problem.positive(args, "tol", 1e-6)
+        self.field = problem.evaluator(self.eval_tol)
+
+
+def _checks(b: _Battery):
+    """The verify battery in print order: ``(name, outcome)`` with outcome
+    ``(lhs, rhs, passed)``, a SKIP reason or the exception the check failed
+    with. The node-data construction stops after ``jacobian_sum``; without
+    an operator section the operator checks are skipped."""
+    net, field, op = b.problem.net, b.field, b.problem.op
+    delta = b.problem.construction == "delta"
+    cfg = b.problem.fif if delta else field.config
+    rep = interpolation_check(field, net, cfg.values if delta else cfg.f, tol=1e-9)
+    yield "interpolation", (rep.max_error, rep.tol, rep.passed)
+    rep = boundary_consistency_check(cfg, seed=b.seed)
+    yield "boundary_consistency", (rep.max_error, rep.tol, rep.passed)
+    if not delta:
+        # the gap-form perturbation bounds work for explicit bases and operators alike
+        rep = _sup_gap(field, box_axes(net.box, b.res))
+        yield "perturbation_gap", (rep.lhs, rep.rhs + rep.margin, rep.passed)
     jac = abs(jacobian_sum(net) - 1.0)
-    ok &= _check_line("jacobian_sum", jac, 1e-12, jac <= 1e-12)
-    return ok
+    yield "jacobian_sum", (jac, 1e-12, jac <= 1e-12)
+    if delta:
+        return
+
+    alpha, res, eval_tol = b.problem.alpha, b.res, b.eval_tol
+    base = op if op is not None else cfg.s
+    steps = alpha_sequence_convergence(net, cfg.f, base, [0.5 / n for n in range(1, 7)],
+                                       resolution=res, eval_tol=eval_tol)
+    yield "scale_sequence", (steps[-1].error, steps[-1].bound,
+                             all(st.passed for st in steps))
+    for p in b.ps:
+        rep = _lp_gap(field, b.rule, p)
+        yield f"lp_gap_p{p:g}", (rep.lhs, rep.details["limit"], rep.passed)
+    if op is None:
+        for name in ("operator_norm", "bounded_below", "linearity", "fixed_point",
+                     "inverse", "operator_sequence", "vanishing_invariance",
+                     "complex_gap", "complex_l2_identity"):
+            yield name, "needs an operator section"
+        return
+
+    a = cfg.alpha_sup
+    samples = _sample_polynomials(net, b.rng, 4) + [cfg.f]
+    rep = operator_norm_check(net, alpha, op, samples, resolution=res, eval_tol=eval_tol)
+    yield "operator_norm", (rep.lhs, rep.rhs, rep.passed)
+
+    norm_d, norm_idd = operator_norms(op, net)
+    if a * norm_d < 1.0:
+        rep = bounded_below_check(net, cfg.f, alpha, op, resolution=res, eval_tol=eval_tol)
+        yield "bounded_below", (rep.lhs, rep.rhs + rep.margin, rep.passed)
+    else:
+        yield "bounded_below", "needs sup|alpha|*||D|| < 1"
+
+    g1, g2 = _sample_polynomials(net, b.rng, 2)
+    c1, c2 = float(b.rng.uniform(-2, 2)), float(b.rng.uniform(-2, 2))
+    rep = linearity_check(net, alpha, op, g1, g2, c1, c2, seed=b.seed, eval_tol=eval_tol)
+    yield "linearity", (rep.max_error, rep.tol, rep.passed)
+
+    if op.kind == "multiplication":
+        yield "fixed_point", "multiplication base maps fix only the zero field"
+    else:
+        nodes = node_arrays(net)
+        interp = NetInterpolant(nodes, mesh_eval(cfg.f, nodes))
+        rep = fixed_point_check(net, interp, alpha, op, resolution=res, eval_tol=eval_tol)
+        yield "fixed_point", (rep.max_error, rep.tol, rep.passed)
+
+    rate = _rate_bound(a, norm_idd)
+    if b.inverse == "skip":
+        yield "inverse", "disabled in config"
+    elif rate >= 1.0 and b.inverse == "auto":
+        yield "inverse", f"contraction bound {rate:.6g} >= 1"
+    else:
+        try:
+            inv = neumann_inverse(net, alpha, op, cfg.f, resolution=res, tol=b.inverse_tol,
+                                  require_precondition=(b.inverse == "require"))
+        except (AdmissibilityError, IterationError) as exc:
+            yield "inverse_residual", exc
+        else:
+            residual = inv.residuals[-1]
+            yield "inverse_residual", (residual, b.inverse_tol, residual <= b.inverse_tol)
+            yield "inverse_norm", (inv.recovered_norm, inv.inverse_norm_bound * inv.target_norm,
+                                   inv.norm_bound_ok)
+            if math.isfinite(inv.measured_rate):
+                limit = 1.1 * inv.rate_bound
+                yield "inverse_rate", (inv.measured_rate, limit, inv.measured_rate <= limit)
+            else:
+                yield "inverse_rate", "too few iterations to estimate"
+
+    steps = operator_sequence_convergence(net, cfg.f, alpha, [1.0 / n for n in range(1, 7)],
+                                          resolution=res, eval_tol=eval_tol)
+    yield "operator_sequence", (steps[-1].error, steps[-1].bound,
+                                all(st.passed for st in steps))
+
+    # two nesting levels keep the cost near depth^2 while still exercising
+    # a genuinely nested application
+    rep = vanishing_invariance_check(net, alpha, op, _KnotProduct(net), r_max=2,
+                                     eval_tol=eval_tol)
+    yield "vanishing_invariance", (rep.max_error, rep.tol, rep.passed)
+
+    pair = ComplexFieldPair(real=cfg.f, imag=_sample_polynomials(net, b.rng, 1)[0])
+    for p in b.ps:
+        rep = complex_perturbation_gap(net, pair, alpha, op, p, resolution=b.q_res,
+                                       eval_tol=eval_tol)
+        yield f"complex_gap_p{p:g}", (rep.lhs, rep.details["limit"], rep.passed)
+
+    rep = complex_l2_identity_check(net, pair, alpha, op, resolution=b.q_res,
+                                    eval_tol=eval_tol)
+    yield "complex_l2_identity", (rep.max_error, rep.tol, rep.passed)
 
 
 def cmd_verify(args) -> int:
-    problem = _Problem(_load_config(args.config))
-    if problem.construction == "delta":
-        ok = _verify_delta(problem, args)
-    else:
-        ok = _verify_alpha(problem, args)
+    ok = True
+    for name, outcome in _checks(_Battery(_Problem(_load_config(args.config)), args, 1e-9)):
+        if isinstance(outcome, str):
+            print(f"CHECK {name} SKIP {outcome}")
+        elif isinstance(outcome, Exception):
+            print(f"CHECK {name} lhs=nan rhs=nan FAIL ({outcome})")
+            ok = False
+        else:
+            lhs, rhs, passed = outcome
+            print(f"CHECK {name} lhs={lhs:.9e} rhs={rhs:.9e} {'PASS' if passed else 'FAIL'}")
+            ok &= passed
     print(f"VERIFY {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -622,16 +601,10 @@ def cmd_approx(args) -> int:
     problem = _Problem(_load_config(args.config))
     if problem.construction != "alpha" or problem.f is None:
         raise UsageError("approx needs the scale-field construction")
-    op = problem.op
-    if op is None:
+    if problem.op is None:
         raise UsageError("approx needs an operator section")
-    if args.epsilon is not None:
-        epsilon = _positive(args.epsilon, "--epsilon")
-    elif problem.run.get("epsilon") is not None:
-        epsilon = _positive(problem.run["epsilon"], "run.epsilon")
-    else:
-        raise UsageError("no epsilon given (--epsilon or run.epsilon)")
-    result = epsilon_approximate(problem.net, problem.f, op, epsilon,
+    epsilon = problem.positive(args, "epsilon")
+    result = epsilon_approximate(problem.net, problem.f, problem.op, epsilon,
                                  resolution=problem.scalar_resolution(args))
     print(f"APPROX degree {','.join(str(d) for d in result.poly.degrees)}")
     print(f"APPROX alpha {_format(result.alpha)}")
@@ -654,14 +627,11 @@ def cmd_norms(args) -> int:
         print(f"NORM data_sup {_format(float(np.max(np.abs(fif.values))))}")
         print(f"NORM jacobian_sum {_format(jacobian_sum(problem.net))}")
         return 0
-    cfg = problem.alpha_config()
-    tol = problem.tol(args, 1e-8)
-    res = problem.scalar_resolution(args)
-    ps = problem.p_values(args)
-    field = FractalField(cfg, tol=tol)
-    a = cfg.alpha_sup
+    b = _Battery(problem, args, 1e-8)
+    field = b.field
+    a = field.config.alpha_sup
     print(f"NORM alpha_sup {_format(a)}")
-    print(f"NORM base_gap_sup {_format(cfg.fs_gap)}")
+    print(f"NORM base_gap_sup {_format(field.config.fs_gap)}")
     print(f"NORM tail_constant {_format(field.tail_constant)}")
     print(f"NORM chain_depth {field.depth}")
     print(f"NORM truncation_bound {_format(field.error_bound)}")
@@ -678,22 +648,15 @@ def cmd_norms(args) -> int:
             print(f"NORM inverse_norm_bound {_format(_inverse_norm_bound(a, norm_d))}")
 
     # integral norms of the germ, the perturbation and their gap, with the
-    # gap bound and its pass flag, one block per requested exponent
-    q_res = res if res % 2 == 1 else res + 1
-    rule = quadrature_rule(problem.net.box, q_res)
-    f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(rule.axes))
-    h_vals = mesh_eval(field, rule.axes)
-    for p in ps:
-        base_gap = lp_norm(gap_vals, rule, p)
-        gap = lp_norm(h_vals - f_vals, rule, p)
-        bound = a / (1.0 - a) * base_gap
-        print(f"NORM lp_f_p{p:g} {_format(lp_norm(f_vals, rule, p))}")
-        print(f"NORM lp_perturbed_p{p:g} {_format(lp_norm(h_vals, rule, p))}")
-        print(f"NORM lp_base_gap_p{p:g} {_format(base_gap)}")
-        print(f"NORM lp_gap_p{p:g} {_format(gap)}")
-        print(f"NORM lp_gap_bound_p{p:g} {_format(bound)}")
-        print(f"NORM lp_gap_ok_p{p:g} "
-              f"{'1' if gap <= bound * 1.05 + 1e-8 else '0'}")
+    # gap bound and verify's lp_gap verdict, one block per requested exponent
+    for p in b.ps:
+        rep = _lp_gap(field, b.rule, p)
+        print(f"NORM lp_f_p{p:g} {_format(rep.details['lp_f'])}")
+        print(f"NORM lp_perturbed_p{p:g} {_format(rep.details['lp_perturbed'])}")
+        print(f"NORM lp_base_gap_p{p:g} {_format(rep.details['base_gap'])}")
+        print(f"NORM lp_gap_p{p:g} {_format(rep.lhs)}")
+        print(f"NORM lp_gap_bound_p{p:g} {_format(rep.rhs)}")
+        print(f"NORM lp_gap_ok_p{p:g} {'1' if rep.passed else '0'}")
     return 0
 
 
@@ -752,10 +715,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FieldParseError, FieldDomainError) as exc:
+    except (UsageError, FieldParseError, FieldDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AdmissibilityError, ApproximationError, IterationError,

@@ -175,22 +175,26 @@ def lp_perturbation_gap(net: Net, f, alpha, op: OperatorSpec, p: float,
 def _lp_gap(field: FractalField, rule: QuadratureRule, p: float,
             slack: float = 0.05) -> BoundsReport:
     """||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed ``field`` of
-    a config, both sides by quadrature under ``rule``."""
+    a config, both sides by quadrature under ``rule``. ``details`` holds
+    the threshold ``limit`` that lhs is compared against and the norms
+    ``lp_f`` of f and ``lp_perturbed`` of Ff."""
     cfg = field.config
     f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(rule.axes))
-    lhs = lp_norm(mesh_eval(field, rule.axes) - f_vals, rule, p)
+    h_vals = mesh_eval(field, rule.axes)
+    lhs = lp_norm(h_vals - f_vals, rule, p)
     gap = lp_norm(gap_vals, rule, p)
     a = cfg.alpha_sup
     rhs = a / (1.0 - a) * gap
     margin = field.error_bound * _volume(rule) ** (1.0 / p)
-    passed = lhs <= rhs * (1.0 + slack) + margin + 1e-8
+    limit = rhs * (1.0 + slack) + margin + 1e-8
     return BoundsReport(
         name="lp_perturbation_gap",
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        passed=passed,
-        details={"p": p, "alpha_sup": a, "base_gap": gap},
+        passed=lhs <= limit,
+        details={"p": p, "alpha_sup": a, "base_gap": gap, "limit": limit,
+                 "lp_f": lp_norm(f_vals, rule, p), "lp_perturbed": lp_norm(h_vals, rule, p)},
     )
 
 
@@ -199,7 +203,8 @@ def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
                              resolution: int = 513, eval_tol: float = 1e-10,
                              slack: float = 0.05) -> BoundsReport:
     """Check ||F_C(f) - f||_p <= M * a * ||F_C(f) - D_C(f)||_p with
-    M = 2^(1/2 + 1/p) and D_C acting componentwise."""
+    M = 2^(1/2 + 1/p) and D_C acting componentwise; ``details["limit"]``
+    is the threshold lhs is compared against."""
     validate_operator(op, net)
     rule = quadrature_rule(net.box, resolution)
     cfg_re = make_operator_config(net, pair.real, alpha, op)
@@ -220,14 +225,14 @@ def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
     rhs = m_constant(p) * a * lp_norm(gap, rule, p)
     bound_sup = math.hypot(fld_re.error_bound, fld_im.error_bound)
     margin = (1.0 + m_constant(p) * a) * bound_sup * _volume(rule) ** (1.0 / p)
-    passed = lhs <= rhs * (1.0 + slack) + margin + 1e-8
+    limit = rhs * (1.0 + slack) + margin + 1e-8
     return BoundsReport(
         name="complex_perturbation_gap",
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        passed=passed,
-        details={"p": p, "m_constant": m_constant(p), "alpha_sup": a},
+        passed=lhs <= limit,
+        details={"p": p, "m_constant": m_constant(p), "alpha_sup": a, "limit": limit},
     )
 
 

@@ -113,12 +113,23 @@ def test_verify_passes_and_lists_checks(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def _printed_checks(out):
+    """(name, verdict) of each CHECK line, then ("VERIFY", verdict)."""
+    return [(line.split()[1], line.split()[2 if "SKIP" in line else -1])
+            if line.startswith("CHECK ") else tuple(line.split())
+            for line in out.splitlines()]
+
+
 def test_verify_explicit_base_skips_operator_checks(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["verify", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "CHECK operator_norm SKIP" in out
-    assert "VERIFY PASS" in out
+    assert main(["verify", "--config", cfg, "--p", "1,2.5"]) == 0
+    checks = _printed_checks(capsys.readouterr().out)
+    assert checks == [(name, "PASS") for name in (
+        "interpolation", "boundary_consistency", "perturbation_gap", "jacobian_sum",
+        "scale_sequence", "lp_gap_p1", "lp_gap_p2.5")] + [(name, "SKIP") for name in (
+        "operator_norm", "bounded_below", "linearity", "fixed_point", "inverse",
+        "operator_sequence", "vanishing_invariance", "complex_gap",
+        "complex_l2_identity")] + [("VERIFY", "PASS")]
 
 
 def test_verify_required_inverse_fails_without_contraction(tmp_path, capsys):
@@ -134,6 +145,47 @@ def test_verify_required_inverse_fails_without_contraction(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert "VERIFY FAIL" in out
+    assert "\nCHECK inverse_residual lhs=nan rhs=nan FAIL (" in out
+
+
+def _verify_2d_config(tmp_path, **overrides):
+    """The verify-2d benchmark input: a nonuniform 2-D net under a blend."""
+    return write_config(tmp_path, name="verify-2d.json",
+                        box={"bounds": [[0, 1], [0, 2]]},
+                        net={"knots": [[0, 0.3, 0.6, 1], [0, 1, 2]]},
+                        fields={"f": "sin(3*x1)*cos(x2)+x1*x2", "alpha": "0.2+0.1*x1*x2"},
+                        operator={"kind": "blend", "t": 0.6},
+                        **{"run": {"resolution": 17, "seed": 0, "p": [1, 2]}, **overrides})
+
+
+@pytest.mark.parametrize("argv, overrides, names", [
+    (["--p", "0.5"], {}, "exponent"),
+    ([], {"run": {"resolution": 17, "seed": 0, "p": [1, "x"]}}, "exponent"),
+    ([], {"verify": {"inverse": "bogus"}}, "verify.inverse"),
+    (["--tol", "-1"], {}, "--tol"),
+], ids=["p-flag", "run-p", "verify-inverse", "tol-flag"])
+def test_verify_bad_input_exits_two_before_any_check(tmp_path, capsys, argv,
+                                                     overrides, names):
+    cfg = _verify_2d_config(tmp_path, **overrides)
+    assert main(["verify", "--config", cfg, "--resolution", "17", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert names in err
+
+
+def test_norms_lp_gap_ok_is_verify_verdict(tmp_path, capsys):
+    cfg = _verify_2d_config(tmp_path)
+    assert main(["verify", "--config", cfg]) == 0
+    checks = {ln.split()[1]: ln.split() for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("CHECK lp_gap_")}
+    assert main(["norms", "--config", cfg]) == 0
+    norms = dict(ln.split()[1:] for ln in capsys.readouterr().out.splitlines())
+    for p in ("1", "2"):
+        words = checks[f"lp_gap_p{p}"]
+        assert norms[f"lp_gap_ok_p{p}"] == ("1" if words[-1] == "PASS" else "0")
+        assert words[2] == f"lhs={float(norms[f'lp_gap_p{p}']):.9e}"
 
 
 def test_verify_delta_construction(tmp_path, capsys):
@@ -144,8 +196,12 @@ def test_verify_delta_construction(tmp_path, capsys):
     )
     # fields are still present; construction defaults to the fif section
     assert main(["verify", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "CHECK interpolation" in out
+    assert _printed_checks(capsys.readouterr().out) == [
+        ("interpolation", "PASS"), ("boundary_consistency", "PASS"),
+        ("jacobian_sum", "PASS"), ("VERIFY", "PASS")]
+    # the seed is read before the first line is printed
+    assert main(["verify", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_norms_lines(tmp_path, capsys):
@@ -457,6 +513,13 @@ def test_bad_epsilon_exits_two(tmp_path, capsys, argv, run_eps):
                        run={"resolution": 33, "epsilon": run_eps})
     assert main(["approx", "--config", cfg] + argv) == 2
     assert "epsilon" in _one_line_error(capsys)
+
+
+def test_missing_epsilon_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, fields={"f": "x1^2", "alpha": 0.4},
+                       operator={"kind": "blend", "t": 1.0}, run={"resolution": 33})
+    assert main(["approx", "--config", cfg]) == 2
+    assert "no epsilon given" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("points", [

@@ -15,7 +15,15 @@ their stdout, stderr, exit code and CSV output byte for byte:
   nonuniform net keeps the grid off the orbit path;
 - ``eval`` of ``EVAL_2D_POINTS`` seeded points on the ``verify-2d`` input,
   more than one slab of ``_SLAB_POINTS``;
-- ``verify`` on the 3-D blend config of ROADMAP.md.
+- ``verify`` on the 3-D blend config of ROADMAP.md;
+- ``norms`` on the ``fif-surface-3d`` input (the node-data construction);
+- ``verify`` and ``norms`` on ``EXPLICIT_2D``, a 2-D config with an
+  explicit base, where ``verify`` skips the operator checks;
+- ``verify`` on ``INVERSE_FAIL``, whose required Neumann inversion fails
+  (exit 1).
+
+Together these cover every branch of the ``verify`` battery and of
+``norms``.
 
 The two sides of a command run one after the other, each in its own
 working directory with the same relative output name, with BLAS on one
@@ -57,6 +65,24 @@ VERIFY_3D = {
     "operator": {"kind": "blend", "t": 0.5},
     "run": {"resolution": 17},
 }
+# scale-field construction with an explicit base: verify skips the
+# operator checks
+EXPLICIT_2D = {
+    "box": {"bounds": [[0, 1], [0, 1]]},
+    "net": {"knots": [[0, 1 / 3, 2 / 3, 1], [0, 1 / 3, 2 / 3, 1]]},
+    "fields": {"f": "sin(2*x1)*x2+x1", "alpha": "0.3-0.1*x1*x2",
+               "s": "sin(2*x1)*x2+x1+x1*(1-x1)*x2*(1-x2)"},
+    "run": {"resolution": 33, "seed": 0, "p": [1, 2]},
+}
+# a required inversion whose contraction bound is 1.5: verify exits 1
+INVERSE_FAIL = {
+    "box": {"bounds": [[0, 1]]},
+    "net": {"knots": [[0, 0.5, 1]]},
+    "fields": {"f": "x1^2", "alpha": 0.6},
+    "operator": {"kind": "blend", "t": 1.0},
+    "run": {"resolution": 65, "seed": 0},
+    "verify": {"inverse": "require"},
+}
 # seeded points of the verify-2d eval, in run.points of a copy of its input
 EVAL_2D_POINTS = 40_000
 # eval points for the inputs without run.points: box corners, knots and
@@ -69,7 +95,7 @@ EVAL_POINTS = {
 
 
 def write_inputs(work: Path) -> dict:
-    """The config path of each benchmark input and of the 3-D config."""
+    """The config path of each benchmark input and of the extra configs."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from workloads import prepare
 
@@ -77,9 +103,11 @@ def write_inputs(work: Path) -> dict:
     for name in INPUTS:
         args = prepare(name, work, SEED).args
         configs[name] = args[args.index("--config") + 1]
-    path = work / "verify-3d.json"
-    path.write_text(json.dumps(VERIFY_3D))
-    configs["verify-3d"] = str(path)
+    for name, cfg in (("verify-3d", VERIFY_3D), ("explicit-2d", EXPLICIT_2D),
+                      ("inverse-fail", INVERSE_FAIL)):
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        configs[name] = str(path)
     cfg = json.loads(Path(configs["verify-2d"]).read_text())
     lo, hi = np.array(cfg["box"]["bounds"], dtype=float).T
     pts = np.random.default_rng(SEED).uniform(lo, hi, size=(EVAL_2D_POINTS, lo.size))
@@ -109,6 +137,12 @@ def commands(configs: dict) -> list:
                 ["eval", "--config", configs["eval-2d-points"], "--out", "out.csv"],
                 "out.csv"))
     out.append(("verify verify-3d", ["verify", "--config", configs["verify-3d"]], None))
+    out.append(("norms fif-surface-3d",
+                ["norms", "--config", configs["fif-surface-3d"]], None))
+    for cmd in ("verify", "norms"):
+        out.append((f"{cmd} explicit-2d", [cmd, "--config", configs["explicit-2d"]], None))
+    out.append(("verify inverse-fail",
+                ["verify", "--config", configs["inverse-fail"]], None))
     return out
 
 
