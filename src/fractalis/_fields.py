@@ -3,9 +3,11 @@
 A *field* is duck-typed: callable on a point (sequence of k floats) and,
 when it can, exposing ``eval_arrays(coords)`` for elementwise evaluation
 over coordinate arrays that broadcast against one another; the result has
-their broadcast shape. Everything here provides both paths so downstream
-code never needs to branch. ``mesh_eval`` is the one tensor-grid
-evaluator: it passes the open mesh (one array per axis, each spanning its
+their broadcast shape. A field has one evaluator, ``eval_arrays``: a call
+at a point is ``eval_arrays`` at that one point (``_Field``), so the two
+cannot disagree. Only a plain callable is evaluated point by point
+(``CallableField``). ``mesh_eval`` is the one tensor-grid evaluator: it
+passes the open mesh (one array per axis, each spanning its
 own axis) so that per-axis work, such as the cell search of
 ``NetInterpolant``, runs on the axis values only. The chain evaluators of
 ``fractal_core`` keep such coordinates as they are at every level, and
@@ -146,12 +148,17 @@ def grid_sup_norm(field, box, resolution) -> float:
                      box_axes(box, resolution))
 
 
-@dataclass(frozen=True)
-class ConstantField:
-    value: float
+class _Field:
+    """Base of the fields that evaluate on arrays: a call at a point is
+    ``eval_arrays`` at that one point."""
 
     def __call__(self, point) -> float:
-        return self.value
+        return float(self.eval_arrays([np.asarray([float(t)]) for t in point])[0])
+
+
+@dataclass(frozen=True)
+class ConstantField(_Field):
+    value: float
 
     def eval_arrays(self, coords) -> np.ndarray:
         return np.full(np.broadcast(*coords).shape, self.value, dtype=float)
@@ -175,14 +182,11 @@ class CallableField:
 
 
 @dataclass(frozen=True)
-class LinCombField:
+class LinCombField(_Field):
     """Pointwise weighted sum of fields."""
 
     weights: tuple
     fields: tuple
-
-    def __call__(self, point) -> float:
-        return float(sum(w * f(point) for w, f in zip(self.weights, self.fields)))
 
     def eval_arrays(self, coords) -> np.ndarray:
         out = np.zeros(np.broadcast(*coords).shape, dtype=float)
@@ -192,14 +196,11 @@ class LinCombField:
 
 
 @dataclass(frozen=True)
-class ProductField:
+class ProductField(_Field):
     """Pointwise product of two fields."""
 
     left: object
     right: object
-
-    def __call__(self, point) -> float:
-        return float(self.left(point)) * float(self.right(point))
 
     def eval_arrays(self, coords) -> np.ndarray:
         out = mesh_like(self.left, coords) * mesh_like(self.right, coords)
@@ -229,7 +230,7 @@ def _full_shape(out, coords) -> np.ndarray:
     return np.broadcast_to(out, shape).copy()
 
 
-class NetInterpolant:
+class NetInterpolant(_Field):
     """Multilinear interpolation of values tabulated on a tensor grid.
 
     ``axes`` are strictly increasing 1-d coordinate arrays (two or more
@@ -255,10 +256,6 @@ class NetInterpolant:
         self.values.setflags(write=False)
         self.dim = len(self.axes)
         self._steps = [np.diff(a) for a in self.axes]
-
-    def __call__(self, point) -> float:
-        coords = [np.asarray([float(t)]) for t in point]
-        return float(self.eval_arrays(coords)[0])
 
     def eval_arrays(self, coords, cells=None) -> np.ndarray:
         """Values at ``coords``. ``cells``, when given, are the 0-based

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as _P
 
-from ._fields import LinCombField, _flatten, as_field, box_axes, mesh_eval
+from ._fields import LinCombField, _Field, _flatten, as_field, box_axes, mesh_eval
 from .fractal_core import FractalField
 from .net import Net
 from .operator_props import (
@@ -50,7 +50,7 @@ class ApproximationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class TensorPolynomial:
+class TensorPolynomial(_Field):
     """Dense tensor of raw monomial coefficients.
 
     coeffs[i1, ..., ik] multiplies x1^i1 * ... * xk^ik; evaluation runs a
@@ -75,21 +75,14 @@ class TensorPolynomial:
     def degrees(self) -> tuple:
         return tuple(d - 1 for d in self.coeffs.shape)
 
-    def __call__(self, point) -> float:
-        flat = [np.asarray([float(t)]) for t in point]
-        return float(self._eval_flat(flat)[0])
-
     def eval_arrays(self, coords) -> np.ndarray:
-        shape, flat = _flatten(coords)
-        return self._eval_flat(flat).reshape(shape)
-
-    def _eval_flat(self, flat) -> np.ndarray:
-        if len(flat) != self.dim:
+        if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinate arrays")
+        shape, flat = _flatten(coords)
         c = _P.polyval(flat[0], self.coeffs, tensor=True)
         for x in flat[1:]:
             c = _P.polyval(x, c, tensor=False)
-        return np.asarray(c, dtype=float)
+        return np.asarray(c, dtype=float).reshape(shape)
 
 
 def _scaled_axis(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -229,7 +222,7 @@ def epsilon_approximate(net: Net, f, op: OperatorSpec, epsilon: float,
 
 
 @dataclass(frozen=True, eq=False)
-class HatField:
+class HatField(_Field):
     """Piecewise-linear tent on [0, 1]: 0 outside (left, right), 1 at the
     peak. The two leading basis members are the constant 1 (left=right=
     peak sentinel handled by ``faber_schauder``) and the ramp x."""
@@ -238,9 +231,6 @@ class HatField:
     peak: float
     right: float
 
-    def __call__(self, point) -> float:
-        return float(self.eval_arrays([np.asarray([float(point[0])])])[0])
-
     def eval_arrays(self, coords) -> np.ndarray:
         x = np.asarray(coords[0], dtype=float)
         half = self.peak - self.left
@@ -248,10 +238,7 @@ class HatField:
 
 
 @dataclass(frozen=True, eq=False)
-class _RampField:
-    def __call__(self, point) -> float:
-        return float(point[0])
-
+class _RampField(_Field):
     def eval_arrays(self, coords) -> np.ndarray:
         return np.asarray(coords[0], dtype=float)
 

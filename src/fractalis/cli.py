@@ -29,6 +29,7 @@ from ._fields import (
     ConstantField,
     NetInterpolant,
     box_axes,
+    grid_sup_norm,
     mesh_eval,
 )
 from .approx import ApproximationError, epsilon_approximate
@@ -426,33 +427,19 @@ def _sample_polynomials(net, rng, count: int):
     return out
 
 
-class _KnotProduct:
-    """Product over axes and knots of (x_q - knot); zero at every net node."""
-
-    def __init__(self, net):
-        self.knots = [np.asarray(part.knots, dtype=float) for part in net.axes]
-        mesh = np.meshgrid(*box_axes(net.box, 65), indexing="ij", sparse=True)
-        self.scale = max(1e-12, float(np.max(np.abs(self._raw(mesh)))))
-
-    def _raw(self, coords):
-        out = np.ones(np.shape(coords[0]))
-        for q, ks in enumerate(self.knots):
-            x = np.asarray(coords[q], dtype=float)
-            for t in ks:
-                out = out * (x - t)
-        return out
-
-    def __call__(self, point):
-        return float(self._raw([np.asarray(float(v)) for v in point])) / self.scale
-
-    def eval_arrays(self, coords):
-        return self._raw(coords) / self.scale
+def _knot_product(net):
+    """Product over axes and knots of (x_q - knot), divided by its max on a
+    65-point grid: zero at every net node."""
+    raw = " * ".join(f"(x{q + 1} - {float(t)!r})"
+                     for q, part in enumerate(net.axes) for t in part.knots)
+    scale = max(1e-12, grid_sup_norm(parse_field(raw, net.dim), net.box, 65))
+    return parse_field(f"({raw}) / {scale!r}", net.dim)
 
 
 class _Battery:
     """What one ``verify`` or ``norms`` run reads, all checked before the
-    first output line: the tolerance and the seed (``verify``), and for the
-    scale-field construction the shared grid, the exponents, and the
+    first output line: the seed (``verify``), the tolerance, the shared
+    grid and the exponents, and for the scale-field construction the
     ``verify.inverse`` mode and inverse tolerance (``verify``)."""
 
     def __init__(self, problem, args, tol_default: float):
@@ -462,9 +449,9 @@ class _Battery:
             self.seed = problem.seed(args)
             self.rng = np.random.default_rng(self.seed)
         self.eval_tol = problem.positive(args, "tol", tol_default)
+        self.res = problem.scalar_resolution(args)
+        self.ps = problem.p_values(args)
         if problem.construction == "alpha":
-            self.res = problem.scalar_resolution(args)
-            self.ps = problem.p_values(args)
             self.q_res = self.res if self.res % 2 == 1 else self.res + 1
             self.rule = quadrature_rule(problem.net.box, self.q_res)
             if verify:
@@ -566,7 +553,7 @@ def _checks(b: _Battery):
 
     # two nesting levels keep the cost near depth^2 while still exercising
     # a genuinely nested application
-    rep = vanishing_invariance_check(net, alpha, op, _KnotProduct(net), r_max=2,
+    rep = vanishing_invariance_check(net, alpha, op, _knot_product(net), r_max=2,
                                      eval_tol=eval_tol)
     yield "vanishing_invariance", (rep.max_error, rep.tol, rep.passed)
 
@@ -621,13 +608,13 @@ def cmd_approx(args) -> int:
 
 def cmd_norms(args) -> int:
     problem = _Problem(_load_config(args.config))
+    b = _Battery(problem, args, 1e-8)
     if problem.construction == "delta":
         fif = problem.fif
         print(f"NORM delta {_format(fif.delta)}")
         print(f"NORM data_sup {_format(float(np.max(np.abs(fif.values))))}")
         print(f"NORM jacobian_sum {_format(jacobian_sum(problem.net))}")
         return 0
-    b = _Battery(problem, args, 1e-8)
     field = b.field
     a = field.config.alpha_sup
     print(f"NORM alpha_sup {_format(a)}")
@@ -669,44 +656,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    flags = {
+        "--resolution": dict(help="grid resolution: a single count or one per axis, "
+                                  "comma separated (e.g. 129 or 65,33)"),
+        "--tol": dict(type=float, help="evaluation / check tolerance"),
+        "--seed": dict(type=int, help="seed for sampled checks"),
+        "--p": dict(help="integral-norm exponent(s), comma separated"),
+        "--epsilon": dict(type=float, help="target sup-norm accuracy"),
+        "--out": dict(help="output CSV path (default stdout)"),
+    }
+    # each subcommand takes only the flags it reads
+    for name, func, text, names in (
+            ("surface", cmd_surface, "sample the interpolant on a uniform grid",
+             ("--resolution", "--tol", "--out")),
+            ("eval", cmd_eval, "evaluate at explicit points", ("--tol", "--out")),
+            ("verify", cmd_verify, "run the bound and consistency battery",
+             ("--resolution", "--tol", "--seed", "--p")),
+            ("approx", cmd_approx, "perturbed-polynomial approximation",
+             ("--resolution", "--out", "--epsilon")),
+            ("norms", cmd_norms, "print certified constants",
+             ("--resolution", "--tol", "--p"))):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--resolution",
-                       help="grid resolution: a single count or one per axis, "
-                            "comma separated (e.g. 129 or 65,33)")
-        p.add_argument("--tol", type=float, help="evaluation / check tolerance")
-        p.add_argument("--seed", type=int, help="seed for sampled checks")
-        if out:
-            p.add_argument("--out", help="output CSV path (default stdout)")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("surface", help="sample the interpolant on a uniform grid")
-    common(p)
-    p.set_defaults(func=cmd_surface)
-
-    p = sub.add_parser("eval", help="evaluate at explicit points")
+    p = sub.choices["eval"]
     # argparse's own matcher misses exponents and commas, so it would take
     # points such as -2e-12 or -0.5,0.5 for unknown options
     number = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
     p._negative_number_matcher = re.compile(rf"^-{number}(?:,-?{number})*$")
-    common(p)
     p.add_argument("points", nargs="*",
                    help="points as comma-separated coordinates, e.g. 0.25,0.5")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify", help="run the bound and consistency battery")
-    common(p, out=False)
-    p.add_argument("--p", help="integral-norm exponent(s), comma separated")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("approx", help="perturbed-polynomial approximation")
-    common(p)
-    p.add_argument("--epsilon", type=float, help="target sup-norm accuracy")
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("norms", help="print certified constants")
-    common(p, out=False)
-    p.add_argument("--p", help="integral-norm exponent(s), comma separated")
-    p.set_defaults(func=cmd_norms)
     return parser
 
 

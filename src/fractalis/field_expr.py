@@ -7,9 +7,12 @@ sqrt``. ``^`` is right-associative and binds tighter than ``*``/``/``,
 which bind tighter than ``+``/``-``; unary minus sits between the two
 groups, so ``-x1^2`` means ``-(x1^2)``.
 
-Division, ``log`` and ``sqrt`` check their domains on evaluation: a log of
-a non-positive number, a sqrt of a negative one or a division by zero
-raises FieldDomainError on the scalar and the array path alike.
+Evaluation runs on numpy arrays only; a call at a point evaluates the
+arrays of that one point. The one domain rule: a non-finite value in the
+result raises FieldDomainError. A division by zero, the log of a
+non-positive number and the sqrt of a negative one give such values; an
+intermediate infinity that the expression maps back to a finite value, as
+in ``1/(1/0)``, raises nothing.
 
 Parsed expressions are immutable and evaluation is pure, so a single
 FieldExpr may be evaluated from any number of threads.
@@ -17,14 +20,13 @@ FieldExpr may be evaluated from any number of threads.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from ._fields import _full_shape, grid_sup_norm
+from ._fields import _Field, _full_shape, grid_sup_norm
 
 __all__ = [
     "FieldExpr",
@@ -35,12 +37,12 @@ __all__ = [
 ]
 
 _FUNCTIONS = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "exp": (math.exp, np.exp),
-    "log": (math.log, np.log),
-    "abs": (abs, np.abs),
-    "sqrt": (math.sqrt, np.sqrt),
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
 }
 
 # binding powers; ^ > unary minus > * / > + -
@@ -59,8 +61,8 @@ class FieldParseError(ValueError):
 
 
 class FieldDomainError(ArithmeticError):
-    """Evaluation left the real domain (division by zero, sqrt of a
-    negative, log of a non-positive number, non-finite result)."""
+    """Evaluation gave a non-finite value, as a division by zero, the sqrt
+    of a negative or the log of a non-positive number does."""
 
 
 @dataclass(frozen=True)
@@ -197,39 +199,6 @@ class _Parser:
         return Var(index)
 
 
-def _eval_scalar(node: Node, point: tuple) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(point[node.index - 1])
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.arg, point)
-    if isinstance(node, Func):
-        x = _eval_scalar(node.arg, point)
-        try:
-            return _FUNCTIONS[node.name][0](x)
-        except (ValueError, OverflowError) as exc:
-            raise FieldDomainError(f"{node.name}({x}) is undefined") from exc
-    a = _eval_scalar(node.left, point)
-    b = _eval_scalar(node.right, point)
-    try:
-        if node.op == "+":
-            out = a + b
-        elif node.op == "-":
-            out = a - b
-        elif node.op == "*":
-            out = a * b
-        elif node.op == "/":
-            out = a / b
-        else:
-            out = math.pow(a, b)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise FieldDomainError(f"{a} {node.op} {b} is undefined") from exc
-    if not math.isfinite(out):
-        raise FieldDomainError(f"{a} {node.op} {b} is not finite")
-    return out
-
-
 def _eval_arrays(node: Node, coords: list) -> np.ndarray:
     if isinstance(node, Num):
         return node.value
@@ -238,7 +207,7 @@ def _eval_arrays(node: Node, coords: list) -> np.ndarray:
     if isinstance(node, Neg):
         return -_eval_arrays(node.arg, coords)
     if isinstance(node, Func):
-        return _FUNCTIONS[node.name][1](_eval_arrays(node.arg, coords))
+        return _FUNCTIONS[node.name](_eval_arrays(node.arg, coords))
     a = _eval_arrays(node.left, coords)
     b = _eval_arrays(node.right, coords)
     if node.op == "+":
@@ -285,24 +254,19 @@ def _to_source(node: Node) -> str:
 
 
 @dataclass(frozen=True)
-class FieldExpr:
+class FieldExpr(_Field):
     """A parsed scalar field on k variables.
 
-    Instances are immutable; ``__call__`` evaluates at a point given as a
-    sequence of k floats, ``eval_arrays`` evaluates elementwise over numpy
-    coordinate arrays (one array per variable, broadcasting against one
-    another) and returns their broadcast shape, also for an expression
-    that reads fewer variables or none.
+    Instances are immutable; ``eval_arrays`` evaluates elementwise over
+    numpy coordinate arrays (one array per variable, broadcasting against
+    one another) and returns their broadcast shape, also for an expression
+    that reads fewer variables or none. A call at a point (a sequence of k
+    floats) is ``eval_arrays`` at that one point.
     """
 
     root: Node
     arity: int
     source: str
-
-    def __call__(self, point) -> float:
-        if len(point) != self.arity:
-            raise ValueError(f"expected point of length {self.arity}, got {len(point)}")
-        return _eval_scalar(self.root, tuple(point))
 
     def eval_arrays(self, coords) -> np.ndarray:
         if len(coords) != self.arity:

@@ -36,6 +36,7 @@ import numpy as np
 from ._fields import (
     ConstantField,
     NetInterpolant,
+    _Field,
     _SLAB_POINTS,
     _checked,
     _grid_max,
@@ -141,7 +142,7 @@ class CheckReport:
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_Field):
     """Values on a uniform tensor grid, read-only."""
 
     axes: tuple
@@ -150,8 +151,8 @@ class GridFunction:
     def interpolant(self) -> NetInterpolant:
         return NetInterpolant(self.axes, self.values)
 
-    def __call__(self, point) -> float:
-        return self.interpolant()(point)
+    def eval_arrays(self, coords) -> np.ndarray:
+        return self.interpolant().eval_arrays(coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +438,7 @@ def eval_fif_delta(fif: DeltaFif, points, tol: float = 1e-10,
     return _eval_points(DeltaFifField(fif, tol=tol, depth=depth), points)
 
 
-class DeltaFifField:
+class DeltaFifField(_Field):
     """Field view of a DeltaFif at a fixed evaluation tolerance, or at a
     forced chain ``depth``.
 
@@ -459,10 +460,6 @@ class DeltaFifField:
         self.error_bound = tail * abs(fif.delta) ** self.depth
         self._w = _corner_blend_table(fif)
         self._base = NetInterpolant(node_arrays(fif.net), fif.values)
-
-    def __call__(self, point) -> float:
-        coords = [np.asarray([float(t)]) for t in point]
-        return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
         return self._chain(coords)

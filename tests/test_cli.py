@@ -175,6 +175,39 @@ def test_verify_bad_input_exits_two_before_any_check(tmp_path, capsys, argv,
     assert names in err
 
 
+@pytest.mark.parametrize("command", ["verify", "norms"])
+@pytest.mark.parametrize("argv, names", [
+    (["--p", "0.5", "--resolution", "1"], "resolution"),
+    (["--p", "0.5"], "exponent"),
+    (["--tol", "-1"], "--tol"),
+], ids=["p-and-resolution", "p", "tol"])
+def test_node_data_bad_input_exits_two_before_any_output(tmp_path, capsys, command,
+                                                         argv, names):
+    cfg = write_config(tmp_path, fields={}, fif={"delta": 0.4, "values": [0.0, 1.0, 0.5]})
+    assert main([command, "--config", cfg, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert names in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["surface", "--seed", "-1"], "--seed"),
+    (["eval", "--resolution", "1", "--seed", "-5"], "--resolution"),
+    (["approx", "--epsilon", "0.1", "--tol", "-1", "--seed", "-3"], "--tol"),
+    (["norms", "--seed", "-1"], "--seed"),
+], ids=["surface-seed", "eval-resolution-seed", "approx-tol-seed", "norms-seed"])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv, flag):
+    cfg = blend_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " in captured.err and flag in captured.err
+
+
 def test_norms_lp_gap_ok_is_verify_verdict(tmp_path, capsys):
     cfg = _verify_2d_config(tmp_path)
     assert main(["verify", "--config", cfg]) == 0

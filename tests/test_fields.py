@@ -1,4 +1,5 @@
-"""The field contract on tensor grids: ``mesh_eval`` hands every field the
+"""The field contract: a call at a point is ``eval_arrays`` at that point,
+bit for bit; on tensor grids, ``mesh_eval`` hands every field the
 open mesh and must get the values of the dense mesh, bit for bit; grid
 maxima taken in slabs equal the maxima of one dense evaluation; the
 multilinear kernel gives the fancy-index nested lerps bit for bit on every
@@ -30,7 +31,7 @@ from fractalis import (
 )
 from fractalis import _fields
 from fractalis._fields import _clip, _multilinear, box_axes, mesh_eval, with_gap
-from fractalis.cli import _KnotProduct
+from fractalis.cli import _knot_product
 from fractalis.fractal_core import _blend_eval, _corner_blend_table
 from fractalis.net import _locate_arrays, node_arrays
 
@@ -76,8 +77,23 @@ FIELDS = {
     "fractal": _fractal,
     "delta": _delta,
     "polynomial": lambda rng, dim: TensorPolynomial(rng.uniform(-1.0, 1.0, size=(3,) * dim)),
-    "knot_product": lambda rng, dim: _KnotProduct(_net(dim)),
+    "knot_product": lambda rng, dim: _knot_product(_net(dim)),
+    # numpy's exp, log and power differ from math's in the last bit at some
+    # points: a call at a point must still give eval_arrays' bits
+    "expr_exp_log_cube": lambda rng, dim: parse_field(
+        f"exp(3*x1) - log(x{dim}+0.5) + x1^3", dim),
 }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_call_at_a_point_is_eval_arrays_at_the_point(name, dim):
+    rng = np.random.default_rng(100 + dim)
+    field = FIELDS[name](rng, dim)
+    coords = list(rng.uniform(0.0, 1.0, size=(dim, 200)))
+    values = field.eval_arrays(coords)
+    called = np.array([field(p) for p in zip(*coords)])
+    _assert_same_bits(called, values)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -252,6 +268,44 @@ def _cells_and_thetas(interp, coords, cells=None):
 def _reference_interpolant(interp, coords, cells=None):
     """``NetInterpolant.eval_arrays`` by ``_reference_multilinear``."""
     return _reference_multilinear(interp.values, *_cells_and_thetas(interp, coords, cells))
+
+
+class _KnotProductReference:
+    """The class ``_knot_product`` replaced, as it was: product over axes
+    and knots of (x_q - knot); zero at every net node."""
+
+    def __init__(self, net):
+        self.knots = [np.asarray(part.knots, dtype=float) for part in net.axes]
+        mesh = np.meshgrid(*box_axes(net.box, 65), indexing="ij", sparse=True)
+        self.scale = max(1e-12, float(np.max(np.abs(self._raw(mesh)))))
+
+    def _raw(self, coords):
+        out = np.ones(np.shape(coords[0]))
+        for q, ks in enumerate(self.knots):
+            x = np.asarray(coords[q], dtype=float)
+            for t in ks:
+                out = out * (x - t)
+        return out
+
+    def __call__(self, point):
+        return float(self._raw([np.asarray(float(v)) for v in point])) / self.scale
+
+    def eval_arrays(self, coords):
+        return self._raw(coords) / self.scale
+
+
+@pytest.mark.parametrize("bounds, knots", [
+    ([(-1.0, 1.0), (0.0, 2.0)], [[-1.0, -0.3, 0.2, 1.0], [0.0, 0.7, 2.0]]),
+    ([(0.0, 1.0)] * 3, [[0.0, 0.3, 1.0], [0.0, 0.45, 0.6, 1.0], [0.0, 0.8, 1.0]]),
+], ids=["2d-negative-knot", "3d"])
+def test_knot_product_expression_is_the_old_class_bit_for_bit(bounds, knots):
+    net = build_net(bounds, knots)
+    field, want = _knot_product(net), _KnotProductReference(net)
+    axes = box_axes(net.box, [33, 17, 9][:net.dim])
+    _assert_same_bits(mesh_eval(field, axes), want.eval_arrays(_fields._open_mesh(axes)))
+    rng = np.random.default_rng(5)
+    for p in rng.uniform(*np.transpose(bounds), size=(20, net.dim)):
+        assert field(p) == want(p)
 
 
 def _assert_same_bits(got, want):

@@ -42,7 +42,7 @@ from fractalis import (
     validate_operator,
 )
 from fractalis._fields import NetInterpolant, mesh_eval
-from fractalis.cli import _KnotProduct
+from fractalis.cli import _knot_product
 
 
 def test_operator_norms_by_kind():
@@ -266,7 +266,7 @@ def test_vanishing_invariance():
     rng = np.random.default_rng(57)
     for _ in range(4):
         net = random_uniform_net(rng, dim=1, max_cells=3)
-        seed_field = _KnotProduct(net)
+        seed_field = _knot_product(net)
         t = float(rng.uniform(0.2, 1.0))
         alpha = 0.7 / net.axes[0].n_cells
         rep = vanishing_invariance_check(net, alpha, blend_operator(t),

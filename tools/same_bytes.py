@@ -19,11 +19,18 @@ their stdout, stderr, exit code and CSV output byte for byte:
 - ``norms`` on the ``fif-surface-3d`` input (the node-data construction);
 - ``verify`` and ``norms`` on ``EXPLICIT_2D``, a 2-D config with an
   explicit base, where ``verify`` skips the operator checks;
+- ``verify`` and ``norms`` on ``MULTIPLICATION_2D``, a 2-D multiplication
+  operator, where ``verify`` skips ``fixed_point`` and ``validate_operator``
+  calls the multiplier at the box corners;
 - ``verify`` on ``INVERSE_FAIL``, whose required Neumann inversion fails
   (exit 1).
 
-Together these cover every branch of the ``verify`` battery and of
-``norms``.
+Together these reach every check of the ``verify`` battery, both of its
+operator-free and multiplication SKIPs, the ``inverse_rate`` SKIP and a
+failed inversion, and ``norms`` on node data, on an explicit base and
+under blend and multiplication operators. They do not reach the
+``bounded_below`` SKIP, nor the two ``inverse`` SKIPs (``verify.inverse``
+set to ``skip``, and a contraction bound of 1 or more under ``auto``).
 
 The two sides of a command run one after the other, each in its own
 working directory with the same relative output name, with BLAS on one
@@ -74,6 +81,16 @@ EXPLICIT_2D = {
                "s": "sin(2*x1)*x2+x1+x1*(1-x1)*x2*(1-x2)"},
     "run": {"resolution": 33, "seed": 0, "p": [1, 2]},
 }
+# a multiplication operator: validate_operator calls b at the box corners
+# (the one decision the CLI makes from a scalar field call), and verify
+# skips fixed_point
+MULTIPLICATION_2D = {
+    "box": {"bounds": [[0, 1], [0, 1]]},
+    "net": {"knots": [[0, 0.5, 1], [0, 0.4, 1]]},
+    "fields": {"f": "sin(2*x1)*x2+x1", "alpha": 0.3},
+    "operator": {"kind": "multiplication", "b": "1+x1*(1-x1)*x2*(1-x2)"},
+    "run": {"resolution": 33, "seed": 0, "p": [1, 2]},
+}
 # a required inversion whose contraction bound is 1.5: verify exits 1
 INVERSE_FAIL = {
     "box": {"bounds": [[0, 1]]},
@@ -104,6 +121,7 @@ def write_inputs(work: Path) -> dict:
         args = prepare(name, work, SEED).args
         configs[name] = args[args.index("--config") + 1]
     for name, cfg in (("verify-3d", VERIFY_3D), ("explicit-2d", EXPLICIT_2D),
+                      ("multiplication-2d", MULTIPLICATION_2D),
                       ("inverse-fail", INVERSE_FAIL)):
         path = work / f"{name}.json"
         path.write_text(json.dumps(cfg))
@@ -139,8 +157,9 @@ def commands(configs: dict) -> list:
     out.append(("verify verify-3d", ["verify", "--config", configs["verify-3d"]], None))
     out.append(("norms fif-surface-3d",
                 ["norms", "--config", configs["fif-surface-3d"]], None))
-    for cmd in ("verify", "norms"):
-        out.append((f"{cmd} explicit-2d", [cmd, "--config", configs["explicit-2d"]], None))
+    for name in ("explicit-2d", "multiplication-2d"):
+        for cmd in ("verify", "norms"):
+            out.append((f"{cmd} {name}", [cmd, "--config", configs[name]], None))
     out.append(("verify inverse-fail",
                 ["verify", "--config", configs["inverse-fail"]], None))
     return out
