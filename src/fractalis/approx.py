@@ -23,8 +23,9 @@ from ._fields import LinCombField, _Field, _flatten, as_field, box_axes, mesh_ev
 from .fractal_core import FractalField
 from .net import Net
 from .operator_props import (
+    FractalOperator,
     OperatorSpec,
-    apply_fractal_operator,
+    fractal_operator,
     neumann_inverse,
     operator_norms,
     validate_operator,
@@ -34,7 +35,6 @@ __all__ = [
     "ApproximationError",
     "TensorPolynomial",
     "poly_fit_least_squares",
-    "fractal_polynomial",
     "EpsilonApproxResult",
     "epsilon_approximate",
     "HatField",
@@ -140,12 +140,6 @@ def poly_fit_least_squares(field, box, degrees, resolution=None) -> TensorPolyno
     return TensorPolynomial(coeffs=c)
 
 
-def fractal_polynomial(net: Net, poly: TensorPolynomial, alpha,
-                       op: OperatorSpec, tol: float = 1e-10) -> FractalField:
-    """Perturb a tensor polynomial: F(p) with base field Dp."""
-    return apply_fractal_operator(net, poly, alpha, op, tol=tol)
-
-
 @dataclass(frozen=True, eq=False)
 class EpsilonApproxResult:
     poly: TensorPolynomial
@@ -198,7 +192,7 @@ def epsilon_approximate(net: Net, f, op: OperatorSpec, epsilon: float,
     alpha = safety * (epsilon / 2.0) / (epsilon / 2.0 + x)
     pert_bound = alpha / (1.0 - alpha) * x
 
-    fractal = fractal_polynomial(net, poly, alpha, op, tol=eval_tol)
+    fractal = fractal_operator(net, alpha, op)(poly, tol=eval_tol)
     h_vals = mesh_eval(fractal, axes)
     pert_err = float(np.max(np.abs(h_vals - p_vals)))
     total = float(np.max(np.abs(f_vals - h_vals)))
@@ -298,9 +292,8 @@ class SchauderResult:
     rate_bound: float
 
 
-def fractal_basis_reconstruct(net: Net, alpha, op: OperatorSpec, g,
-                              n_terms: int = 33, resolution: int = 1025,
-                              inversion_tol: float = 1e-7,
+def fractal_basis_reconstruct(F: FractalOperator, g, n_terms: int = 33,
+                              resolution: int = 1025, inversion_tol: float = 1e-7,
                               check_resolution: int = 257,
                               eval_tol: float = 1e-9) -> SchauderResult:
     """Expand ``g`` in the perturbed hat basis F(e_n) on [0, 1].
@@ -310,17 +303,14 @@ def fractal_basis_reconstruct(net: Net, alpha, op: OperatorSpec, g,
     m up to n_terms; by linearity the partial sum equals F applied to the
     hat partial sum of the preimage, which is how it is evaluated.
     """
-    if net.dim != 1 or net.box.bounds != ((0.0, 1.0),):
+    if F.net.dim != 1 or F.net.box.bounds != ((0.0, 1.0),):
         raise ValueError("hat-basis reconstruction runs on the unit interval")
     g = as_field(g)
-    validate_operator(op, net)
-    inverted = neumann_inverse(
-        net, alpha, op, g, resolution=resolution, tol=inversion_tol,
-    )
+    inverted = neumann_inverse(F, g, resolution=resolution, tol=inversion_tol)
     h = inverted.grid.interpolant()
     coeffs = schauder_coefficients(h, n_terms)
 
-    axes = box_axes(net.box, check_resolution)
+    axes = box_axes(F.net.box, check_resolution)
     g_vals = mesh_eval(g, axes)
     scale = max(1.0, float(np.max(np.abs(g_vals))))
     errors = []
@@ -329,7 +319,7 @@ def fractal_basis_reconstruct(net: Net, alpha, op: OperatorSpec, g,
             tuple(float(c) for c in coeffs[:m]),
             tuple(faber_schauder(n) for n in range(1, m + 1)),
         )
-        field = apply_fractal_operator(net, partial, alpha, op, tol=eval_tol)
+        field = F(partial, tol=eval_tol)
         err = float(np.max(np.abs(g_vals - mesh_eval(field, axes)))) / scale
         errors.append((m, err))
     return SchauderResult(

@@ -18,6 +18,7 @@ ask for at most MAX_GRID_POINTS grid points.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,9 +50,9 @@ from .fractal_core import (
 )
 from .lp_space import (
     ComplexFieldPair,
-    _lp_gap,
     complex_l2_identity_check,
     complex_perturbation_gap,
+    lp_perturbation_gap,
     quadrature_rule,
 )
 from .net import build_net, jacobian_sum, node_arrays
@@ -64,13 +65,12 @@ from .operator_props import (
     blend_operator,
     bounded_below_check,
     fixed_point_check,
+    fractal_operator,
     identity_operator,
     linearity_check,
-    make_operator_config,
     multiplication_operator,
     neumann_inverse,
     operator_norm_check,
-    operator_norms,
     operator_sequence_convergence,
     vanishing_invariance_check,
 )
@@ -287,12 +287,16 @@ class _Problem:
                                  f"got {v:g}")
         return values
 
+    @functools.cached_property
+    def F(self):
+        """The fractal operator of the operator section, built on first read."""
+        return fractal_operator(self.net, self.alpha, self.op)
+
     def evaluator(self, tol: float):
         if self.construction == "delta":
             return DeltaFifField(self.fif, tol=tol)
         if self.op is not None:
-            return FractalField(make_operator_config(self.net, self.f, self.alpha, self.op),
-                                tol=tol)
+            return self.F(self.f, tol=tol)
         if self.s is None:
             raise UsageError("fields section needs s or an operator section")
         return FractalField(make_config(self.net, self.f, self.alpha, self.s), tol=tol)
@@ -440,7 +444,9 @@ class _Battery:
     """What one ``verify`` or ``norms`` run reads, all checked before the
     first output line: the seed (``verify``), the tolerance, the shared
     grid and the exponents, and for the scale-field construction the
-    ``verify.inverse`` mode and inverse tolerance (``verify``)."""
+    ``verify.inverse`` mode and inverse tolerance (``verify``). The field
+    comes last; under an operator section it builds the run's one fractal
+    operator, ``problem.F``, which every operator check takes."""
 
     def __init__(self, problem, args, tol_default: float):
         self.problem = problem
@@ -483,14 +489,14 @@ def _checks(b: _Battery):
     if delta:
         return
 
-    alpha, res, eval_tol = b.problem.alpha, b.res, b.eval_tol
+    res, eval_tol = b.res, b.eval_tol
     base = op if op is not None else cfg.s
     steps = alpha_sequence_convergence(net, cfg.f, base, [0.5 / n for n in range(1, 7)],
                                        resolution=res, eval_tol=eval_tol)
     yield "scale_sequence", (steps[-1].error, steps[-1].bound,
                              all(st.passed for st in steps))
     for p in b.ps:
-        rep = _lp_gap(field, b.rule, p)
+        rep = lp_perturbation_gap(field, b.rule, p)
         yield f"lp_gap_p{p:g}", (rep.lhs, rep.details["limit"], rep.passed)
     if op is None:
         for name in ("operator_norm", "bounded_below", "linearity", "fixed_point",
@@ -499,21 +505,22 @@ def _checks(b: _Battery):
             yield name, "needs an operator section"
         return
 
-    a = cfg.alpha_sup
+    F = b.problem.F
+    a = F.alpha_sup
     samples = _sample_polynomials(net, b.rng, 4) + [cfg.f]
-    rep = operator_norm_check(net, alpha, op, samples, resolution=res, eval_tol=eval_tol)
+    rep = operator_norm_check(F, samples, resolution=res, eval_tol=eval_tol)
     yield "operator_norm", (rep.lhs, rep.rhs, rep.passed)
 
-    norm_d, norm_idd = operator_norms(op, net)
+    norm_d, norm_idd = F.norms
     if a * norm_d < 1.0:
-        rep = bounded_below_check(net, cfg.f, alpha, op, resolution=res, eval_tol=eval_tol)
+        rep = bounded_below_check(F, cfg.f, resolution=res, eval_tol=eval_tol)
         yield "bounded_below", (rep.lhs, rep.rhs + rep.margin, rep.passed)
     else:
         yield "bounded_below", "needs sup|alpha|*||D|| < 1"
 
     g1, g2 = _sample_polynomials(net, b.rng, 2)
     c1, c2 = float(b.rng.uniform(-2, 2)), float(b.rng.uniform(-2, 2))
-    rep = linearity_check(net, alpha, op, g1, g2, c1, c2, seed=b.seed, eval_tol=eval_tol)
+    rep = linearity_check(F, g1, g2, c1, c2, seed=b.seed, eval_tol=eval_tol)
     yield "linearity", (rep.max_error, rep.tol, rep.passed)
 
     if op.kind == "multiplication":
@@ -521,7 +528,7 @@ def _checks(b: _Battery):
     else:
         nodes = node_arrays(net)
         interp = NetInterpolant(nodes, mesh_eval(cfg.f, nodes))
-        rep = fixed_point_check(net, interp, alpha, op, resolution=res, eval_tol=eval_tol)
+        rep = fixed_point_check(F, interp, resolution=res, eval_tol=eval_tol)
         yield "fixed_point", (rep.max_error, rep.tol, rep.passed)
 
     rate = _rate_bound(a, norm_idd)
@@ -531,7 +538,7 @@ def _checks(b: _Battery):
         yield "inverse", f"contraction bound {rate:.6g} >= 1"
     else:
         try:
-            inv = neumann_inverse(net, alpha, op, cfg.f, resolution=res, tol=b.inverse_tol,
+            inv = neumann_inverse(F, cfg.f, resolution=res, tol=b.inverse_tol,
                                   require_precondition=(b.inverse == "require"))
         except (AdmissibilityError, IterationError) as exc:
             yield "inverse_residual", exc
@@ -546,25 +553,23 @@ def _checks(b: _Battery):
             else:
                 yield "inverse_rate", "too few iterations to estimate"
 
-    steps = operator_sequence_convergence(net, cfg.f, alpha, [1.0 / n for n in range(1, 7)],
+    steps = operator_sequence_convergence(F, cfg.f, [1.0 / n for n in range(1, 7)],
                                           resolution=res, eval_tol=eval_tol)
     yield "operator_sequence", (steps[-1].error, steps[-1].bound,
                                 all(st.passed for st in steps))
 
     # two nesting levels keep the cost near depth^2 while still exercising
     # a genuinely nested application
-    rep = vanishing_invariance_check(net, alpha, op, _knot_product(net), r_max=2,
+    rep = vanishing_invariance_check(F, _knot_product(net), r_max=2,
                                      eval_tol=eval_tol)
     yield "vanishing_invariance", (rep.max_error, rep.tol, rep.passed)
 
     pair = ComplexFieldPair(real=cfg.f, imag=_sample_polynomials(net, b.rng, 1)[0])
     for p in b.ps:
-        rep = complex_perturbation_gap(net, pair, alpha, op, p, resolution=b.q_res,
-                                       eval_tol=eval_tol)
+        rep = complex_perturbation_gap(F, pair, p, resolution=b.q_res, eval_tol=eval_tol)
         yield f"complex_gap_p{p:g}", (rep.lhs, rep.details["limit"], rep.passed)
 
-    rep = complex_l2_identity_check(net, pair, alpha, op, resolution=b.q_res,
-                                    eval_tol=eval_tol)
+    rep = complex_l2_identity_check(F, pair, resolution=b.q_res, eval_tol=eval_tol)
     yield "complex_l2_identity", (rep.max_error, rep.tol, rep.passed)
 
 
@@ -624,7 +629,7 @@ def cmd_norms(args) -> int:
     print(f"NORM truncation_bound {_format(field.error_bound)}")
     print(f"NORM jacobian_sum {_format(jacobian_sum(problem.net))}")
     if problem.op is not None:
-        norm_d, norm_idd = operator_norms(problem.op, problem.net)
+        norm_d, norm_idd = problem.F.norms
         print(f"NORM operator_norm_d {_format(norm_d)}")
         print(f"NORM operator_norm_id_minus_d {_format(norm_idd)}")
         rate = _rate_bound(a, norm_idd)
@@ -637,7 +642,7 @@ def cmd_norms(args) -> int:
     # integral norms of the germ, the perturbation and their gap, with the
     # gap bound and verify's lp_gap verdict, one block per requested exponent
     for p in b.ps:
-        rep = _lp_gap(field, b.rule, p)
+        rep = lp_perturbation_gap(field, b.rule, p)
         print(f"NORM lp_f_p{p:g} {_format(rep.details['lp_f'])}")
         print(f"NORM lp_perturbed_p{p:g} {_format(rep.details['lp_perturbed'])}")
         print(f"NORM lp_base_gap_p{p:g} {_format(rep.details['base_gap'])}")

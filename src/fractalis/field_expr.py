@@ -26,14 +26,13 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import _Field, _full_shape, grid_sup_norm
+from ._fields import _Field, _full_shape
 
 __all__ = [
     "FieldExpr",
     "FieldParseError",
     "FieldDomainError",
     "parse_field",
-    "sup_norm_grid",
 ]
 
 _FUNCTIONS = {
@@ -303,17 +302,3 @@ def parse_field(source: str, arity: int) -> FieldExpr:
     if kind != "end":
         parser.fail("trailing input", pos)
     return FieldExpr(root, arity, source)
-
-
-def sup_norm_grid(expr: FieldExpr, box, resolution) -> float:
-    """Max of |expr| over a uniform tensor grid on ``box``.
-
-    ``box`` is anything exposing per-axis (low, high) pairs via its
-    ``bounds`` attribute or by iteration; the grid always contains the box
-    corners, so corner-sensitive checks are exact. ``resolution`` is the
-    number of points per axis (scalar or one value per axis), each >= 2.
-    """
-    bounds = [tuple(b) for b in getattr(box, "bounds", box)]
-    if len(bounds) != expr.arity:
-        raise ValueError(f"box has {len(bounds)} axes, expression has arity {expr.arity}")
-    return grid_sup_norm(expr, bounds, resolution)

@@ -62,7 +62,6 @@ __all__ = [
     "GridFunction",
     "FixedPointResult",
     "make_config",
-    "check_admissible",
     "required_depth",
     "eval_alpha_fractal",
     "FractalField",
@@ -162,27 +161,6 @@ class FixedPointResult:
     residual: float
 
 
-def check_admissible(net: Net, f, alpha, s, sup_resolution: int = 129) -> CheckReport:
-    """Verify the perturbation hypotheses without raising.
-
-    Checks sup |alpha| < 1 (grid estimate unless alpha is constant) and
-    f = s at the 2^k box corners.
-    """
-    f = as_field(f)
-    s = as_field(s)
-    alpha_sup = _scale_sup(alpha, net, sup_resolution)
-    f_vals, gap = with_gap(f, s, list(net.box.corners().T))
-    corner_gap = float(np.max(np.abs(gap) / np.maximum(1.0, np.abs(f_vals))))
-    passed = alpha_sup < 1.0 and corner_gap <= _CORNER_TOL
-    return CheckReport(
-        name="admissible",
-        max_error=corner_gap,
-        tol=_CORNER_TOL,
-        passed=passed,
-        details={"alpha_sup": alpha_sup, "corner_gap": corner_gap},
-    )
-
-
 def _scale_sup(alpha, net: Net, resolution: int = 129) -> float:
     """sup |alpha| over the box: exact for a constant field, otherwise the
     maximum over a uniform grid of ``resolution`` points per axis."""
@@ -192,28 +170,27 @@ def _scale_sup(alpha, net: Net, resolution: int = 129) -> float:
     return grid_sup_norm(alpha, net.box, resolution)
 
 
-def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConfig:
-    """Build a FractalConfig, raising AdmissibilityError when the scale
-    field is not a uniform contraction or f and s split at a box corner."""
-    f = as_field(f)
-    alpha = as_field(alpha)
-    s = as_field(s)
-    report = check_admissible(net, f, alpha, s, sup_resolution)
-    if not report.passed:
+def _config(net: Net, f, alpha, s, alpha_sup: float, sup_resolution: int) -> FractalConfig:
+    """``make_config`` with the scale sup ``alpha_sup`` already taken."""
+    f_vals, gap = with_gap(f, s, list(net.box.corners().T))
+    corner_gap = float(np.max(np.abs(gap) / np.maximum(1.0, np.abs(f_vals))))
+    if not (alpha_sup < 1.0 and corner_gap <= _CORNER_TOL):
         raise AdmissibilityError(
-            f"inadmissible configuration: sup|alpha| = {report.details['alpha_sup']}, "
-            f"corner gap = {report.details['corner_gap']}"
+            f"inadmissible configuration: sup|alpha| = {alpha_sup}, "
+            f"corner gap = {corner_gap}"
         )
     gap = _grid_max(lambda axes: np.abs(with_gap(f, s, _open_mesh(axes))[1]),
                     box_axes(net.box, sup_resolution))
-    return FractalConfig(
-        net=net,
-        f=f,
-        alpha=alpha,
-        s=s,
-        alpha_sup=report.details["alpha_sup"],
-        fs_gap=gap,
-    )
+    return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
+
+
+def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConfig:
+    """Build a FractalConfig, raising AdmissibilityError when the scale
+    field is not a uniform contraction (sup |alpha| < 1, a grid estimate
+    unless alpha is constant) or f and s split at a box corner."""
+    alpha = as_field(alpha)
+    return _config(net, as_field(f), alpha, as_field(s),
+                   _scale_sup(alpha, net, sup_resolution), sup_resolution)
 
 
 def required_depth(scale_sup: float, tail_constant: float, tol: float) -> int:

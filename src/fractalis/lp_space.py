@@ -18,14 +18,7 @@ import numpy as np
 
 from ._fields import _open_mesh, as_field, box_axes, mesh_eval, with_gap
 from .fractal_core import CheckReport, FractalField
-from .net import Net
-from .operator_props import (
-    BoundsReport,
-    OperatorSpec,
-    apply_fractal_operator,
-    make_operator_config,
-    validate_operator,
-)
+from .operator_props import BoundsReport, FractalOperator
 
 __all__ = [
     "QuadratureRule",
@@ -145,39 +138,26 @@ class ComplexFieldPair:
         return ComplexFieldPair(real=re, imag=im)
 
 
-def complexify_apply(net: Net, alpha, op: OperatorSpec, pair: ComplexFieldPair,
+def complexify_apply(F: FractalOperator, pair: ComplexFieldPair,
                      tol: float = 1e-10) -> ComplexFieldPair:
     """Apply the perturbation operator componentwise: F(f1 + i f2) =
     F(f1) + i F(f2)."""
-    return ComplexFieldPair(
-        real=apply_fractal_operator(net, pair.real, alpha, op, tol=tol),
-        imag=apply_fractal_operator(net, pair.imag, alpha, op, tol=tol),
-    )
+    return ComplexFieldPair(real=F(pair.real, tol=tol), imag=F(pair.imag, tol=tol))
 
 
 def _volume(rule: QuadratureRule) -> float:
     return math.prod(float(a[-1] - a[0]) for a in rule.axes)
 
 
-def lp_perturbation_gap(net: Net, f, alpha, op: OperatorSpec, p: float,
-                        resolution: int = 513, eval_tol: float = 1e-10,
+def lp_perturbation_gap(field: FractalField, rule: QuadratureRule, p: float,
                         slack: float = 0.05) -> BoundsReport:
-    """Check ||Ff - f||_p <= a/(1-a) * ||f - Df||_p.
+    """Check ||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed
+    ``field`` of a config, both sides by quadrature under ``rule``.
 
     Quadrature on both sides, hence the relative slack; the margin folds
     the evaluator's sup-norm truncation bound into the L^p scale.
-    """
-    cfg = make_operator_config(net, f, alpha, op)
-    rule = quadrature_rule(net.box, resolution)
-    return _lp_gap(FractalField(cfg, tol=eval_tol), rule, p, slack)
-
-
-def _lp_gap(field: FractalField, rule: QuadratureRule, p: float,
-            slack: float = 0.05) -> BoundsReport:
-    """||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed ``field`` of
-    a config, both sides by quadrature under ``rule``. ``details`` holds
-    the threshold ``limit`` that lhs is compared against and the norms
-    ``lp_f`` of f and ``lp_perturbed`` of Ff."""
+    ``details`` holds the threshold ``limit`` that lhs is compared against
+    and the norms ``lp_f`` of f and ``lp_perturbed`` of Ff."""
     cfg = field.config
     f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(rule.axes))
     h_vals = mesh_eval(field, rule.axes)
@@ -198,17 +178,14 @@ def _lp_gap(field: FractalField, rule: QuadratureRule, p: float,
     )
 
 
-def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
-                             op: OperatorSpec, p: float,
+def complex_perturbation_gap(F: FractalOperator, pair: ComplexFieldPair, p: float,
                              resolution: int = 513, eval_tol: float = 1e-10,
                              slack: float = 0.05) -> BoundsReport:
     """Check ||F_C(f) - f||_p <= M * a * ||F_C(f) - D_C(f)||_p with
     M = 2^(1/2 + 1/p) and D_C acting componentwise; ``details["limit"]``
     is the threshold lhs is compared against."""
-    validate_operator(op, net)
-    rule = quadrature_rule(net.box, resolution)
-    cfg_re = make_operator_config(net, pair.real, alpha, op)
-    cfg_im = make_operator_config(net, pair.imag, alpha, op)
+    rule = quadrature_rule(F.net.box, resolution)
+    cfg_re, cfg_im = F.config(pair.real), F.config(pair.imag)
     fld_re = FractalField(cfg_re, tol=eval_tol)
     fld_im = FractalField(cfg_im, tol=eval_tol)
     pert_re = mesh_eval(fld_re, rule.axes)
@@ -221,7 +198,7 @@ def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
     diff = np.hypot(d_re, d_im)
     gap = np.hypot(d_re + g_re, d_im + g_im)
     lhs = lp_norm(diff, rule, p)
-    a = max(cfg_re.alpha_sup, cfg_im.alpha_sup)
+    a = F.alpha_sup
     rhs = m_constant(p) * a * lp_norm(gap, rule, p)
     bound_sup = math.hypot(fld_re.error_bound, fld_im.error_bound)
     margin = (1.0 + m_constant(p) * a) * bound_sup * _volume(rule) ** (1.0 / p)
@@ -236,8 +213,8 @@ def complex_perturbation_gap(net: Net, pair: ComplexFieldPair, alpha,
     )
 
 
-def complex_l2_identity_check(net: Net, pair: ComplexFieldPair, alpha,
-                              op: OperatorSpec, resolution: int = 257,
+def complex_l2_identity_check(F: FractalOperator, pair: ComplexFieldPair,
+                              resolution: int = 257,
                               eval_tol: float = 1e-10,
                               tol: float = 1e-6) -> CheckReport:
     """Two L^2 identities of the componentwise complex extension.
@@ -248,8 +225,8 @@ def complex_l2_identity_check(net: Net, pair: ComplexFieldPair, alpha,
     sign and a swap through two independently built perturbations. Both
     are compared in relative terms against ``tol``.
     """
-    rule = quadrature_rule(net.box, resolution)
-    pert = complexify_apply(net, alpha, op, pair, tol=eval_tol)
+    rule = quadrature_rule(F.net.box, resolution)
+    pert = complexify_apply(F, pair, tol=eval_tol)
     re_vals = mesh_eval(pert.real, rule.axes)
     im_vals = mesh_eval(pert.imag, rule.axes)
 
@@ -259,7 +236,7 @@ def complex_l2_identity_check(net: Net, pair: ComplexFieldPair, alpha,
     err_split = abs(total_sq - split_sq) / scale
 
     rotated = pair.scaled(1j)
-    pert_rot = complexify_apply(net, alpha, op, rotated, tol=eval_tol)
+    pert_rot = complexify_apply(F, rotated, tol=eval_tol)
     rot_re = mesh_eval(pert_rot.real, rule.axes)
     rot_im = mesh_eval(pert_rot.imag, rule.axes)
     # i * (re + i im) = -im + i re

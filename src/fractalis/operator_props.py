@@ -16,13 +16,15 @@ numeric checks:
 
 where a = sup|alpha|. Norms written ||.|| are sup norms; measured values
 are tensor-grid estimates and every report carries the evaluation margin
-used in its verdict.
+used in its verdict. ``fractal_operator`` fixes (net, alpha, D) once, with
+sup|alpha| taken once, and every check takes that ``FractalOperator``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .fractal_core import (
     FractalField,
     GridFunction,
     IterationError,
+    _config,
     _scale_sup,
     make_config,
     solve_fixed_point_grid,
@@ -64,8 +67,8 @@ __all__ = [
     "validate_operator",
     "apply_operator",
     "operator_norms",
+    "fractal_operator",
     "make_operator_config",
-    "apply_fractal_operator",
     "perturbation_gap",
     "linearity_check",
     "operator_norm_upper",
@@ -188,13 +191,14 @@ def apply_operator(op: OperatorSpec, f, net: Net):
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
-def operator_norms(op: OperatorSpec, net: Net, resolution: int = 129):
+def operator_norms(op: OperatorSpec, net: Net):
     """Upper bounds (norm of D, norm of Id - D) entering the estimates.
 
-    Multiplication: grid sups of |b| and |1 - b|. Blend: ||D|| <= 1 since
-    node interpolation is a positive unit-norm map; for Id - D the bound
-    is t, its norm on the node-vanishing subspace, where the interpolant
-    term drops out and (Id - D)f = t*f pointwise. That subspace is where
+    Multiplication: sups of |b| and |1 - b| over a grid of 129 points per
+    axis. Blend: ||D|| <= 1 since node interpolation is a positive
+    unit-norm map; for Id - D the bound is t, its norm on the
+    node-vanishing subspace, where the interpolant term drops out and
+    (Id - D)f = t*f pointwise. That subspace is where
     inversion residuals live (Id minus the perturbation operator lands in
     it), so it is the norm the Neumann analysis runs on.
     """
@@ -202,9 +206,9 @@ def operator_norms(op: OperatorSpec, net: Net, resolution: int = 129):
         return 1.0, 0.0
     if op.kind == "multiplication":
         b = as_field(op.b)
-        norm_d = grid_sup_norm(b, net.box, resolution)
+        norm_d = grid_sup_norm(b, net.box, 129)
         one_minus = LinCombField((1.0, -1.0), (ConstantField(1.0), b))
-        return norm_d, grid_sup_norm(one_minus, net.box, resolution)
+        return norm_d, grid_sup_norm(one_minus, net.box, 129)
     if op.kind == "blend":
         return 1.0, float(op.t)
     raise ValueError(f"unknown operator kind {op.kind!r}")
@@ -228,18 +232,53 @@ def _inverse_norm_bound(a: float, norm_d: float) -> float:
     return (1.0 + a) / (1.0 - a * norm_d)
 
 
+@dataclass(frozen=True, eq=False)
+class FractalOperator:
+    """The fractal operator f -> F(f) of a net, a scale field alpha and a
+    base map D, with a = sup|alpha| taken once (``alpha_sup``: exact for a
+    constant alpha, else the maximum over a grid of ``sup_resolution``
+    points per axis). Not exported: the constructor trusts ``alpha_sup``,
+    so build it with ``fractal_operator``, which validates D and takes the
+    sup. a >= 1 is not refused here but by each use that needs a
+    contraction."""
+
+    net: Net
+    alpha: object
+    op: OperatorSpec
+    alpha_sup: float
+    sup_resolution: int = 129
+
+    @functools.cached_property
+    def norms(self):
+        """(||D||, ||Id - D||) from ``operator_norms``, taken on first read."""
+        return operator_norms(self.op, self.net)
+
+    def config(self, f) -> FractalConfig:
+        """The FractalConfig of f with base field s = Df and this operator's
+        scale sup; AdmissibilityError as ``make_config``."""
+        f = as_field(f)
+        return _config(self.net, f, self.alpha, apply_operator(self.op, f, self.net),
+                       self.alpha_sup, self.sup_resolution)
+
+    def __call__(self, f, tol: float = 1e-10) -> FractalField:
+        """F(f) as an evaluable field."""
+        return FractalField(self.config(f), tol=tol)
+
+
+def fractal_operator(net: Net, alpha, op: OperatorSpec,
+                     sup_resolution: int = 129) -> FractalOperator:
+    """Validate D on ``net`` and take sup|alpha| once."""
+    validate_operator(op, net)
+    alpha = as_field(alpha)
+    return FractalOperator(net=net, alpha=alpha, op=op,
+                           alpha_sup=_scale_sup(alpha, net, sup_resolution),
+                           sup_resolution=sup_resolution)
+
+
 def make_operator_config(net: Net, f, alpha, op: OperatorSpec,
                          sup_resolution: int = 129) -> FractalConfig:
-    """FractalConfig with base field s = Df."""
-    f = as_field(f)
-    validate_operator(op, net)
-    return make_config(net, f, alpha, apply_operator(op, f, net), sup_resolution)
-
-
-def apply_fractal_operator(net: Net, f, alpha, op: OperatorSpec,
-                           tol: float = 1e-10) -> FractalField:
-    """The perturbed field as an evaluable field, F(f)."""
-    return FractalField(make_operator_config(net, f, alpha, op), tol=tol)
+    """FractalConfig with base field s = Df: ``fractal_operator(...).config(f)``."""
+    return fractal_operator(net, alpha, op, sup_resolution).config(f)
 
 
 def _sup_gap(field: FractalField, axes) -> BoundsReport:
@@ -271,18 +310,17 @@ def _sup_gap(field: FractalField, axes) -> BoundsReport:
     )
 
 
-def perturbation_gap(net: Net, f, alpha, op: OperatorSpec,
-                     resolution: int = 257, eval_tol: float = 1e-10) -> BoundsReport:
+def perturbation_gap(F: FractalOperator, f, resolution: int = 257,
+                     eval_tol: float = 1e-10) -> BoundsReport:
     """Check ||Ff - f|| <= a/(1-a) * ||f - Df|| on a tensor grid.
 
     The margin is the certified truncation bound of the evaluator. The
     details carry the cruder norm-form variant of the same estimate,
     ||Ff|| - ||f|| <= a*||Id-D||/(1-a) * ||f||, which is also verified.
     """
-    cfg = make_operator_config(net, f, alpha, op)
-    rep = _sup_gap(FractalField(cfg, tol=eval_tol), box_axes(net.box, resolution))
+    rep = _sup_gap(F(f, tol=eval_tol), box_axes(F.net.box, resolution))
     a, f_sup = rep.details["alpha_sup"], rep.details["f_sup"]
-    _, norm_idd = operator_norms(op, net)
+    _, norm_idd = F.norms
     norm_lhs = rep.details["perturbed_sup"] - f_sup
     norm_rhs = _rate_bound(a, norm_idd) * f_sup
     norm_ok = norm_lhs <= norm_rhs + rep.margin + 1e-12 * max(1.0, norm_rhs)
@@ -291,7 +329,7 @@ def perturbation_gap(net: Net, f, alpha, op: OperatorSpec,
     return rep
 
 
-def linearity_check(net: Net, alpha, op: OperatorSpec, f1, f2,
+def linearity_check(F: FractalOperator, f1, f2,
                     c1: float, c2: float, n_points: int = 200,
                     seed: int = 0, tol: float = 1e-8,
                     eval_tol: float = 1e-10):
@@ -302,9 +340,8 @@ def linearity_check(net: Net, alpha, op: OperatorSpec, f1, f2,
     """
     f1, f2 = as_field(f1), as_field(f2)
     combo = LinCombField((float(c1), float(c2)), (f1, f2))
-    cfg1 = make_operator_config(net, f1, alpha, op)
-    cfg2 = make_operator_config(net, f2, alpha, op)
-    cfgc = make_operator_config(net, combo, alpha, op)
+    net = F.net
+    cfg1, cfg2, cfgc = F.config(f1), F.config(f2), F.config(combo)
     depth = max(
         FractalField(cfg1, tol=eval_tol).depth,
         FractalField(cfg2, tol=eval_tol).depth,
@@ -333,26 +370,22 @@ def linearity_check(net: Net, alpha, op: OperatorSpec, f1, f2,
     )
 
 
-def operator_norm_upper(net: Net, alpha, op: OperatorSpec,
-                        resolution: int = 129) -> float:
+def operator_norm_upper(F: FractalOperator) -> float:
     """Norm bound 1 + a*||Id-D||/(1-a); AdmissibilityError if sup|alpha| >= 1."""
-    a = _scale_sup(alpha, net, resolution)
-    _, norm_idd = operator_norms(op, net, resolution)
-    return 1.0 + _rate_bound(a, norm_idd)
+    return 1.0 + _rate_bound(F.alpha_sup, F.norms[1])
 
 
-def operator_norm_check(net: Net, alpha, op: OperatorSpec, samples,
-                        resolution: int = 257, eval_tol: float = 1e-10,
-                        slack: float = 1e-6) -> BoundsReport:
+def operator_norm_check(F: FractalOperator, samples, resolution: int = 257,
+                        eval_tol: float = 1e-10, slack: float = 1e-6) -> BoundsReport:
     """Empirical ratios ||Ff|| / ||f|| over sample fields stay below the
     norm bound; grid sups on both sides, hence the relative slack."""
     samples = list(samples)
-    upper = operator_norm_upper(net, alpha, op)
-    axes = box_axes(net.box, resolution)
+    upper = operator_norm_upper(F)
+    axes = box_axes(F.net.box, resolution)
     worst = 0.0
     margin = 0.0
     for f in samples:
-        field = apply_fractal_operator(net, f, alpha, op, tol=eval_tol)
+        field = F(f, tol=eval_tol)
         f_sup = float(np.max(np.abs(mesh_eval(as_field(f), axes))))
         if f_sup == 0.0:
             continue
@@ -370,19 +403,18 @@ def operator_norm_check(net: Net, alpha, op: OperatorSpec, samples,
     )
 
 
-def bounded_below_check(net: Net, f, alpha, op: OperatorSpec,
-                        resolution: int = 257, eval_tol: float = 1e-10,
-                        slack: float = 1e-6) -> BoundsReport:
+def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
+                        eval_tol: float = 1e-10, slack: float = 1e-6) -> BoundsReport:
     """Check ||f|| <= (1+a)/(1 - a*||D||) * ||Ff||, valid for a*||D|| < 1."""
-    norm_d, _ = operator_norms(op, net)
-    cfg = make_operator_config(net, f, alpha, op)
-    a = cfg.alpha_sup
+    norm_d, _ = F.norms
+    cfg = F.config(f)
+    a = F.alpha_sup
     if a * norm_d >= 1.0:
         raise AdmissibilityError(
             f"lower bound needs sup|alpha|*||D|| < 1, got {a * norm_d}"
         )
     field = FractalField(cfg, tol=eval_tol)
-    axes = box_axes(net.box, resolution)
+    axes = box_axes(F.net.box, resolution)
     lhs = float(np.max(np.abs(mesh_eval(cfg.f, axes))))
     pert_sup = float(np.max(np.abs(mesh_eval(field, axes))))
     factor = _inverse_norm_bound(a, norm_d)
@@ -407,9 +439,8 @@ def _solver_config(net: Net, f, alpha, s, alpha_sup: float, axes) -> FractalConf
     return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
 
 
-def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
-                    resolution, tol: float = 1e-6, max_outer: int = 500,
-                    inner_tol: float | None = None,
+def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
+                    max_outer: int = 500, inner_tol: float | None = None,
                     require_precondition: bool = True,
                     norm_slack: float = 1e-3) -> NeumannResult:
     """Solve F(f) = target by the residual iteration f <- f + (target - Ff).
@@ -422,11 +453,9 @@ def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
     floor. The recovered field is also checked against the inverse norm
     bound (1+a)/(1 - a*||D||). AdmissibilityError when sup|alpha| >= 1.
     """
-    alpha = as_field(alpha)
+    net, alpha, op, a = F.net, F.alpha, F.op, F.alpha_sup
     target = as_field(target)
-    validate_operator(op, net)
-    norm_d, norm_idd = operator_norms(op, net)
-    a = _scale_sup(alpha, net)
+    norm_d, norm_idd = F.norms
     rate_bound = _rate_bound(a, norm_idd)
     pre_ok = rate_bound < 1.0
     if require_precondition and not pre_ok:
@@ -488,16 +517,14 @@ def neumann_inverse(net: Net, alpha, op: OperatorSpec, target,
     )
 
 
-def fixed_point_check(net: Net, f, alpha, op: OperatorSpec,
-                      resolution: int = 257, eval_tol: float = 1e-10,
-                      tol: float = 1e-8):
+def fixed_point_check(F: FractalOperator, f, resolution: int = 257,
+                      eval_tol: float = 1e-10, tol: float = 1e-8):
     """Fields with Df = f are fixed by the perturbation operator.
 
     The report's tolerance widens when Df only approximately equals f,
     following the a/(1-a) scaling of the exact statement.
     """
-    cfg = make_operator_config(net, f, alpha, op)
-    rep = _sup_gap(FractalField(cfg, tol=eval_tol), box_axes(net.box, resolution))
+    rep = _sup_gap(F(f, tol=eval_tol), box_axes(F.net.box, resolution))
     limit = max(tol, rep.rhs + rep.margin + 1e-12)
     return CheckReport(
         name="fixed_point",
@@ -534,29 +561,28 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
     return tuple(steps)
 
 
-def operator_sequence_convergence(net: Net, f, alpha, blend_weights,
+def operator_sequence_convergence(F: FractalOperator, f, blend_weights,
                                   resolution: int = 257,
                                   eval_tol: float = 1e-10):
     """Errors for base maps degenerating to the identity.
 
     Uses the blend family D_t, which keeps node values of f for every t
     and satisfies D_t f -> f as t -> 0; the errors obey the per-step
-    bound a/(1-a) * ||f - D_t f|| and vanish with t.
+    bound a/(1-a) * ||f - D_t f|| and vanish with t. Only F's net, alpha
+    and sup|alpha| are used: F.op is not read, each D_t takes its place.
     """
-    axes = box_axes(net.box, resolution)
+    axes = box_axes(F.net.box, resolution)
     steps = []
     for t in blend_weights:
-        cfg = make_operator_config(net, f, alpha, blend_operator(t))
-        rep = _sup_gap(FractalField(cfg, tol=eval_tol), axes)
+        rep = _sup_gap(replace(F, op=blend_operator(t))(f, tol=eval_tol), axes)
         steps.append(ConvergenceStep(
             parameter=float(t), error=rep.lhs, bound=rep.rhs, passed=rep.passed,
         ))
     return tuple(steps)
 
 
-def vanishing_invariance_check(net: Net, alpha, op: OperatorSpec, f0,
-                               r_max: int = 3, eval_tol: float = 1e-9,
-                               tol: float = 1e-8):
+def vanishing_invariance_check(F: FractalOperator, f0, r_max: int = 3,
+                               eval_tol: float = 1e-9, tol: float = 1e-8):
     """Iterates of the operator keep node-vanishing fields node-vanishing.
 
     Starting from a field that is 0 at every net node, apply the operator
@@ -564,16 +590,15 @@ def vanishing_invariance_check(net: Net, alpha, op: OperatorSpec, f0,
     the interpolation property makes the true values exactly 0, so the
     measurement exposes only evaluator error.
     """
-    pts = node_points(net)
-    coords = [pts[:, q] for q in range(net.dim)]
+    pts = node_points(F.net)
+    coords = [pts[:, q] for q in range(F.net.dim)]
     current = as_field(f0)
     start = float(np.max(np.abs(mesh_like(current, coords))))
     if start > 1e-12:
         raise ValueError(f"seed field must vanish at the net nodes, max {start}")
     worst = start
     for _ in range(r_max):
-        cfg = make_operator_config(net, current, alpha, op)
-        current = FractalField(cfg, tol=eval_tol)
+        current = F(current, tol=eval_tol)
         worst = max(worst, float(np.max(np.abs(mesh_like(current, coords)))))
     return CheckReport(
         name="vanishing_invariance",

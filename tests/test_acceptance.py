@@ -28,6 +28,7 @@ from fractalis import (
     epsilon_approximate,
     eval_alpha_fractal,
     fractal_basis_reconstruct,
+    fractal_operator,
     interpolation_check,
     jacobian_sum,
     linearity_check,
@@ -142,7 +143,7 @@ def test_accept_04_linearity():
         f2 = random_poly(rng, net.dim)
         c1 = float(rng.uniform(-2, 2))
         c2 = float(rng.uniform(-2, 2))
-        rep = linearity_check(net, alpha, op, f1, f2, c1, c2,
+        rep = linearity_check(fractal_operator(net, alpha, op), f1, f2, c1, c2,
                               n_points=200, seed=7, tol=1e-8)
         worst = max(worst, rep.max_error)
         failures += 0 if rep.passed else 1
@@ -156,7 +157,7 @@ def test_accept_05_neumann_inversion():
     rates = []
     for i in range(10):
         net, f, alpha, op = random_operator_setup(rng, dim=1, max_rate=0.8)
-        inv = neumann_inverse(net, alpha, op, f, resolution=257, tol=1e-6)
+        inv = neumann_inverse(fractal_operator(net, alpha, op), f, resolution=257, tol=1e-6)
         ok = (inv.precondition_ok
               and inv.residuals[-1] <= 1e-5
               and inv.norm_bound_ok
@@ -176,9 +177,10 @@ def test_accept_06_lp_inequality():
     failures = 0
     for _ in range(10):
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
-        res = {1: 513, 2: 65}.get(net.dim, 17)
+        field = fractal_operator(net, alpha, op)(f)
+        rule = quadrature_rule(net.box, {1: 513, 2: 65}.get(net.dim, 17))
         for p in (1, 2, 3):
-            rep = lp_perturbation_gap(net, f, alpha, op, p, resolution=res)
+            rep = lp_perturbation_gap(field, rule, p)
             failures += 0 if rep.passed else 1
     rule = quadrature_rule([(0.0, 1.0)], 1025)
     ref = lp_norm(parse_field("x1 - x1^2", 1), rule, 1)
@@ -195,11 +197,11 @@ def test_accept_07_complexification():
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
         res = {1: 513, 2: 65}.get(net.dim, 17)
         pair = ComplexFieldPair(real=f, imag=random_poly(rng, net.dim))
+        F = fractal_operator(net, alpha, op)
         for p in (1, 2):
-            rep = complex_perturbation_gap(net, pair, alpha, op, p,
-                                           resolution=res)
+            rep = complex_perturbation_gap(F, pair, p, resolution=res)
             gap_failures += 0 if rep.passed else 1
-        ident = complex_l2_identity_check(net, pair, alpha, op,
+        ident = complex_l2_identity_check(F, pair,
                                           resolution=res if res % 2 else res + 1)
         identity_worst = max(identity_worst, ident.max_error)
     ok = gap_failures == 0 and identity_worst <= 1e-6
@@ -247,11 +249,10 @@ def test_accept_10_scale_sequence_convergence():
 
 def test_accept_11_hat_basis_transport():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
-    alpha, op = 0.3, blend_operator(1.0)
+    F = fractal_operator(net, 0.3, blend_operator(1.0))
     # target is itself a perturbed square, so the exact preimage is smooth
-    square = parse_field("x1^2", 1)
-    g = FractalField(make_operator_config(net, square, alpha, op), tol=1e-10)
-    result = fractal_basis_reconstruct(net, alpha, op, g, n_terms=33)
+    g = F(parse_field("x1^2", 1), tol=1e-10)
+    result = fractal_basis_reconstruct(F, g, n_terms=33)
     errors = dict(result.partial_errors)
     marks = [1, 2, 3, 5, 9, 17, 33]
     vals = [errors[m] for m in marks]

@@ -8,15 +8,13 @@ import pytest
 from conftest import random_poly, random_uniform_net
 from fractalis import (
     ApproximationError,
-    FractalField,
     TensorPolynomial,
     blend_operator,
     build_net,
     epsilon_approximate,
     faber_schauder,
     fractal_basis_reconstruct,
-    fractal_polynomial,
-    make_operator_config,
+    fractal_operator,
     node_arrays,
     parse_field,
     poly_fit_least_squares,
@@ -80,7 +78,7 @@ def test_fit_validation():
 def test_fractal_polynomial_interpolates_fit():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     p = TensorPolynomial([0.0, 0.0, 1.0])
-    field = fractal_polynomial(net, p, 0.3, blend_operator(1.0), tol=1e-10)
+    field = fractal_operator(net, 0.3, blend_operator(1.0))(p, tol=1e-10)
     for x in (0.0, 0.5, 1.0):
         assert field((x,)) == pytest.approx(p((x,)), abs=1e-9)
 
@@ -92,7 +90,7 @@ def test_fractal_polynomial_node_values_seeded():
         net = random_uniform_net(rng, dim=dim)
         p = random_poly(rng, dim)
         scale = 0.8 / max(part.n_cells for part in net.axes)
-        field = fractal_polynomial(net, p, scale, blend_operator(1.0), tol=1e-10)
+        field = fractal_operator(net, scale, blend_operator(1.0))(p, tol=1e-10)
         worst = max(
             abs(field(node) - p(node))
             for node in itertools.product(*node_arrays(net))
@@ -222,7 +220,7 @@ def test_hat_partial_sums_reproduce_smooth_targets():
 def test_basis_reconstruction_converges():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     g = parse_field("x1^2", 1)
-    result = fractal_basis_reconstruct(net, 0.3, blend_operator(1.0), g,
+    result = fractal_basis_reconstruct(fractal_operator(net, 0.3, blend_operator(1.0)), g,
                                        n_terms=17)
     assert result.inverse_residual <= 1e-7
     errors = dict(result.partial_errors)
@@ -237,10 +235,9 @@ def test_reconstruction_recovers_transported_ramp():
     # g built as the image of e_2: inversion must hand back the ramp, so
     # the single e_2 term reconstructs g and later terms add nothing
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
-    op = blend_operator(1.0)
-    cfg = make_operator_config(net, faber_schauder(2), 0.3, op)
-    g = FractalField(cfg, tol=1e-10)
-    result = fractal_basis_reconstruct(net, 0.3, op, g, n_terms=5)
+    F = fractal_operator(net, 0.3, blend_operator(1.0))
+    g = F(faber_schauder(2), tol=1e-10)
+    result = fractal_basis_reconstruct(F, g, n_terms=5)
     coeffs = result.coefficients
     assert abs(coeffs[1] - 1.0) <= 1e-6
     assert max(abs(c) for i, c in enumerate(coeffs) if i != 1) <= 1e-6
@@ -252,5 +249,5 @@ def test_reconstruction_recovers_transported_ramp():
 def test_basis_reconstruction_requires_unit_line():
     net = build_net([(0.0, 2.0)], [[0.0, 1.0, 2.0]])
     with pytest.raises(ValueError):
-        fractal_basis_reconstruct(net, 0.3, blend_operator(1.0),
+        fractal_basis_reconstruct(fractal_operator(net, 0.3, blend_operator(1.0)),
                                   parse_field("x1", 1))

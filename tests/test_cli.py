@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from fractalis import (
+    ConstantField,
     FractalField,
+    as_field,
     blend_operator,
     build_net,
     make_config,
@@ -156,6 +158,25 @@ def _verify_2d_config(tmp_path, **overrides):
                         fields={"f": "sin(3*x1)*cos(x2)+x1*x2", "alpha": "0.2+0.1*x1*x2"},
                         operator={"kind": "blend", "t": 0.6},
                         **{"run": {"resolution": 17, "seed": 0, "p": [1, 2]}, **overrides})
+
+
+def test_verify_takes_one_grid_sup_of_alpha(tmp_path, capsys, monkeypatch):
+    # the run's fractal operator takes sup|alpha| once; every check reuses it
+    original = fractal_core._scale_sup
+    grid_sups = []
+
+    def counted(alpha, net, resolution=129):
+        if not isinstance(as_field(alpha), ConstantField):
+            grid_sups.append(resolution)
+        return original(alpha, net, resolution)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fractalis") and getattr(module, "_scale_sup", None) is original:
+            monkeypatch.setattr(module, "_scale_sup", counted)
+    cfg = _verify_2d_config(tmp_path, run={"resolution": 129, "seed": 0, "p": [1, 2]})
+    assert main(["verify", "--config", cfg]) == 0
+    assert "VERIFY PASS" in capsys.readouterr().out
+    assert grid_sups == [129]
 
 
 @pytest.mark.parametrize("argv, overrides, names", [

@@ -8,8 +8,8 @@ import pytest
 from fractalis import (
     FieldDomainError,
     FieldParseError,
+    grid_sup_norm,
     parse_field,
-    sup_norm_grid,
 )
 
 
@@ -87,10 +87,10 @@ def test_sup_norm_monotone_under_refinement():
     e = parse_field("sin(5*x1) * exp(x1)", 1)
     box = [(0.0, 2.0)]
     res = 9
-    prev = sup_norm_grid(e, box, res)
+    prev = grid_sup_norm(e, box, res)
     for _ in range(5):
         res = 2 * res - 1  # nested refinement keeps every old grid point
-        cur = sup_norm_grid(e, box, res)
+        cur = grid_sup_norm(e, box, res)
         assert cur >= prev
         prev = cur
 
@@ -115,8 +115,11 @@ def test_intermediate_infinity_is_not_a_domain_error():
 def test_sup_norm_grid():
     e = parse_field("x1 - x1^2", 1)
     # grid with 1001 points contains the maximizer x = 1/2
-    assert sup_norm_grid(e, [(0.0, 1.0)], 1001) == pytest.approx(0.25, abs=1e-15)
+    assert grid_sup_norm(e, [(0.0, 1.0)], 1001) == pytest.approx(0.25, abs=1e-15)
     assert e((0.5,)) == 0.25
+    # a box of another dimension is refused by the expression itself
+    with pytest.raises(ValueError):
+        grid_sup_norm(e, [(0.0, 1.0), (0.0, 1.0)], 5)
 
 
 def test_arity_validation():

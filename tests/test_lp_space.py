@@ -17,6 +17,7 @@ from fractalis import (
     complex_l2_identity_check,
     complex_perturbation_gap,
     complexify_apply,
+    fractal_operator,
     grid_sup_norm,
     lp_norm,
     lp_perturbation_gap,
@@ -122,9 +123,10 @@ def test_lp_perturbation_gap_seeded():
     rng = np.random.default_rng(61)
     for _ in range(30):
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
+        field = fractal_operator(net, alpha, op)(f)
+        rule = quadrature_rule(net.box, _lp_resolution(net.dim))
         for p in (1, 2, 3):
-            rep = lp_perturbation_gap(net, f, alpha, op, p,
-                                      resolution=_lp_resolution(net.dim))
+            rep = lp_perturbation_gap(field, rule, p)
             assert rep.passed, (p, rep)
 
 
@@ -133,7 +135,7 @@ def test_complexify_apply_is_componentwise():
     op = blend_operator(1.0)
     pair = ComplexFieldPair(real=parse_field("x1^2", 1),
                             imag=parse_field("sin(2*x1)", 1))
-    out = complexify_apply(net, 0.4, op, pair, tol=1e-10)
+    out = complexify_apply(fractal_operator(net, 0.4, op), pair, tol=1e-10)
     ref_re = FractalField(make_operator_config(net, pair.real, 0.4, op), tol=1e-10)
     ref_im = FractalField(make_operator_config(net, pair.imag, 0.4, op), tol=1e-10)
     xs = np.linspace(0, 1, 33)
@@ -163,7 +165,7 @@ def test_complex_perturbation_gap_seeded():
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
         pair = ComplexFieldPair(real=f, imag=random_poly(rng, net.dim))
         for p in (1, 2):
-            rep = complex_perturbation_gap(net, pair, alpha, op, p,
+            rep = complex_perturbation_gap(fractal_operator(net, alpha, op), pair, p,
                                            resolution=_lp_resolution(net.dim))
             assert rep.passed, (p, rep)
 
@@ -173,7 +175,7 @@ def test_complex_l2_identity_seeded():
     for _ in range(20):
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
         pair = ComplexFieldPair(real=f, imag=random_poly(rng, net.dim))
-        rep = complex_l2_identity_check(net, pair, alpha, op,
+        rep = complex_l2_identity_check(fractal_operator(net, alpha, op), pair,
                                         resolution=_lp_resolution(net.dim))
         assert rep.passed, (rep.max_error, rep.details)
 

@@ -25,6 +25,7 @@ from fractalis import (
     bounded_below_check,
     build_net,
     fixed_point_check,
+    fractal_operator,
     identity_operator,
     linearity_check,
     make_config,
@@ -56,6 +57,31 @@ def test_operator_norms_by_kind():
     assert nidd == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("op", [
+    identity_operator(),
+    blend_operator(0.6),
+    multiplication_operator(parse_field("1 + x1*(1-x1)*x2*(2-x2)", 2)),
+], ids=["identity", "blend", "multiplication"])
+@pytest.mark.parametrize("nested", [False, True], ids=["expr", "nested"])
+def test_operator_config_is_make_config(op, nested):
+    # F.config(f) reuses F's scale sup; every constant of the config and of
+    # F(f) is the one make_config gives when it takes the sup itself
+    net = build_net([(0.0, 1.0), (0.0, 2.0)], [[0.0, 0.3, 0.6, 1.0], [0.0, 1.0, 2.0]])
+    alpha = parse_field("0.2+0.1*x1*x2", 2)
+    f = parse_field("sin(3*x1)*cos(x2)+x1*x2", 2)
+    if nested:
+        f = fractal_operator(net, 0.25, blend_operator(0.5), sup_resolution=9)(f, tol=1e-6)
+    F = fractal_operator(net, alpha, op, sup_resolution=33)
+    got = F.config(f)
+    ref = make_config(net, f, alpha, apply_operator(op, f, net), sup_resolution=33)
+    assert (got.alpha_sup, got.fs_gap) == (ref.alpha_sup, ref.fs_gap)
+    field, ref_field = F(f, tol=1e-8), FractalField(ref, tol=1e-8)
+    assert (field.depth, field.error_bound) == (ref_field.depth, ref_field.error_bound)
+    # ||D|| is taken only when a bound reads it
+    assert "norms" not in vars(F)
+    assert F.norms == operator_norms(op, net)
+
+
 def test_validate_operator_requires_corner_match():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     validate_operator(multiplication_operator(ConstantField(1.0)), net)
@@ -85,7 +111,7 @@ def test_perturbation_gap_seeded():
     rng = np.random.default_rng(51)
     for _ in range(50):
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
-        rep = perturbation_gap(net, f, alpha, op,
+        rep = perturbation_gap(fractal_operator(net, alpha, op), f,
                                resolution=check_resolution(net.dim))
         assert rep.passed, rep
         assert rep.details["norm_form_passed"], rep.details
@@ -111,31 +137,38 @@ def test_linearity_of_the_perturbation_operator():
         f2 = random_poly(rng, net.dim)
         c1 = float(rng.uniform(-2, 2))
         c2 = float(rng.uniform(-2, 2))
-        rep = linearity_check(net, alpha, op, f1, f2, c1, c2, n_points=60,
-                              seed=9)
+        rep = linearity_check(fractal_operator(net, alpha, op), f1, f2, c1, c2,
+                              n_points=60, seed=9)
         assert rep.passed, (rep.max_error, rep.tol)
 
 
 def test_operator_norm_upper_arithmetic():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
-    assert operator_norm_upper(net, 0.0, blend_operator(1.0)) == 1.0
-    assert operator_norm_upper(net, 0.5, blend_operator(1.0)) == pytest.approx(2.0)
+    assert operator_norm_upper(fractal_operator(net, 0.0, blend_operator(1.0))) == 1.0
+    assert operator_norm_upper(fractal_operator(net, 0.5, blend_operator(1.0))) \
+        == pytest.approx(2.0)
     square = build_net([(-1.0, 1.0), (-1.0, 1.0)],
                        [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
     op = multiplication_operator(parse_field("x1^2 * x2^2", 2))
     # sup|1 - b| = 1 at the origin, so the bound is 1 + 0.2/0.8
-    assert operator_norm_upper(square, 0.2, op) == pytest.approx(1.25, abs=1e-9)
+    assert operator_norm_upper(fractal_operator(square, 0.2, op)) \
+        == pytest.approx(1.25, abs=1e-9)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.2])
 def test_operator_bounds_reject_scale_sup_not_below_one(scale):
-    net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
-    with pytest.raises(AdmissibilityError):
-        operator_norm_upper(net, scale, blend_operator(0.5))
+    # the operator is built; each use that needs a contraction refuses it
+    F = fractal_operator(build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]]), scale,
+                         blend_operator(0.5))
+    assert F.alpha_sup == scale
+    with pytest.raises(AdmissibilityError, match="inadmissible configuration"):
+        F.config(parse_field("x1", 1))
+    with pytest.raises(AdmissibilityError, match="operator bounds need"):
+        operator_norm_upper(F)
     for required in (True, False):
-        with pytest.raises(AdmissibilityError):
-            neumann_inverse(net, scale, blend_operator(0.5), parse_field("x1", 1),
-                            resolution=33, require_precondition=required)
+        with pytest.raises(AdmissibilityError, match="operator bounds need"):
+            neumann_inverse(F, parse_field("x1", 1), resolution=33,
+                            require_precondition=required)
 
 
 def test_operator_norm_upper_controls_samples():
@@ -143,17 +176,17 @@ def test_operator_norm_upper_controls_samples():
     for _ in range(8):
         net, f, alpha, op = random_operator_setup(rng, dim=int(rng.integers(1, 3)))
         samples = [f] + [random_poly(rng, net.dim) for _ in range(3)]
-        rep = operator_norm_check(net, alpha, op, samples,
-                                  resolution=check_resolution(net.dim))
+        F = fractal_operator(net, alpha, op)
+        rep = operator_norm_check(F, samples, resolution=check_resolution(net.dim))
         assert rep.passed, rep
-        assert rep.lhs <= operator_norm_upper(net, alpha, op) + 1e-6
+        assert rep.lhs <= operator_norm_upper(F) + 1e-6
 
 
 def test_bounded_below_when_contraction_is_strict():
     rng = np.random.default_rng(54)
     for _ in range(8):
         net, f, alpha, op = random_operator_setup(rng, max_rate=0.8)
-        rep = bounded_below_check(net, f, alpha, op,
+        rep = bounded_below_check(fractal_operator(net, alpha, op), f,
                                   resolution=check_resolution(net.dim))
         assert rep.passed, rep
 
@@ -164,14 +197,14 @@ def test_bounded_below_rejects_weak_contraction():
     # sup|b| = 2 and scale sup 0.6 push scale * ||D|| to 1.2
     b = LinCombField((1.0, 1.0), (ConstantField(1.0), BumpField(net.box)))
     with pytest.raises(AdmissibilityError):
-        bounded_below_check(net, f, 0.6, multiplication_operator(b))
+        bounded_below_check(fractal_operator(net, 0.6, multiplication_operator(b)), f)
 
 
 def test_neumann_inverse_blend_line():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     g = parse_field("x1^2", 1)
-    inv = neumann_inverse(net, 0.4, blend_operator(1.0), g, resolution=257,
-                          tol=1e-8)
+    inv = neumann_inverse(fractal_operator(net, 0.4, blend_operator(1.0)), g,
+                          resolution=257, tol=1e-8)
     assert inv.precondition_ok
     assert inv.residuals[-1] <= 1e-8
     assert inv.rate_bound == pytest.approx(0.4 / 0.6, abs=1e-12)
@@ -186,7 +219,8 @@ def test_neumann_inverse_seeded_cases():
     rng = np.random.default_rng(55)
     for _ in range(5):
         net, f, alpha, op = random_operator_setup(rng, dim=1, max_rate=0.75)
-        inv = neumann_inverse(net, alpha, op, f, resolution=257, tol=1e-7)
+        inv = neumann_inverse(fractal_operator(net, alpha, op), f, resolution=257,
+                              tol=1e-7)
         assert inv.residuals[-1] <= 1e-7
         assert inv.norm_bound_ok
         if np.isfinite(inv.measured_rate):
@@ -198,11 +232,10 @@ def test_neumann_recovers_known_preimage():
     # of a known germ must return that germ to solver precision
     net = build_net([(0.0, 1.0)], [[0.0, 0.25, 0.5, 0.75, 1.0]])
     f = parse_field("x1^3 - x1", 1)
-    op = blend_operator(1.0)
-    cfg = make_operator_config(net, f, 0.3, op)
-    image = FractalField(cfg, tol=1e-10)
+    F = fractal_operator(net, 0.3, blend_operator(1.0))
+    image = F(f, tol=1e-10)
     tol = 1e-8
-    inv = neumann_inverse(net, 0.3, op, image, resolution=257, tol=tol)
+    inv = neumann_inverse(F, image, resolution=257, tol=tol)
     xs = np.linspace(0.0, 1.0, 257)
     err = float(np.max(np.abs(inv.grid.values - f.eval_arrays([xs]))))
     assert err <= 10 * tol
@@ -212,7 +245,7 @@ def test_neumann_recovers_known_preimage():
 def test_neumann_requires_precondition():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     with pytest.raises(AdmissibilityError):
-        neumann_inverse(net, 0.6, blend_operator(1.0),
+        neumann_inverse(fractal_operator(net, 0.6, blend_operator(1.0)),
                         parse_field("x1", 1), resolution=65)
 
 
@@ -225,8 +258,8 @@ def test_fixed_fields_stay_fixed():
         nodes = node_arrays(net)
         interp = NetInterpolant(nodes, rng.uniform(-1, 1, size=[len(a) for a in nodes]))
         t = float(rng.uniform(0.2, 1.0))
-        rep = fixed_point_check(net, interp, 0.8 * (1.0 / net.axes[0].n_cells),
-                                blend_operator(t), resolution=129)
+        F = fractal_operator(net, 0.8 * (1.0 / net.axes[0].n_cells), blend_operator(t))
+        rep = fixed_point_check(F, interp, resolution=129)
         assert rep.passed, (rep.max_error, rep.tol)
 
 
@@ -253,8 +286,9 @@ def test_scale_sequence_convergence_operator_base():
 def test_operator_sequence_convergence():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     f = parse_field("x1^3", 1)
-    steps = operator_sequence_convergence(net, f, 0.35,
-                                          [1.0 / n for n in range(1, 7)])
+    # only net, alpha and sup|alpha| of F are read; each D_t is the base map
+    F = fractal_operator(net, 0.35, blend_operator(1.0))
+    steps = operator_sequence_convergence(F, f, [1.0 / n for n in range(1, 7)])
     assert all(st.passed for st in steps)
     assert steps[-1].error <= steps[0].error
     # bounds shrink linearly with the blend weight
@@ -269,13 +303,13 @@ def test_vanishing_invariance():
         seed_field = _knot_product(net)
         t = float(rng.uniform(0.2, 1.0))
         alpha = 0.7 / net.axes[0].n_cells
-        rep = vanishing_invariance_check(net, alpha, blend_operator(t),
+        rep = vanishing_invariance_check(fractal_operator(net, alpha, blend_operator(t)),
                                          seed_field, r_max=2)
         assert rep.passed, (rep.max_error, rep.tol)
     # a field that does not vanish at the nodes is rejected outright
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     with pytest.raises(ValueError):
-        vanishing_invariance_check(net, 0.3, blend_operator(1.0),
+        vanishing_invariance_check(fractal_operator(net, 0.3, blend_operator(1.0)),
                                    ConstantField(1.0))
 
 

@@ -15,7 +15,11 @@ their stdout, stderr, exit code and CSV output byte for byte:
   nonuniform net keeps the grid off the orbit path;
 - ``eval`` of ``EVAL_2D_POINTS`` seeded points on the ``verify-2d`` input,
   more than one slab of ``_SLAB_POINTS``;
-- ``verify`` on the 3-D blend config of ROADMAP.md;
+- ``verify`` on the 3-D blend config of ROADMAP.md, and on the same
+  config with the non-constant scale field of ``VERIFY_3D_ALPHA``, whose
+  sup|alpha| is a 129^3 grid estimate;
+- ``verify`` on the ``verify-2d`` input with ``verify.inverse`` set to
+  ``skip``;
 - ``norms`` on the ``fif-surface-3d`` input (the node-data construction);
 - ``verify`` and ``norms`` on ``EXPLICIT_2D``, a 2-D config with an
   explicit base, where ``verify`` skips the operator checks;
@@ -26,11 +30,12 @@ their stdout, stderr, exit code and CSV output byte for byte:
   (exit 1).
 
 Together these reach every check of the ``verify`` battery, both of its
-operator-free and multiplication SKIPs, the ``inverse_rate`` SKIP and a
-failed inversion, and ``norms`` on node data, on an explicit base and
-under blend and multiplication operators. They do not reach the
-``bounded_below`` SKIP, nor the two ``inverse`` SKIPs (``verify.inverse``
-set to ``skip``, and a contraction bound of 1 or more under ``auto``).
+operator-free and multiplication SKIPs, the ``inverse_rate`` SKIP, the
+``inverse`` SKIP of ``verify.inverse`` set to ``skip`` and a failed
+inversion, and ``norms`` on node data, on an explicit base and under blend
+and multiplication operators. They do not reach the ``bounded_below``
+SKIP, nor the ``inverse`` SKIP of a contraction bound of 1 or more under
+``auto``.
 
 The two sides of a command run one after the other, each in its own
 working directory with the same relative output name, with BLAS on one
@@ -72,6 +77,8 @@ VERIFY_3D = {
     "operator": {"kind": "blend", "t": 0.5},
     "run": {"resolution": 17},
 }
+VERIFY_3D_ALPHA = {**VERIFY_3D,
+                   "fields": {"f": "x1*x2+x3^2", "alpha": "0.2+0.1*x1*x2*x3"}}
 # scale-field construction with an explicit base: verify skips the
 # operator checks
 EXPLICIT_2D = {
@@ -120,13 +127,17 @@ def write_inputs(work: Path) -> dict:
     for name in INPUTS:
         args = prepare(name, work, SEED).args
         configs[name] = args[args.index("--config") + 1]
-    for name, cfg in (("verify-3d", VERIFY_3D), ("explicit-2d", EXPLICIT_2D),
+    for name, cfg in (("verify-3d", VERIFY_3D), ("verify-3d-alpha", VERIFY_3D_ALPHA),
+                      ("explicit-2d", EXPLICIT_2D),
                       ("multiplication-2d", MULTIPLICATION_2D),
                       ("inverse-fail", INVERSE_FAIL)):
         path = work / f"{name}.json"
         path.write_text(json.dumps(cfg))
         configs[name] = str(path)
     cfg = json.loads(Path(configs["verify-2d"]).read_text())
+    path = work / "verify-2d-inverse-skip.json"
+    path.write_text(json.dumps({**cfg, "verify": {"inverse": "skip"}}))
+    configs["verify-2d-inverse-skip"] = str(path)
     lo, hi = np.array(cfg["box"]["bounds"], dtype=float).T
     pts = np.random.default_rng(SEED).uniform(lo, hi, size=(EVAL_2D_POINTS, lo.size))
     cfg["run"]["points"] = pts.tolist()
@@ -154,7 +165,8 @@ def commands(configs: dict) -> list:
     out.append((f"eval verify-2d at {EVAL_2D_POINTS} points",
                 ["eval", "--config", configs["eval-2d-points"], "--out", "out.csv"],
                 "out.csv"))
-    out.append(("verify verify-3d", ["verify", "--config", configs["verify-3d"]], None))
+    for name in ("verify-2d-inverse-skip", "verify-3d", "verify-3d-alpha"):
+        out.append((f"verify {name}", ["verify", "--config", configs[name]], None))
     out.append(("norms fif-surface-3d",
                 ["norms", "--config", configs["fif-surface-3d"]], None))
     for name in ("explicit-2d", "multiplication-2d"):
