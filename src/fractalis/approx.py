@@ -307,8 +307,7 @@ def fractal_basis_reconstruct(F: FractalOperator, g, n_terms: int = 33,
         raise ValueError("hat-basis reconstruction runs on the unit interval")
     g = as_field(g)
     inverted = neumann_inverse(F, g, resolution=resolution, tol=inversion_tol)
-    h = inverted.grid.interpolant()
-    coeffs = schauder_coefficients(h, n_terms)
+    coeffs = schauder_coefficients(inverted.grid, n_terms)
 
     axes = box_axes(F.net.box, check_resolution)
     g_vals = mesh_eval(g, axes)

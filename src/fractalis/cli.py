@@ -3,10 +3,11 @@
 Subcommands: ``surface`` samples a construction on a uniform grid to CSV,
 ``eval`` evaluates at explicit points, ``verify`` runs the bound and
 consistency battery and reports one CHECK line per item, ``approx`` runs
-the perturbed-polynomial procedure, ``norms`` prints the certified
-constants. Configuration is a JSON file; all output is deterministic for
-a fixed config and seed. Exit codes: 0 success, 1 a check or tolerance
-failed, 2 usage or configuration error.
+the perturbed-polynomial procedure, ``norms`` prints the constants of the
+construction (the scale sup and the base gap are grid estimates unless
+alpha is constant). Configuration is a JSON file; all output is
+deterministic for a fixed config and seed. Exit codes: 0 success, 1 a
+check or tolerance failed, 2 usage or configuration error.
 
 ``surface`` takes the exact orbit path on a net-compatible grid and the
 open mesh on every other grid (see ``fractal_core.sample_grid``), for
@@ -37,6 +38,7 @@ from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
 from .fractal_core import (
     AdmissibilityError,
+    CheckReport,
     DeltaFifField,
     FractalField,
     IterationError,
@@ -408,8 +410,9 @@ def _config_points(entries, k: int) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     problem = _Problem(_load_config(args.config))
-    field = problem.evaluator(problem.positive(args, "tol", 1e-10))
+    tol = problem.positive(args, "tol", 1e-10)
     pts = _parse_points(args, problem)
+    field = problem.evaluator(tol)
     coords = [pts[:, q] for q in range(problem.net.dim)]
     values = _eval_chunked(field, coords)
     _write_csv(args.out, _header(problem.net.dim),
@@ -470,34 +473,29 @@ class _Battery:
 
 def _checks(b: _Battery):
     """The verify battery in print order: ``(name, outcome)`` with outcome
-    ``(lhs, rhs, passed)``, a SKIP reason or the exception the check failed
+    a ``CheckReport``, a SKIP reason or the exception the check failed
     with. The node-data construction stops after ``jacobian_sum``; without
     an operator section the operator checks are skipped."""
     net, field, op = b.problem.net, b.field, b.problem.op
     delta = b.problem.construction == "delta"
     cfg = b.problem.fif if delta else field.config
-    rep = interpolation_check(field, net, cfg.values if delta else cfg.f, tol=1e-9)
-    yield "interpolation", (rep.max_error, rep.tol, rep.passed)
-    rep = boundary_consistency_check(cfg, seed=b.seed)
-    yield "boundary_consistency", (rep.max_error, rep.tol, rep.passed)
+    yield "interpolation", interpolation_check(field, net, cfg.values if delta else cfg.f,
+                                               tol=1e-9)
+    yield "boundary_consistency", boundary_consistency_check(cfg, seed=b.seed)
     if not delta:
         # the gap-form perturbation bounds work for explicit bases and operators alike
-        rep = _sup_gap(field, box_axes(net.box, b.res))
-        yield "perturbation_gap", (rep.lhs, rep.rhs + rep.margin, rep.passed)
+        yield "perturbation_gap", _sup_gap(field, box_axes(net.box, b.res))
     jac = abs(jacobian_sum(net) - 1.0)
-    yield "jacobian_sum", (jac, 1e-12, jac <= 1e-12)
+    yield "jacobian_sum", CheckReport("jacobian_sum", jac, 1e-12, jac <= 1e-12, {})
     if delta:
         return
 
     res, eval_tol = b.res, b.eval_tol
     base = op if op is not None else cfg.s
-    steps = alpha_sequence_convergence(net, cfg.f, base, [0.5 / n for n in range(1, 7)],
-                                       resolution=res, eval_tol=eval_tol)
-    yield "scale_sequence", (steps[-1].error, steps[-1].bound,
-                             all(st.passed for st in steps))
+    yield "scale_sequence", alpha_sequence_convergence(
+        net, cfg.f, base, [0.5 / n for n in range(1, 7)], resolution=res, eval_tol=eval_tol)
     for p in b.ps:
-        rep = lp_perturbation_gap(field, b.rule, p)
-        yield f"lp_gap_p{p:g}", (rep.lhs, rep.details["limit"], rep.passed)
+        yield f"lp_gap_p{p:g}", lp_perturbation_gap(field, b.rule, p)
     if op is None:
         for name in ("operator_norm", "bounded_below", "linearity", "fixed_point",
                      "inverse", "operator_sequence", "vanishing_invariance",
@@ -508,28 +506,25 @@ def _checks(b: _Battery):
     F = b.problem.F
     a = F.alpha_sup
     samples = _sample_polynomials(net, b.rng, 4) + [cfg.f]
-    rep = operator_norm_check(F, samples, resolution=res, eval_tol=eval_tol)
-    yield "operator_norm", (rep.lhs, rep.rhs, rep.passed)
+    yield "operator_norm", operator_norm_check(F, samples, resolution=res, eval_tol=eval_tol)
 
     norm_d, norm_idd = F.norms
     if a * norm_d < 1.0:
-        rep = bounded_below_check(F, cfg.f, resolution=res, eval_tol=eval_tol)
-        yield "bounded_below", (rep.lhs, rep.rhs + rep.margin, rep.passed)
+        yield "bounded_below", bounded_below_check(F, cfg.f, resolution=res,
+                                                   eval_tol=eval_tol)
     else:
         yield "bounded_below", "needs sup|alpha|*||D|| < 1"
 
     g1, g2 = _sample_polynomials(net, b.rng, 2)
     c1, c2 = float(b.rng.uniform(-2, 2)), float(b.rng.uniform(-2, 2))
-    rep = linearity_check(F, g1, g2, c1, c2, seed=b.seed, eval_tol=eval_tol)
-    yield "linearity", (rep.max_error, rep.tol, rep.passed)
+    yield "linearity", linearity_check(F, g1, g2, c1, c2, seed=b.seed, eval_tol=eval_tol)
 
     if op.kind == "multiplication":
         yield "fixed_point", "multiplication base maps fix only the zero field"
     else:
         nodes = node_arrays(net)
         interp = NetInterpolant(nodes, mesh_eval(cfg.f, nodes))
-        rep = fixed_point_check(F, interp, resolution=res, eval_tol=eval_tol)
-        yield "fixed_point", (rep.max_error, rep.tol, rep.passed)
+        yield "fixed_point", fixed_point_check(F, interp, resolution=res, eval_tol=eval_tol)
 
     rate = _rate_bound(a, norm_idd)
     if b.inverse == "skip":
@@ -543,34 +538,34 @@ def _checks(b: _Battery):
         except (AdmissibilityError, IterationError) as exc:
             yield "inverse_residual", exc
         else:
+            # the three verdicts on the inversion, read off its result
             residual = inv.residuals[-1]
-            yield "inverse_residual", (residual, b.inverse_tol, residual <= b.inverse_tol)
-            yield "inverse_norm", (inv.recovered_norm, inv.inverse_norm_bound * inv.target_norm,
-                                   inv.norm_bound_ok)
+            yield "inverse_residual", CheckReport("inverse_residual", residual, b.inverse_tol,
+                                                  residual <= b.inverse_tol, {})
+            yield "inverse_norm", CheckReport(
+                "inverse_norm", inv.recovered_norm, inv.inverse_norm_bound * inv.target_norm,
+                inv.norm_bound_ok, {})
             if math.isfinite(inv.measured_rate):
                 limit = 1.1 * inv.rate_bound
-                yield "inverse_rate", (inv.measured_rate, limit, inv.measured_rate <= limit)
+                yield "inverse_rate", CheckReport("inverse_rate", inv.measured_rate, limit,
+                                                  inv.measured_rate <= limit, {})
             else:
                 yield "inverse_rate", "too few iterations to estimate"
 
-    steps = operator_sequence_convergence(F, cfg.f, [1.0 / n for n in range(1, 7)],
-                                          resolution=res, eval_tol=eval_tol)
-    yield "operator_sequence", (steps[-1].error, steps[-1].bound,
-                                all(st.passed for st in steps))
+    yield "operator_sequence", operator_sequence_convergence(
+        F, cfg.f, [1.0 / n for n in range(1, 7)], resolution=res, eval_tol=eval_tol)
 
     # two nesting levels keep the cost near depth^2 while still exercising
     # a genuinely nested application
-    rep = vanishing_invariance_check(F, _knot_product(net), r_max=2,
-                                     eval_tol=eval_tol)
-    yield "vanishing_invariance", (rep.max_error, rep.tol, rep.passed)
+    yield "vanishing_invariance", vanishing_invariance_check(F, _knot_product(net), r_max=2,
+                                                             eval_tol=eval_tol)
 
     pair = ComplexFieldPair(real=cfg.f, imag=_sample_polynomials(net, b.rng, 1)[0])
     for p in b.ps:
-        rep = complex_perturbation_gap(F, pair, p, resolution=b.q_res, eval_tol=eval_tol)
-        yield f"complex_gap_p{p:g}", (rep.lhs, rep.details["limit"], rep.passed)
-
-    rep = complex_l2_identity_check(F, pair, resolution=b.q_res, eval_tol=eval_tol)
-    yield "complex_l2_identity", (rep.max_error, rep.tol, rep.passed)
+        yield f"complex_gap_p{p:g}", complex_perturbation_gap(F, pair, p, resolution=b.q_res,
+                                                              eval_tol=eval_tol)
+    yield "complex_l2_identity", complex_l2_identity_check(F, pair, resolution=b.q_res,
+                                                           eval_tol=eval_tol)
 
 
 def cmd_verify(args) -> int:
@@ -582,9 +577,9 @@ def cmd_verify(args) -> int:
             print(f"CHECK {name} lhs=nan rhs=nan FAIL ({outcome})")
             ok = False
         else:
-            lhs, rhs, passed = outcome
-            print(f"CHECK {name} lhs={lhs:.9e} rhs={rhs:.9e} {'PASS' if passed else 'FAIL'}")
-            ok &= passed
+            print(f"CHECK {name} lhs={outcome.lhs:.9e} rhs={outcome.rhs:.9e} "
+                  f"{'PASS' if outcome.passed else 'FAIL'}")
+            ok &= outcome.passed
     print(f"VERIFY {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -647,7 +642,7 @@ def cmd_norms(args) -> int:
         print(f"NORM lp_perturbed_p{p:g} {_format(rep.details['lp_perturbed'])}")
         print(f"NORM lp_base_gap_p{p:g} {_format(rep.details['base_gap'])}")
         print(f"NORM lp_gap_p{p:g} {_format(rep.lhs)}")
-        print(f"NORM lp_gap_bound_p{p:g} {_format(rep.rhs)}")
+        print(f"NORM lp_gap_bound_p{p:g} {_format(rep.details['bound'])}")
         print(f"NORM lp_gap_ok_p{p:g} {'1' if rep.passed else '0'}")
     return 0
 
@@ -679,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
              ("--resolution", "--tol", "--seed", "--p")),
             ("approx", cmd_approx, "perturbed-polynomial approximation",
              ("--resolution", "--out", "--epsilon")),
-            ("norms", cmd_norms, "print certified constants",
+            ("norms", cmd_norms, "print the constants of the construction",
              ("--resolution", "--tol", "--p"))):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON configuration file")

@@ -57,23 +57,17 @@ __all__ = [
     "IterationError",
     "FractalConfig",
     "DeltaFif",
-    "EvalReport",
     "CheckReport",
-    "GridFunction",
     "FixedPointResult",
     "make_config",
     "required_depth",
-    "eval_alpha_fractal",
     "FractalField",
     "make_delta_fif",
-    "eval_fif_delta",
     "DeltaFifField",
-    "rb_apply_grid",
     "solve_fixed_point_grid",
     "interpolation_check",
     "boundary_consistency_check",
     "sample_grid",
-    "sample_surface",
 ]
 
 MAX_DEPTH = 64
@@ -125,38 +119,21 @@ class DeltaFif:
 
 
 @dataclass(frozen=True, eq=False)
-class EvalReport:
-    values: np.ndarray
-    error_bound: float
-    depth: int
-
-
-@dataclass(frozen=True, eq=False)
 class CheckReport:
+    """One checked inequality: ``passed`` is the verdict on ``lhs`` against
+    the threshold ``rhs``, the number ``verify`` prints; ``details`` holds
+    the other numbers of the check that callers read."""
+
     name: str
-    max_error: float
-    tol: float
+    lhs: float
+    rhs: float
     passed: bool
     details: dict
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction(_Field):
-    """Values on a uniform tensor grid, read-only."""
-
-    axes: tuple
-    values: np.ndarray
-
-    def interpolant(self) -> NetInterpolant:
-        return NetInterpolant(self.axes, self.values)
-
-    def eval_arrays(self, coords) -> np.ndarray:
-        return self.interpolant().eval_arrays(coords)
-
-
-@dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    grid: GridFunction
+    grid: NetInterpolant
     iterations: int
     residual: float
 
@@ -221,34 +198,6 @@ def required_depth(scale_sup: float, tail_constant: float, tol: float) -> int:
 def _tail_constant(config: FractalConfig) -> float:
     # || h - s || <= ||h - f|| + ||f - s|| <= fs_gap / (1 - alpha_sup)
     return config.fs_gap / (1.0 - config.alpha_sup)
-
-
-def _eval_points(field, points) -> EvalReport:
-    """Check ``points`` (n, k) for shape and box, evaluate ``field`` there
-    and report the values with the field's bound and depth."""
-    net = field.net
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != net.dim:
-        raise ValueError(f"points must have shape (n, {net.dim})")
-    bad = net.box.first_outside(pts)
-    if bad is not None:
-        where = tuple(float(v) for v in pts[bad])
-        raise ValueError(f"point {where} outside box {net.box.bounds}")
-    values = _eval_chunked(field, [pts[:, q] for q in range(net.dim)])
-    return EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
-
-
-def eval_alpha_fractal(config: FractalConfig, points, tol: float = 1e-10,
-                       depth: int | None = None) -> EvalReport:
-    """Evaluate the perturbation fixed point at ``points`` (n, k).
-
-    Either pass ``tol`` to derive the chain depth from the certified tail
-    bound, or force ``depth`` directly; the report carries the resulting
-    bound on the truncation error. A checked wrapper of ``FractalField``.
-    """
-    return _eval_points(FractalField(config, tol=tol, depth=depth), points)
 
 
 def _chain_walk(net: Net, coords, steps: int, top_cells=None):
@@ -404,17 +353,6 @@ def _delta_tail_constant(fif: DeltaFif) -> float:
     return (1.0 + abs(fif.delta)) * zmax / (1.0 - abs(fif.delta)) + zmax
 
 
-def eval_fif_delta(fif: DeltaFif, points, tol: float = 1e-10,
-                   depth: int | None = None) -> EvalReport:
-    """Evaluate the delta-interpolant of the node data at ``points``.
-
-    The chain is seeded with the plain multilinear interpolant of the
-    data, so node values are exact at every depth. A checked wrapper of
-    ``DeltaFifField``.
-    """
-    return _eval_points(DeltaFifField(fif, tol=tol, depth=depth), points)
-
-
 class DeltaFifField(_Field):
     """Field view of a DeltaFif at a fixed evaluation tolerance, or at a
     forced chain ``depth``.
@@ -498,19 +436,6 @@ def _grid_sweep(config: FractalConfig, axes):
     return f_here, sweep
 
 
-def rb_apply_grid(config: FractalConfig, grid: GridFunction) -> GridFunction:
-    """One sweep of h -> f + alpha * (h(Q .) - s(Q .)) on grid values.
-
-    Off-grid values of h come from multilinear interpolation; on grids
-    whose points are mapped onto grid points by Q the sweep is exact and
-    iterating it converges at rate sup|alpha| to the true fixed point.
-    """
-    _, sweep = _grid_sweep(config, grid.axes)
-    values = sweep(grid.values)
-    values.setflags(write=False)
-    return GridFunction(axes=grid.axes, values=values)
-
-
 def solve_fixed_point_grid(config: FractalConfig, resolution,
                            tol: float = 1e-12,
                            max_iter: int = 100_000) -> FixedPointResult:
@@ -529,9 +454,8 @@ def solve_fixed_point_grid(config: FractalConfig, resolution,
         residual = float(np.max(np.abs(new - values)))
         values = new
         if residual <= target:
-            values.setflags(write=False)
-            grid = GridFunction(axes=axes, values=values)
-            return FixedPointResult(grid=grid, iterations=iteration, residual=residual)
+            return FixedPointResult(grid=NetInterpolant(axes, values),
+                                    iterations=iteration, residual=residual)
     raise IterationError(
         f"no convergence to residual {target:.3e} in {max_iter} sweeps "
         f"(last residual {residual:.3e})",
@@ -552,13 +476,8 @@ def interpolation_check(field, net: Net, expected, tol: float = 1e-9) -> CheckRe
     else:
         want = np.asarray(expected, dtype=float).reshape(-1, order="F")
     err = float(np.max(np.abs(got - want)))
-    return CheckReport(
-        name="interpolation",
-        max_error=err,
-        tol=tol,
-        passed=err <= tol,
-        details={"n_nodes": pts.shape[0]},
-    )
+    return CheckReport(name="interpolation", lhs=err, rhs=tol, passed=err <= tol,
+                       details={"n_nodes": pts.shape[0]})
 
 
 def _field_for(obj, **kwargs):
@@ -616,13 +535,9 @@ def boundary_consistency_check(obj, n_samples: int = 16, tol: float = 1e-8,
             worst = max(worst, float(np.max(np.abs(a - b))))
             n_faces += 1
     limit = max(tol, 2.0 * bound + 1e-12)
-    return CheckReport(
-        name="boundary_consistency",
-        max_error=worst,
-        tol=limit,
-        passed=worst <= limit,
-        details={"n_faces": n_faces, "depth": depth, "truncation_bound": bound},
-    )
+    return CheckReport(name="boundary_consistency", lhs=worst, rhs=limit,
+                       passed=worst <= limit,
+                       details={"n_faces": n_faces, "depth": depth, "truncation_bound": bound})
 
 
 def _orbit_maps(net: Net, sizes):
@@ -693,14 +608,3 @@ def sample_grid(field, resolution):
         return axes, field._orbit(axes, maps)
     return axes, mesh_eval(field, axes)
 
-
-def sample_surface(config, resolution, tol: float = 1e-8):
-    """Evaluate the interpolant on a uniform grid over the box.
-
-    Accepts a FractalConfig or a DeltaFif; returns (axes, grid values,
-    report) with the report carrying the certified truncation bound.
-    """
-    field = _field_for(config, tol=tol)
-    axes, values = sample_grid(field, resolution)
-    report = EvalReport(values=values, error_bound=field.error_bound, depth=field.depth)
-    return axes, values, report

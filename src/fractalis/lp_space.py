@@ -18,7 +18,7 @@ import numpy as np
 
 from ._fields import _open_mesh, as_field, box_axes, mesh_eval, with_gap
 from .fractal_core import CheckReport, FractalField
-from .operator_props import BoundsReport, FractalOperator
+from .operator_props import FractalOperator
 
 __all__ = [
     "QuadratureRule",
@@ -150,40 +150,41 @@ def _volume(rule: QuadratureRule) -> float:
 
 
 def lp_perturbation_gap(field: FractalField, rule: QuadratureRule, p: float,
-                        slack: float = 0.05) -> BoundsReport:
+                        slack: float = 0.05) -> CheckReport:
     """Check ||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed
     ``field`` of a config, both sides by quadrature under ``rule``.
 
-    Quadrature on both sides, hence the relative slack; the margin folds
-    the evaluator's sup-norm truncation bound into the L^p scale.
-    ``details`` holds the threshold ``limit`` that lhs is compared against
-    and the norms ``lp_f`` of f and ``lp_perturbed`` of Ff."""
+    Quadrature on both sides, hence the relative slack; a margin folds the
+    evaluator's sup-norm truncation bound into the L^p scale. ``rhs`` is
+    the threshold lhs is compared against; ``details`` holds the bare
+    ``bound`` a/(1-a) * ||f - s||_p and the norms ``lp_f`` of f and
+    ``lp_perturbed`` of Ff."""
     cfg = field.config
     f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(rule.axes))
     h_vals = mesh_eval(field, rule.axes)
     lhs = lp_norm(h_vals - f_vals, rule, p)
     gap = lp_norm(gap_vals, rule, p)
     a = cfg.alpha_sup
-    rhs = a / (1.0 - a) * gap
+    bound = a / (1.0 - a) * gap
     margin = field.error_bound * _volume(rule) ** (1.0 / p)
-    limit = rhs * (1.0 + slack) + margin + 1e-8
-    return BoundsReport(
+    limit = bound * (1.0 + slack) + margin + 1e-8
+    return CheckReport(
         name="lp_perturbation_gap",
         lhs=lhs,
-        rhs=rhs,
-        margin=margin,
+        rhs=limit,
         passed=lhs <= limit,
-        details={"p": p, "alpha_sup": a, "base_gap": gap, "limit": limit,
+        details={"p": p, "alpha_sup": a, "base_gap": gap, "bound": bound,
                  "lp_f": lp_norm(f_vals, rule, p), "lp_perturbed": lp_norm(h_vals, rule, p)},
     )
 
 
 def complex_perturbation_gap(F: FractalOperator, pair: ComplexFieldPair, p: float,
                              resolution: int = 513, eval_tol: float = 1e-10,
-                             slack: float = 0.05) -> BoundsReport:
+                             slack: float = 0.05) -> CheckReport:
     """Check ||F_C(f) - f||_p <= M * a * ||F_C(f) - D_C(f)||_p with
-    M = 2^(1/2 + 1/p) and D_C acting componentwise; ``details["limit"]``
-    is the threshold lhs is compared against."""
+    M = 2^(1/2 + 1/p) and D_C acting componentwise. ``rhs`` is the
+    threshold lhs is compared against: that bound with a relative slack
+    and the truncation bounds in the L^p scale."""
     rule = quadrature_rule(F.net.box, resolution)
     cfg_re, cfg_im = F.config(pair.real), F.config(pair.imag)
     fld_re = FractalField(cfg_re, tol=eval_tol)
@@ -199,18 +200,13 @@ def complex_perturbation_gap(F: FractalOperator, pair: ComplexFieldPair, p: floa
     gap = np.hypot(d_re + g_re, d_im + g_im)
     lhs = lp_norm(diff, rule, p)
     a = F.alpha_sup
-    rhs = m_constant(p) * a * lp_norm(gap, rule, p)
+    bound = m_constant(p) * a * lp_norm(gap, rule, p)
     bound_sup = math.hypot(fld_re.error_bound, fld_im.error_bound)
     margin = (1.0 + m_constant(p) * a) * bound_sup * _volume(rule) ** (1.0 / p)
-    limit = rhs * (1.0 + slack) + margin + 1e-8
-    return BoundsReport(
-        name="complex_perturbation_gap",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=lhs <= limit,
-        details={"p": p, "m_constant": m_constant(p), "alpha_sup": a, "limit": limit},
-    )
+    limit = bound * (1.0 + slack) + margin + 1e-8
+    return CheckReport(name="complex_perturbation_gap", lhs=lhs, rhs=limit,
+                       passed=lhs <= limit,
+                       details={"p": p, "m_constant": m_constant(p), "alpha_sup": a})
 
 
 def complex_l2_identity_check(F: FractalOperator, pair: ComplexFieldPair,
@@ -246,10 +242,5 @@ def complex_l2_identity_check(F: FractalOperator, pair: ComplexFieldPair,
     ) / scale_pt
 
     err = max(err_split, err_rot)
-    return CheckReport(
-        name="complex_l2_identity",
-        max_error=err,
-        tol=tol,
-        passed=err <= tol,
-        details={"split_error": err_split, "homogeneity_error": err_rot},
-    )
+    return CheckReport(name="complex_l2_identity", lhs=err, rhs=tol, passed=err <= tol,
+                       details={"split_error": err_split, "homogeneity_error": err_rot})

@@ -26,9 +26,6 @@ __all__ = [
     "build_net",
     "cell_map",
     "axis_coefficients",
-    "map_point",
-    "inverse_point",
-    "locate_cell",
     "eta",
     "node_arrays",
     "node_points",
@@ -140,21 +137,6 @@ class CellMap:
     j: int
     a: float
     b: float
-    u: float
-    w: float
-    lo: float
-    hi: float
-
-    def apply(self, t: float) -> float:
-        return self.a * t + self.b
-
-    def inverse(self, y: float) -> float:
-        """Preimage of ``y``, which must lie in the cell up to the same
-        slack ``Box.contains`` allows; drift past the axis ends is clipped."""
-        slack = _EDGE_TOL * max(1.0, abs(self.u), abs(self.w))
-        if not self.u - slack <= y <= self.w + slack:
-            raise ValueError(f"{y} is not in cell {self.j} of axis {self.axis}")
-        return float(_preimage(y, self.a, self.b, self.lo, self.hi))
 
 
 def build_net(bounds, knots_per_axis) -> Net:
@@ -205,7 +187,7 @@ def cell_map(net: Net, axis: int, j: int) -> CellMap:
         raise ValueError(
             f"cell {j} on axis {axis} yields |a| = {abs(a)} >= 1; refine the partition"
         )
-    return CellMap(axis, j, a, b, left, right, lo, hi)
+    return CellMap(axis, j, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -225,36 +207,9 @@ def axis_coefficients(net: Net):
     return tuple(out)
 
 
-def map_point(net: Net, cell, point):
-    """Image of ``point`` under the cell maps of the multi-index ``cell``."""
-    return tuple(
-        cell_map(net, q, j).apply(float(t))
-        for q, (j, t) in enumerate(zip(cell, point), start=1)
-    )
-
-
-def inverse_point(net: Net, cell, point):
-    """Preimage of ``point`` (inside the given cell) on the full box."""
-    return tuple(
-        cell_map(net, q, j).inverse(float(t))
-        for q, (j, t) in enumerate(zip(cell, point), start=1)
-    )
-
-
-def locate_cell(net: Net, point):
-    """1-based multi-index of the cell containing ``point``.
-
-    Points on an interior knot belong to the cell on their right; the last
-    cell is closed on both sides. Raises ValueError outside the box.
-    """
-    if not net.box.contains(point):
-        raise ValueError(f"point {tuple(point)} outside box {net.box.bounds}")
-    cells = _locate_arrays(net, [np.asarray([float(t)]) for t in point])
-    return tuple(int(c[0]) + 1 for c in cells)
-
-
 def _locate_arrays(net: Net, coords):
-    """0-based cell index arrays, one per axis; interior knots go right."""
+    """0-based cell index arrays, one per axis; interior knots go right,
+    and the last cell is closed on both sides."""
     out = []
     for part, t in zip(net.axes, coords):
         i = np.searchsorted(np.asarray(part.knots), t, side="right") - 1
@@ -272,8 +227,7 @@ def _inverse_step(net: Net, coords, cells):
 
 def _preimage(y, a, b, lo, hi):
     """Preimage (y - b) / a under the cell map t -> a*t + b, clipped to the
-    axis interval [lo, hi] against float drift; the one inverse formula of
-    the scalar and the vectorized cell geometry."""
+    axis interval [lo, hi] against float drift."""
     return _clip((y - b) / a, lo, hi)
 
 

@@ -14,10 +14,10 @@ numeric checks:
 * stability of D-fixed points, convergence as the scale or the base map
   degenerates, and invariance of the node-vanishing subspace,
 
-where a = sup|alpha|. Norms written ||.|| are sup norms; measured values
-are tensor-grid estimates and every report carries the evaluation margin
-used in its verdict. ``fractal_operator`` fixes (net, alpha, D) once, with
-sup|alpha| taken once, and every check takes that ``FractalOperator``.
+where a = sup|alpha|. Norms written ||.|| are sup norms, and measured values
+are tensor-grid estimates. Each check returns a ``CheckReport``.
+``fractal_operator`` fixes (net, alpha, D) once, with sup|alpha| taken
+once, and every check takes that ``FractalOperator``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .fractal_core import (
     CheckReport,
     FractalConfig,
     FractalField,
-    GridFunction,
     IterationError,
     _config,
     _scale_sup,
@@ -58,9 +57,7 @@ from .net import Net, node_arrays, node_points
 
 __all__ = [
     "OperatorSpec",
-    "BoundsReport",
     "NeumannResult",
-    "ConvergenceStep",
     "identity_operator",
     "multiplication_operator",
     "blend_operator",
@@ -99,31 +96,11 @@ class OperatorSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class BoundsReport:
-    """One inequality instance: lhs <= rhs up to the evaluation margin."""
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    details: dict
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceStep:
-    parameter: float
-    error: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True, eq=False)
 class NeumannResult:
     """Outcome of inverting the perturbation operator by residual
     iteration on a uniform grid."""
 
-    grid: object
+    grid: NetInterpolant
     iterations: int
     residuals: tuple
     rate_bound: float
@@ -281,12 +258,13 @@ def make_operator_config(net: Net, f, alpha, op: OperatorSpec,
     return fractal_operator(net, alpha, op, sup_resolution).config(f)
 
 
-def _sup_gap(field: FractalField, axes) -> BoundsReport:
+def _sup_gap(field: FractalField, axes) -> CheckReport:
     """||Ff - f|| <= a/(1-a) * ||f - s|| for the perturbed ``field`` of a
     config, with sup norms taken as maxima over the tensor grid of
-    ``axes``. The margin is the field's certified truncation bound; the
-    verdict allows 1e-12 more for rounding. The details carry the scale
-    sup, ||f - s|| and the grid sups of f and Ff.
+    ``axes``. ``rhs`` is that ``bound`` plus the ``margin``, the field's
+    certified truncation bound; the verdict allows 1e-12 more for rounding.
+    The details also carry the scale sup, ||f - s|| and the grid sups of f
+    and Ff.
     """
     cfg = field.config
     f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(axes))
@@ -294,14 +272,16 @@ def _sup_gap(field: FractalField, axes) -> BoundsReport:
     lhs = float(np.max(np.abs(pert_vals - f_vals)))
     gap = float(np.max(np.abs(gap_vals)))
     a = cfg.alpha_sup
-    rhs = a / (1.0 - a) * gap
-    return BoundsReport(
+    bound = a / (1.0 - a) * gap
+    rhs = bound + field.error_bound
+    return CheckReport(
         name="perturbation_gap",
         lhs=lhs,
         rhs=rhs,
-        margin=field.error_bound,
-        passed=lhs <= rhs + field.error_bound + 1e-12,
+        passed=lhs <= rhs + 1e-12,
         details={
+            "bound": bound,
+            "margin": field.error_bound,
             "alpha_sup": a,
             "base_gap": gap,
             "f_sup": float(np.max(np.abs(f_vals))),
@@ -311,7 +291,7 @@ def _sup_gap(field: FractalField, axes) -> BoundsReport:
 
 
 def perturbation_gap(F: FractalOperator, f, resolution: int = 257,
-                     eval_tol: float = 1e-10) -> BoundsReport:
+                     eval_tol: float = 1e-10) -> CheckReport:
     """Check ||Ff - f|| <= a/(1-a) * ||f - Df|| on a tensor grid.
 
     The margin is the certified truncation bound of the evaluator. The
@@ -323,7 +303,7 @@ def perturbation_gap(F: FractalOperator, f, resolution: int = 257,
     _, norm_idd = F.norms
     norm_lhs = rep.details["perturbed_sup"] - f_sup
     norm_rhs = _rate_bound(a, norm_idd) * f_sup
-    norm_ok = norm_lhs <= norm_rhs + rep.margin + 1e-12 * max(1.0, norm_rhs)
+    norm_ok = norm_lhs <= norm_rhs + rep.details["margin"] + 1e-12 * max(1.0, norm_rhs)
     rep.details.update(norm_form_lhs=norm_lhs, norm_form_rhs=norm_rhs,
                        norm_form_passed=norm_ok)
     return rep
@@ -361,13 +341,8 @@ def linearity_check(F: FractalOperator, f1, f2,
     err = float(np.max(np.abs(lhs_vals - rhs_vals)))
     # the three truncations are certified, so they extend the allowance
     margin = gc.error_bound + abs(c1) * g1.error_bound + abs(c2) * g2.error_bound
-    return CheckReport(
-        name="linearity",
-        max_error=err,
-        tol=tol,
-        passed=err <= tol + margin,
-        details={"depth": depth, "margin": margin, "n_points": n_points},
-    )
+    return CheckReport(name="linearity", lhs=err, rhs=tol, passed=err <= tol + margin,
+                       details={"depth": depth, "margin": margin, "n_points": n_points})
 
 
 def operator_norm_upper(F: FractalOperator) -> float:
@@ -376,9 +351,10 @@ def operator_norm_upper(F: FractalOperator) -> float:
 
 
 def operator_norm_check(F: FractalOperator, samples, resolution: int = 257,
-                        eval_tol: float = 1e-10, slack: float = 1e-6) -> BoundsReport:
+                        eval_tol: float = 1e-10, slack: float = 1e-6) -> CheckReport:
     """Empirical ratios ||Ff|| / ||f|| over sample fields stay below the
-    norm bound; grid sups on both sides, hence the relative slack."""
+    norm bound ``rhs``; grid sups on both sides, hence the relative slack,
+    and the truncation bounds relative to ||f|| widen it by ``margin``."""
     samples = list(samples)
     upper = operator_norm_upper(F)
     axes = box_axes(F.net.box, resolution)
@@ -392,20 +368,17 @@ def operator_norm_check(F: FractalOperator, samples, resolution: int = 257,
         ratio = float(np.max(np.abs(mesh_eval(field, axes)))) / f_sup
         margin = max(margin, field.error_bound / f_sup)
         worst = max(worst, ratio)
-    passed = worst <= upper * (1.0 + slack) + margin
-    return BoundsReport(
-        name="operator_norm",
-        lhs=worst,
-        rhs=upper,
-        margin=margin,
-        passed=passed,
-        details={"n_samples": len(samples)},
-    )
+    return CheckReport(name="operator_norm", lhs=worst, rhs=upper,
+                       passed=worst <= upper * (1.0 + slack) + margin,
+                       details={"margin": margin, "n_samples": len(samples)})
 
 
 def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
-                        eval_tol: float = 1e-10, slack: float = 1e-6) -> BoundsReport:
-    """Check ||f|| <= (1+a)/(1 - a*||D||) * ||Ff||, valid for a*||D|| < 1."""
+                        eval_tol: float = 1e-10, slack: float = 1e-6) -> CheckReport:
+    """Check ||f|| <= (1+a)/(1 - a*||D||) * ||Ff||, valid for a*||D|| < 1.
+
+    ``rhs`` is that ``bound`` plus the truncation ``margin`` scaled by the
+    same factor; the verdict also allows the relative slack on the bound."""
     norm_d, _ = F.norms
     cfg = F.config(f)
     a = F.alpha_sup
@@ -418,17 +391,12 @@ def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
     lhs = float(np.max(np.abs(mesh_eval(cfg.f, axes))))
     pert_sup = float(np.max(np.abs(mesh_eval(field, axes))))
     factor = _inverse_norm_bound(a, norm_d)
-    rhs = factor * pert_sup
+    bound = factor * pert_sup
     margin = factor * field.error_bound
-    passed = lhs <= rhs * (1.0 + slack) + margin
-    return BoundsReport(
-        name="bounded_below",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=passed,
-        details={"factor": factor, "alpha_sup": a, "norm_d": norm_d},
-    )
+    return CheckReport(name="bounded_below", lhs=lhs, rhs=bound + margin,
+                       passed=lhs <= bound * (1.0 + slack) + margin,
+                       details={"bound": bound, "margin": margin, "factor": factor,
+                                "alpha_sup": a, "norm_d": norm_d})
 
 
 def _solver_config(net: Net, f, alpha, s, alpha_sup: float, axes) -> FractalConfig:
@@ -474,8 +442,7 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
         current = NetInterpolant(axes, f_vals)
         s = apply_operator(op, current, net)
         cfg = _solver_config(net, current, alpha, s, a, axes)
-        solved = solve_fixed_point_grid(cfg, resolution, tol=inner_tol)
-        ff_vals = solved.grid.values
+        ff_vals = solve_fixed_point_grid(cfg, resolution, tol=inner_tol).grid.values
         residual = float(np.max(np.abs(g_vals - ff_vals)))
         residuals.append(residual)
         if residual <= tol:
@@ -501,10 +468,8 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
     target_norm = float(np.max(np.abs(g_vals)))
     norm_ok = recovered_norm <= inv_bound * target_norm * (1.0 + norm_slack) + 1e-12
 
-    f_vals = np.array(f_vals)
-    f_vals.setflags(write=False)
     return NeumannResult(
-        grid=GridFunction(axes=tuple(axes), values=f_vals),
+        grid=NetInterpolant(axes, f_vals),
         iterations=iteration,
         residuals=tuple(residuals),
         rate_bound=rate_bound,
@@ -525,14 +490,10 @@ def fixed_point_check(F: FractalOperator, f, resolution: int = 257,
     following the a/(1-a) scaling of the exact statement.
     """
     rep = _sup_gap(F(f, tol=eval_tol), box_axes(F.net.box, resolution))
-    limit = max(tol, rep.rhs + rep.margin + 1e-12)
-    return CheckReport(
-        name="fixed_point",
-        max_error=rep.lhs,
-        tol=limit,
-        passed=rep.lhs <= limit,
-        details={"d_gap": rep.details["base_gap"], "margin": rep.margin},
-    )
+    limit = max(tol, rep.rhs + 1e-12)
+    return CheckReport(name="fixed_point", lhs=rep.lhs, rhs=limit, passed=rep.lhs <= limit,
+                       details={"d_gap": rep.details["base_gap"],
+                                "margin": rep.details["margin"]})
 
 
 def alpha_sequence_convergence(net: Net, f, base, scales,
@@ -542,7 +503,7 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
 
     ``base`` is either an OperatorSpec or an explicit base field s; the
     per-step bound is a_n/(1-a_n) * ||f - s||, so the errors decay to 0
-    with the scales. Returns one ConvergenceStep per scale.
+    with the scales. See ``_sequence_report`` for the report.
     """
     f = as_field(f)
     if isinstance(base, OperatorSpec):
@@ -551,14 +512,18 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
     else:
         s = as_field(base)
     axes = box_axes(net.box, resolution)
-    steps = []
-    for a_n in scales:
-        cfg = make_config(net, f, float(a_n), s)
-        rep = _sup_gap(FractalField(cfg, tol=eval_tol), axes)
-        steps.append(ConvergenceStep(
-            parameter=cfg.alpha_sup, error=rep.lhs, bound=rep.rhs, passed=rep.passed,
-        ))
-    return tuple(steps)
+    return _sequence_report("scale_sequence", [
+        _sup_gap(FractalField(make_config(net, f, float(a_n), s), tol=eval_tol), axes)
+        for a_n in scales])
+
+
+def _sequence_report(name: str, steps) -> CheckReport:
+    """One report of a convergence sequence: ``lhs`` and ``rhs`` are the
+    last step's error and bound, and it passes when every step passes. The
+    steps' ``_sup_gap`` reports are ``details["steps"]``."""
+    return CheckReport(name=name, lhs=steps[-1].lhs, rhs=steps[-1].details["bound"],
+                       passed=all(st.passed for st in steps),
+                       details={"steps": tuple(steps)})
 
 
 def operator_sequence_convergence(F: FractalOperator, f, blend_weights,
@@ -570,15 +535,12 @@ def operator_sequence_convergence(F: FractalOperator, f, blend_weights,
     and satisfies D_t f -> f as t -> 0; the errors obey the per-step
     bound a/(1-a) * ||f - D_t f|| and vanish with t. Only F's net, alpha
     and sup|alpha| are used: F.op is not read, each D_t takes its place.
+    See ``_sequence_report`` for the report.
     """
     axes = box_axes(F.net.box, resolution)
-    steps = []
-    for t in blend_weights:
-        rep = _sup_gap(replace(F, op=blend_operator(t))(f, tol=eval_tol), axes)
-        steps.append(ConvergenceStep(
-            parameter=float(t), error=rep.lhs, bound=rep.rhs, passed=rep.passed,
-        ))
-    return tuple(steps)
+    return _sequence_report("operator_sequence", [
+        _sup_gap(replace(F, op=blend_operator(t))(f, tol=eval_tol), axes)
+        for t in blend_weights])
 
 
 def vanishing_invariance_check(F: FractalOperator, f0, r_max: int = 3,
@@ -600,10 +562,5 @@ def vanishing_invariance_check(F: FractalOperator, f0, r_max: int = 3,
     for _ in range(r_max):
         current = F(current, tol=eval_tol)
         worst = max(worst, float(np.max(np.abs(mesh_like(current, coords)))))
-    return CheckReport(
-        name="vanishing_invariance",
-        max_error=worst,
-        tol=tol,
-        passed=worst <= tol,
-        details={"iterates": r_max},
-    )
+    return CheckReport(name="vanishing_invariance", lhs=worst, rhs=tol, passed=worst <= tol,
+                       details={"iterates": r_max})

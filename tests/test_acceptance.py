@@ -26,7 +26,6 @@ from fractalis import (
     complex_l2_identity_check,
     complex_perturbation_gap,
     epsilon_approximate,
-    eval_alpha_fractal,
     fractal_basis_reconstruct,
     fractal_operator,
     interpolation_check,
@@ -83,7 +82,7 @@ def test_accept_01_interpolation_at_nodes():
     elapsed = time.monotonic() - start
     ok = rep.passed and rep.details["n_nodes"] == 25 and elapsed < 5.0
     _line(1, "node_interpolation", ok,
-          f"max_error={rep.max_error:.3e} nodes={rep.details['n_nodes']} "
+          f"max_error={rep.lhs:.3e} nodes={rep.details['n_nodes']} "
           f"time={elapsed:.2f}s")
 
 
@@ -92,9 +91,9 @@ def test_accept_02_hand_oracle_and_grid_agreement():
     cfg = _line_demo()
     expected = {0.25: 0.375, 0.75: 0.875, 0.125: 0.28125}
 
-    pts = np.array([[x] for x in expected])
-    chain = eval_alpha_fractal(cfg, pts, tol=1e-12).values
-    chain_err = max(abs(v - expected[x]) for (x,), v in zip(pts, chain))
+    pts = np.array(list(expected))
+    chain = FractalField(cfg, tol=1e-12).eval_arrays([pts])
+    chain_err = max(abs(v - expected[x]) for x, v in zip(pts, chain))
 
     res = solve_fixed_point_grid(cfg, resolution=1025, tol=1e-13)
     xs = np.asarray(res.grid.axes[0])
@@ -145,7 +144,7 @@ def test_accept_04_linearity():
         c2 = float(rng.uniform(-2, 2))
         rep = linearity_check(fractal_operator(net, alpha, op), f1, f2, c1, c2,
                               n_points=200, seed=7, tol=1e-8)
-        worst = max(worst, rep.max_error)
+        worst = max(worst, rep.lhs)
         failures += 0 if rep.passed else 1
     _line(4, "operator_linearity", failures == 0,
           f"combos=20 points=200 worst={worst:.3e} failures={failures}")
@@ -203,7 +202,7 @@ def test_accept_07_complexification():
             gap_failures += 0 if rep.passed else 1
         ident = complex_l2_identity_check(F, pair,
                                           resolution=res if res % 2 else res + 1)
-        identity_worst = max(identity_worst, ident.max_error)
+        identity_worst = max(identity_worst, ident.lhs)
     ok = gap_failures == 0 and identity_worst <= 1e-6
     _line(7, "complexification", ok,
           f"pairs=20 gap_failures={gap_failures} "
@@ -239,12 +238,12 @@ def test_accept_09_target_accuracy_approximation():
 
 def test_accept_10_scale_sequence_convergence():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
-    steps = alpha_sequence_convergence(net, parse_field("x1", 1),
-                                       parse_field("x1^2", 1),
-                                       [0.5 / n for n in range(1, 7)])
-    ok = all(st.passed for st in steps) and steps[-1].error < 0.025
+    rep = alpha_sequence_convergence(net, parse_field("x1", 1),
+                                     parse_field("x1^2", 1),
+                                     [0.5 / n for n in range(1, 7)])
+    ok = rep.passed and rep.lhs < 0.025
     _line(10, "scale_sequence_convergence", ok,
-          f"final_error={steps[-1].error:.4f} final_bound={steps[-1].bound:.4f}")
+          f"final_error={rep.lhs:.4f} final_bound={rep.rhs:.4f}")
 
 
 def test_accept_11_hat_basis_transport():

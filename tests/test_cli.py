@@ -608,6 +608,23 @@ def test_box_edge_slack_and_nan(tmp_path, capsys):
     assert f"({1.0 + 2e-12!r},)" in _one_line_error(capsys)
 
 
+def test_eval_checks_points_before_building_the_field(tmp_path, capsys, monkeypatch):
+    from fractalis import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the evaluator before checking the points")
+
+    monkeypatch.setattr(cli._Problem, "evaluator", refuse)
+    cfg = write_config(tmp_path, box={"bounds": [[0.0, 1.0]] * 2},
+                       net={"knots": [[0.0, 0.5, 1.0]] * 2},
+                       fields={"f": "x1*x2", "alpha": "0.2+0.1*x1*x2"},
+                       operator={"kind": "blend", "t": 0.5})
+    assert main(["eval", "--config", cfg, "0.3"]) == 2
+    assert "'0.3' must have 2 coordinates" in _one_line_error(capsys)
+    assert main(["eval", "--config", cfg, "0.3,1.5"]) == 1
+    assert "(0.3, 1.5) outside box" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("section", [[1, 2], "skip", 3])
 def test_non_object_verify_section_exits_two(tmp_path, capsys, section):
     cfg = write_config(tmp_path, fields={"f": "x1^2", "alpha": 0.4},

@@ -20,28 +20,24 @@ from fractalis import (
     ConstantField,
     DeltaFifField,
     FractalField,
-    GridFunction,
     ToleranceError,
     boundary_consistency_check,
     build_net,
+    cell_map,
     eta,
-    eval_alpha_fractal,
-    eval_fif_delta,
     interpolation_check,
-    inverse_point,
-    locate_cell,
     make_config,
     make_delta_fif,
-    map_point,
     node_arrays,
     parse_field,
-    rb_apply_grid,
     required_depth,
-    sample_surface,
+    sample_grid,
     solve_fixed_point_grid,
 )
 from fractalis import fractal_core
 from fractalis._fields import mesh_eval
+from fractalis.fractal_core import _grid_sweep
+from fractalis.net import _inverse_step, _locate_arrays
 
 
 def _line_config():
@@ -54,10 +50,10 @@ def _line_config():
 def test_hand_values_on_the_line_config():
     # first-level: v(1/4) = f(1/2) - alpha*(f - s)(1/2) pattern unrolls to
     # exactly representable dyadic values
-    cfg = _line_config()
-    rep = eval_alpha_fractal(cfg, [[0.25], [0.75], [0.125]], tol=1e-12)
-    assert rep.values.tolist() == [0.375, 0.875, 0.28125]
-    assert rep.error_bound <= 1e-12
+    field = FractalField(_line_config(), tol=1e-12)
+    assert field.eval_arrays([np.array([0.25, 0.75, 0.125])]).tolist() == [
+        0.375, 0.875, 0.28125]
+    assert field.error_bound <= 1e-12
 
 
 def test_interpolation_property_alpha():
@@ -130,18 +126,15 @@ def test_self_referential_recursion_residual():
             [rng.uniform(part.lo, part.hi) for part in cfg.net.axes]
             for _ in range(25)
         ])
-        pre = np.array([
-            inverse_point(cfg.net, locate_cell(cfg.net, tuple(p)), tuple(p))
-            for p in pts
-        ])
-        rep = eval_alpha_fractal(cfg, pts, tol=1e-10)
-        rep_pre = eval_alpha_fractal(cfg, pre, tol=1e-10)
-        allowed = 2.0 * (rep.error_bound + rep_pre.error_bound)
+        coords = [pts[:, q] for q in range(cfg.net.dim)]
+        pre = np.column_stack(_inverse_step(cfg.net, coords, _locate_arrays(cfg.net, coords)))
+        field = FractalField(cfg, tol=1e-10)
+        values = field.eval_arrays(coords)
+        values_pre = field.eval_arrays([pre[:, q] for q in range(cfg.net.dim)])
+        allowed = 4.0 * field.error_bound
         for i in range(len(pts)):
             x, qx = tuple(pts[i]), tuple(pre[i])
-            residual = rep.values[i] - cfg.f(x) - cfg.alpha(x) * (
-                rep_pre.values[i] - cfg.s(qx)
-            )
+            residual = values[i] - cfg.f(x) - cfg.alpha(x) * (values_pre[i] - cfg.s(qx))
             assert abs(residual) <= allowed
 
 
@@ -164,16 +157,16 @@ def test_oracle_equivalence_at_reference_resolution():
 def test_grid_iteration_contracts_at_scale_rate():
     cfg = _line_config()
     # single sweep from zero, by hand: 0.25 + 0.5*(0 - 0.25) = 0.125
-    axes = (np.linspace(0.0, 1.0, 5),)
-    swept = rb_apply_grid(cfg, GridFunction(axes=axes, values=np.zeros(5)))
-    assert swept.values[1] == pytest.approx(0.125)
+    swept = _grid_sweep(cfg, (np.linspace(0.0, 1.0, 5),))[1](np.zeros(5))
+    assert swept[1] == pytest.approx(0.125)
     # iterating from the germ sample, updates shrink at the contraction rate
     xs = np.linspace(0.0, 1.0, 257)
-    h = GridFunction(axes=(xs,), values=xs.copy())
+    sweep = _grid_sweep(cfg, (xs,))[1]
+    h = xs.copy()
     residuals = []
     for _ in range(30):
-        new = rb_apply_grid(cfg, h)
-        residuals.append(float(np.max(np.abs(new.values - h.values))))
+        new = sweep(h)
+        residuals.append(float(np.max(np.abs(new - h))))
         h = new
     for r_prev, r_next in zip(residuals[1:], residuals[2:]):
         if r_next < 1e-13:  # solver floor, ratios are noise past here
@@ -196,14 +189,14 @@ def test_delta_attractor_identity():
         delta = float(rng.uniform(0.1, max(0.11, cap)))
         delta *= 1 if rng.random() < 0.5 else -1
         fif = make_delta_fif(net, z, delta)
+        field = DeltaFifField(fif, tol=1e-11)
         for _ in range(10):
             x = tuple(rng.uniform(part.lo, part.hi) for part in net.axes)
             cells = tuple(
                 int(rng.integers(1, part.n_cells + 1)) for part in net.axes
             )
-            y = map_point(net, cells, x)
-            rep_y = eval_fif_delta(fif, [y], tol=1e-11)
-            rep_x = eval_fif_delta(fif, [x], tol=1e-11)
+            y = tuple(cell_map(net, q, j).a * t + cell_map(net, q, j).b
+                      for q, (j, t) in enumerate(zip(cells, x), start=1))
             blend = 0.0
             for labels in itertools.product((0, 1), repeat=dim):
                 weight = 1.0
@@ -218,28 +211,28 @@ def test_delta_attractor_identity():
                 blend += weight * (
                     z[tuple(node_idx)] - delta * z[tuple(corner_idx)]
                 )
-            lhs = rep_y.values[0]
-            rhs = delta * rep_x.values[0] + blend
-            slack = rep_y.error_bound + abs(delta) * rep_x.error_bound + 1e-12
+            lhs = field(y)
+            rhs = delta * field(x) + blend
+            slack = (1.0 + abs(delta)) * field.error_bound + 1e-12
             assert abs(lhs - rhs) <= slack
 
 
 def test_chain_respects_truncation_bound():
     # shallow evaluation must sit within its own certified bound of a deep one
     cfg = _line_config()
-    pts = np.linspace(0.0, 1.0, 101).reshape(-1, 1)
-    deep = eval_alpha_fractal(cfg, pts, tol=1e-13)
+    xs = np.linspace(0.0, 1.0, 101)
+    deep = FractalField(cfg, tol=1e-13)
     for tol in (1e-2, 1e-4, 1e-6):
-        shallow = eval_alpha_fractal(cfg, pts, tol=tol)
-        gap = float(np.max(np.abs(shallow.values - deep.values)))
+        shallow = FractalField(cfg, tol=tol)
+        gap = float(np.max(np.abs(shallow.eval_arrays([xs]) - deep.eval_arrays([xs]))))
         assert gap <= shallow.error_bound + deep.error_bound
         assert shallow.error_bound <= tol
 
 
 def test_nodes_exact_even_at_shallow_depth():
     cfg = _line_config()
-    rep = eval_alpha_fractal(cfg, [[0.0], [0.5], [1.0]], depth=2)
-    assert rep.values.tolist() == [0.0, 0.5, 1.0]
+    field = FractalField(cfg, depth=2)
+    assert field.eval_arrays([np.array([0.0, 0.5, 1.0])]).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_single_factor_recursion_against_reference():
@@ -271,11 +264,12 @@ def test_single_factor_recursion_against_reference():
         return delta * reference(t, depth - 1) + blend(j, t)
 
     xs = np.linspace(0.0, 1.0, 33)
-    rep = eval_fif_delta(fif, xs.reshape(-1, 1), tol=1e-10)
+    field = DeltaFifField(fif, tol=1e-10)
     ref = np.array([reference(float(x), 40) for x in xs])
     tail = (1.0 + abs(delta)) * np.max(np.abs(z)) / (1 - abs(delta)) + np.max(np.abs(z))
     ref_bound = abs(delta) ** 40 * tail
-    assert float(np.max(np.abs(rep.values - ref))) <= rep.error_bound + ref_bound + 1e-12
+    err = float(np.max(np.abs(field.eval_arrays([xs]) - ref)))
+    assert err <= field.error_bound + ref_bound + 1e-12
 
 
 def test_boundary_consistency():
@@ -283,14 +277,14 @@ def test_boundary_consistency():
     for _ in range(6):
         cfg = conditioned_config(rng)
         rep = boundary_consistency_check(cfg, seed=5)
-        assert rep.passed, (rep.max_error, rep.tol)
+        assert rep.passed, (rep.lhs, rep.rhs)
     for _ in range(6):
         net = random_uniform_net(rng)
         shape = tuple(p.n_cells + 1 for p in net.axes)
         fif = make_delta_fif(net, rng.uniform(-1, 1, size=shape),
                              float(rng.uniform(-0.5, 0.5)))
         rep = boundary_consistency_check(fif, seed=5)
-        assert rep.passed, (rep.max_error, rep.tol)
+        assert rep.passed, (rep.lhs, rep.rhs)
 
 
 def test_admissibility_rejections():
@@ -321,27 +315,26 @@ def test_required_depth():
 def test_rb_sweep_fixes_the_solution():
     cfg = _line_config()
     res = solve_fixed_point_grid(cfg, resolution=129, tol=1e-13)
-    swept = rb_apply_grid(cfg, res.grid)
-    assert float(np.max(np.abs(swept.values - res.grid.values))) < 1e-12
+    swept = _grid_sweep(cfg, res.grid.axes)[1](res.grid.values)
+    assert float(np.max(np.abs(swept - res.grid.values))) < 1e-12
 
 
 def test_grid_function_interpolant_matches_grid():
     cfg = _line_config()
     res = solve_fixed_point_grid(cfg, resolution=65, tol=1e-13)
-    h = res.grid.interpolant()
-    vals = h.eval_arrays([np.asarray(res.grid.axes[0])])
+    vals = res.grid.eval_arrays([res.grid.axes[0]])
     np.testing.assert_allclose(vals, res.grid.values, atol=1e-15)
 
 
 def test_sample_surface_shapes():
     rng = np.random.default_rng(41)
     cfg = random_config(rng, dim=2)
-    axes, values, rep = sample_surface(cfg, resolution=9, tol=1e-6)
+    field = FractalField(cfg, tol=1e-6)
+    axes, values = sample_grid(field, 9)
     assert [len(a) for a in axes] == [9, 9]
     assert values.shape == (9, 9)
-    assert rep.error_bound <= 1e-6
+    assert field.error_bound <= 1e-6
     # grid rows agree with direct evaluation
-    field = FractalField(cfg, tol=1e-6)
     direct = mesh_eval(field, axes)
     np.testing.assert_allclose(values, direct, atol=1e-12)
 
@@ -357,52 +350,21 @@ def test_constant_alpha_zero_returns_base_field():
 
 
 def test_point_validation_edge_slack_and_nan():
-    cfg = _line_config()
-    inside = [[0.5], [1.0 + 5e-13], [-5e-13]]
-    assert eval_alpha_fractal(cfg, inside, tol=1e-8).values.shape == (3,)
-    for bad in (1.0 + 2e-12, -2e-12, float("nan")):
-        with pytest.raises(ValueError, match=rf"point \({bad!r},\) outside box"):
-            eval_alpha_fractal(cfg, [[0.5], [bad], [2.0]], tol=1e-8)
     net = build_net([(0.0, 1.0), (0.0, 2.0)], [[0.0, 0.5, 1.0], [0.0, 1.0, 2.0]])
     assert net.box.first_outside(np.array([[0.5, 2.0 + 5e-13], [1.0, 0.0]])) is None
     assert net.box.first_outside(np.array([[0.5, 1.0], [0.5, 2.0 + 2e-12],
                                            [np.nan, 0.0]])) == 1
 
 
-def test_point_evaluators_are_the_field_views():
-    # eval_alpha_fractal and eval_fif_delta check the points, then evaluate
-    # through FractalField and DeltaFifField: same values, depth and bound
-    rng = np.random.default_rng(41)
-    cfg = conditioned_config(rng, dim=2)
-    pts = np.column_stack([rng.uniform(p.lo, p.hi, 50) for p in cfg.net.axes])
-    shape = tuple(p.n_cells + 1 for p in cfg.net.axes)
-    fif = make_delta_fif(cfg.net, rng.uniform(-1, 1, size=shape), -0.3)
-    for depth in (None, 1, 3):
-        for evaluate, field in (
-            (eval_alpha_fractal(cfg, pts, tol=1e-9, depth=depth),
-             FractalField(cfg, tol=1e-9, depth=depth)),
-            (eval_fif_delta(fif, pts, tol=1e-9, depth=depth),
-             DeltaFifField(fif, tol=1e-9, depth=depth)),
-        ):
-            np.testing.assert_array_equal(evaluate.values,
-                                          field.eval_arrays([pts[:, 0], pts[:, 1]]))
-            assert (evaluate.depth, evaluate.error_bound) == (field.depth,
-                                                              field.error_bound)
-            if depth is not None:
-                assert field.depth == depth
-
-
 @pytest.mark.parametrize("construction", ["alpha", "delta"])
 def test_point_evaluation_runs_in_slabs(monkeypatch, construction):
-    # 2 * _SLAB_POINTS + 3 points: two full slabs and a part slab, through
-    # the CLI's path and the library's, each valued as in one whole call
+    # 2 * _SLAB_POINTS + 3 points: two full slabs and a part slab, each
+    # valued as in one whole call
     rng = np.random.default_rng(43)
     cfg = conditioned_config(rng, dim=2)
     shape = tuple(p.n_cells + 1 for p in cfg.net.axes)
     fif = make_delta_fif(cfg.net, rng.uniform(-1, 1, size=shape), -0.3)
-    cls, evaluate, data = ((FractalField, eval_alpha_fractal, cfg)
-                           if construction == "alpha" else
-                           (DeltaFifField, eval_fif_delta, fif))
+    cls, data = (FractalField, cfg) if construction == "alpha" else (DeltaFifField, fif)
     slab = 5
     pts = np.column_stack([rng.uniform(p.lo, p.hi, 2 * slab + 3) for p in cfg.net.axes])
     coords = [pts[:, 0], pts[:, 1]]
@@ -418,5 +380,4 @@ def test_point_evaluation_runs_in_slabs(monkeypatch, construction):
     monkeypatch.setattr(fractal_core, "_SLAB_POINTS", slab)
     monkeypatch.setattr(cls, "eval_arrays", spy)
     np.testing.assert_array_equal(fractal_core._eval_chunked(field, coords), whole)
-    np.testing.assert_array_equal(evaluate(data, pts, tol=1e-9).values, whole)
-    assert sizes == [slab, slab, 3] * 2
+    assert sizes == [slab, slab, 3]

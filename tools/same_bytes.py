@@ -18,6 +18,8 @@ their stdout, stderr, exit code and CSV output byte for byte:
 - ``verify`` on the 3-D blend config of ROADMAP.md, and on the same
   config with the non-constant scale field of ``VERIFY_3D_ALPHA``, whose
   sup|alpha| is a 129^3 grid estimate;
+- ``eval`` of the malformed point ``0.3`` on ``VERIFY_3D_ALPHA``, which
+  exits 2 with one error line;
 - ``verify`` on the ``verify-2d`` input with ``verify.inverse`` set to
   ``skip``;
 - ``norms`` on the ``fif-surface-3d`` input (the node-data construction);
@@ -167,6 +169,8 @@ def commands(configs: dict) -> list:
                 "out.csv"))
     for name in ("verify-2d-inverse-skip", "verify-3d", "verify-3d-alpha"):
         out.append((f"verify {name}", ["verify", "--config", configs[name]], None))
+    out.append(("eval verify-3d-alpha at a malformed point",
+                ["eval", "--config", configs["verify-3d-alpha"], "0.3"], None))
     out.append(("norms fif-surface-3d",
                 ["norms", "--config", configs["fif-surface-3d"]], None))
     for name in ("explicit-2d", "multiplication-2d"):
