@@ -14,11 +14,11 @@ own axis) so that per-axis work, such as the cell search of
 ``sample_grid`` hands every grid that its orbit path does not take to
 ``mesh_eval``. Only the evaluators that work point by point flatten them
 (``_flatten``, in ``CallableField`` and ``TensorPolynomial``).
-``_multilinear`` is the one multilinear kernel, of the node interpolant and
-of the node-data blend: nested per-axis lerps, which on an open mesh
-contract the table one axis at a time, each take on the axis values, and on
-other shapes, such as scattered points, reduce corners gathered from the
-raveled table pairwise along one axis after another.
+``_multilinear`` is the multilinear kernel of the node interpolant: nested
+per-axis lerps, which on an open mesh contract the table one axis at a
+time, each take on the axis values, and on other shapes, such as scattered
+points, reduce corners gathered from the raveled table pairwise along one
+axis after another.
 
 Grid maxima (``grid_sup_norm``, and ``make_config``'s gap through
 ``_grid_max``) are taken over slabs of at most ``_SLAB_POINTS`` points, so

@@ -476,11 +476,9 @@ def _checks(b: _Battery):
     a ``CheckReport``, a SKIP reason or the exception the check failed
     with. The node-data construction stops after ``jacobian_sum``; without
     an operator section the operator checks are skipped."""
-    net, field, op = b.problem.net, b.field, b.problem.op
+    net, field, op, cfg = b.problem.net, b.field, b.problem.op, b.field.config
     delta = b.problem.construction == "delta"
-    cfg = b.problem.fif if delta else field.config
-    yield "interpolation", interpolation_check(field, net, cfg.values if delta else cfg.f,
-                                               tol=1e-9)
+    yield "interpolation", interpolation_check(field, net, cfg.f, tol=1e-9)
     yield "boundary_consistency", boundary_consistency_check(cfg, seed=b.seed)
     if not delta:
         # the gap-form perturbation bounds work for explicit bases and operators alike

@@ -220,38 +220,6 @@ def _eval_arrays(node: Node, coords: list) -> np.ndarray:
     return np.power(a, b)
 
 
-def _precedence(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL, "/": _BP_MUL, "^": _BP_POW}[node.op]
-    if isinstance(node, Neg):
-        return _BP_UNARY
-    return 100
-
-
-def _to_source(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Neg):
-        inner = _to_source(node.arg)
-        if _precedence(node.arg) < 100:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Func):
-        return f"{node.name}({_to_source(node.arg)})"
-    prec = _precedence(node)
-    left = _to_source(node.left)
-    right = _to_source(node.right)
-    # parenthesize whenever the child binds no tighter than this node; keeps
-    # the printer trivially re-parseable for - / ^ without special cases
-    if _precedence(node.left) <= prec:
-        left = f"({left})"
-    if _precedence(node.right) <= prec:
-        right = f"({right})"
-    return f"{left} {node.op} {right}"
-
-
 @dataclass(frozen=True)
 class FieldExpr(_Field):
     """A parsed scalar field on k variables.
@@ -276,11 +244,6 @@ class FieldExpr(_Field):
         if not np.all(np.isfinite(out)):
             raise FieldDomainError(f"non-finite value while evaluating {self.source!r}")
         return _full_shape(out, coords)
-
-    def to_source(self) -> str:
-        """Render back to text; re-parsing yields an expression with
-        identical evaluations."""
-        return _to_source(self.root)
 
     def __repr__(self) -> str:
         return f"FieldExpr({self.source!r}, arity={self.arity})"

@@ -26,7 +26,6 @@ __all__ = [
     "build_net",
     "cell_map",
     "axis_coefficients",
-    "eta",
     "node_arrays",
     "node_points",
     "jacobian_sum",
@@ -45,14 +44,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.bounds)
-
-    @property
-    def widths(self) -> tuple:
-        return tuple(hi - lo for lo, hi in self.bounds)
-
-    @property
-    def volume(self) -> float:
-        return math.prod(self.widths)
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:
@@ -108,14 +99,6 @@ class Net:
     @property
     def cells_per_axis(self) -> tuple:
         return tuple(ax.n_cells for ax in self.axes)
-
-    @property
-    def n_cells(self) -> int:
-        return math.prod(self.cells_per_axis)
-
-    @property
-    def n_nodes(self) -> int:
-        return math.prod(ax.n_cells + 1 for ax in self.axes)
 
     def all_cells(self):
         """Iterate 1-based cell multi-indices, axis 1 fastest."""
@@ -229,17 +212,6 @@ def _preimage(y, a, b, lo, hi):
     """Preimage (y - b) / a under the cell map t -> a*t + b, clipped to the
     axis interval [lo, hi] against float drift."""
     return _clip((y - b) / a, lo, hi)
-
-
-def eta(part: AxisPartition, j: int, m: int) -> int:
-    """Knot index adjacent cells agree on: for endpoint label m in {0, N},
-    odd j picks (j-1, j) and even j picks (j, j-1)."""
-    n = part.n_cells
-    if m not in (0, n):
-        raise ValueError(f"endpoint label must be 0 or {n}, got {m}")
-    if j % 2 == 1:
-        return j - 1 if m == 0 else j
-    return j if m == 0 else j - 1
 
 
 def node_arrays(net: Net):

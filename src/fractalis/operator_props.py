@@ -503,7 +503,9 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
 
     ``base`` is either an OperatorSpec or an explicit base field s; the
     per-step bound is a_n/(1-a_n) * ||f - s||, so the errors decay to 0
-    with the scales. See ``_sequence_report`` for the report.
+    with the scales. The gap f - s does not depend on the scale, so the
+    config is built once and each scale replaces its alpha. See
+    ``_sequence_report`` for the report.
     """
     f = as_field(f)
     if isinstance(base, OperatorSpec):
@@ -512,9 +514,14 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
     else:
         s = as_field(base)
     axes = box_axes(net.box, resolution)
-    return _sequence_report("scale_sequence", [
-        _sup_gap(FractalField(make_config(net, f, float(a_n), s), tol=eval_tol), axes)
-        for a_n in scales])
+    cfg = make_config(net, f, float(scales[0]), s)
+    steps = []
+    for a_n in map(float, scales):
+        if not abs(a_n) < 1.0:
+            make_config(net, f, a_n, s)  # raises make_config's AdmissibilityError
+        scaled = replace(cfg, alpha=ConstantField(a_n), alpha_sup=abs(a_n))
+        steps.append(_sup_gap(FractalField(scaled, tol=eval_tol), axes))
+    return _sequence_report("scale_sequence", steps)
 
 
 def _sequence_report(name: str, steps) -> CheckReport:

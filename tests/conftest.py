@@ -60,6 +60,18 @@ def min_cell_ratio(net):
     )
 
 
+def eta(part, j: int, m: int) -> int:
+    """Knot index adjacent cells agree on, for the longhand node-data
+    references: for endpoint label m in {0, N}, odd j picks (j-1, j) and
+    even j picks (j, j-1)."""
+    n = part.n_cells
+    if m not in (0, n):
+        raise ValueError(f"endpoint label must be 0 or {n}, got {m}")
+    if j % 2 == 1:
+        return j - 1 if m == 0 else j
+    return j if m == 0 else j - 1
+
+
 def random_poly(rng, dim, degree=2, scale=1.0):
     coeffs = rng.uniform(-scale, scale, size=(degree + 1,) * dim)
     return TensorPolynomial(coeffs)

@@ -65,24 +65,6 @@ def test_parse_errors_carry_position():
         parse_field("x3", 2)
 
 
-def test_round_trip_through_source():
-    # the printer must reproduce the tree: evaluations agree bit for bit
-    sources = [
-        "2 + 3 * 4^2",
-        "-x1^2 + (x1 - 1) * (x1 + 1)",
-        "sin(x1 * x2) / (1 + x2^2)",
-        "exp(-x1^2 - x2^2)",
-        "6 / 3 / 2 - x1^x2^2",
-    ]
-    rng = np.random.default_rng(11)
-    for src in sources:
-        e = parse_field(src, 2)
-        back = parse_field(e.to_source(), 2)
-        for _ in range(100):
-            p = tuple(rng.uniform(0.1, 1.5, size=2))
-            assert back(p) == e(p)
-
-
 def test_sup_norm_monotone_under_refinement():
     e = parse_field("sin(5*x1) * exp(x1)", 1)
     box = [(0.0, 2.0)]
@@ -135,7 +117,6 @@ def test_log_function_and_its_domain():
     xs = np.linspace(0.0, 3.0, 7)
     np.testing.assert_array_equal(e.eval_arrays([xs]), np.log(xs + 1.0))
     assert e((math.e - 1.0,)) == pytest.approx(1.0, abs=1e-15)
-    assert parse_field("log(x1)", 1).to_source() == "log(x1)"
     for x in (-1.0, -2.0):  # log(0) and log of a negative number
         with pytest.raises(FieldDomainError):
             e((x,))

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     PinnedBase,
     conditioned_config,
+    eta,
     min_cell_ratio,
     random_config,
     random_net,
@@ -24,7 +25,6 @@ from fractalis import (
     boundary_consistency_check,
     build_net,
     cell_map,
-    eta,
     interpolation_check,
     make_config,
     make_delta_fif,
@@ -35,7 +35,7 @@ from fractalis import (
     solve_fixed_point_grid,
 )
 from fractalis import fractal_core
-from fractalis._fields import mesh_eval
+from fractalis._fields import box_axes, mesh_eval
 from fractalis.fractal_core import _grid_sweep
 from fractalis.net import _inverse_step, _locate_arrays
 
@@ -77,6 +77,36 @@ def test_interpolation_property_delta():
         field = DeltaFifField(fif, tol=1e-9)
         rep = interpolation_check(field, net, values, tol=1e-9)
         assert rep.passed, rep.details
+    # dyadic knots and bounds: the inverse cell maps are exact, node chains
+    # land on box corners, where f - s is 0, and node values are the data
+    # exactly; the last case is the benchmark's 3-D node-data input
+    cases = [(dim, n, rng.uniform(-2, 2, size=(n + 1,) * dim), -0.45)
+             for dim in (1, 2, 3) for n in (2, 4)]
+    cases.append((3, 2, np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 3, 3)), 0.4))
+    for dim, n, values, delta in cases:
+        net = build_net([(0.0, 1.0)] * dim, [np.linspace(0.0, 1.0, n + 1)] * dim)
+        field = DeltaFifField(make_delta_fif(net, values, delta), tol=1e-9)
+        rep = interpolation_check(field, net, values, tol=1e-9)
+        assert rep.lhs == 0.0, (dim, n, rep.lhs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_node_data_gap_is_exact(dim):
+    # the node-data config is F(I z) with s the interpolant of the box-corner
+    # values; f - s is multilinear on every cell, so its max over the net
+    # nodes is its sup, and no point of a fine grid exceeds it
+    rng = np.random.default_rng(60 + dim)
+    for _ in range(3):
+        net = random_net(rng, dim=dim)
+        z = rng.uniform(-2, 2, size=tuple(p.n_cells + 1 for p in net.axes))
+        cfg = DeltaFifField(make_delta_fif(net, z, -0.45)).config
+        nodes = node_arrays(net)
+        corners = np.ix_(*[[0, -1]] * dim)
+        np.testing.assert_array_equal(mesh_eval(cfg.s, nodes)[corners], z[corners])
+        gaps = np.abs(mesh_eval(cfg.f, nodes) - mesh_eval(cfg.s, nodes))
+        assert cfg.fs_gap == float(np.max(gaps)) > 0.0
+        axes = box_axes(net.box, 65 if dim < 3 else 33)
+        assert np.max(np.abs(mesh_eval(cfg.f, axes) - mesh_eval(cfg.s, axes))) <= cfg.fs_gap
 
 
 def test_drift_noise_documented_regime():
@@ -172,6 +202,52 @@ def test_grid_iteration_contracts_at_scale_rate():
         if r_next < 1e-13:  # solver floor, ratios are noise past here
             break
         assert r_next <= (cfg.alpha_sup + 0.05) * r_prev
+
+
+def test_eta_endpoint_assignments():
+    net = build_net([(0.0, 1.0)], [[0.0, 0.25, 0.5, 0.75, 1.0]])
+    part = net.axes[0]
+    n = part.n_cells
+    for j in range(1, n + 1):
+        lo_idx = eta(part, j, 0)
+        hi_idx = eta(part, j, n)
+        if j % 2 == 1:
+            assert (lo_idx, hi_idx) == (j - 1, j)
+        else:
+            assert (lo_idx, hi_idx) == (j, j - 1)
+    with pytest.raises(ValueError):
+        eta(part, 1, 1)  # only the two endpoint labels are defined
+
+
+def test_adjacent_cells_agree_at_shared_knots():
+    # continuity across an interior knot: the endpoint of each adjacent cell
+    # map that lands on the knot must pick out the same node index j
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        net = random_net(rng, dim=1)
+        part = net.axes[0]
+        n = part.n_cells
+        for j in range(1, n):
+            left = eta(part, j, n) if j % 2 == 1 else eta(part, j, 0)
+            right = eta(part, j + 1, 0) if (j + 1) % 2 == 1 else eta(part, j + 1, n)
+            assert left == j
+            assert right == j
+            # and the maps really do land there
+            m_left = cell_map(net, 1, j)
+            m_right = cell_map(net, 1, j + 1)
+            end_left = part.hi if j % 2 == 1 else part.lo
+            end_right = part.lo if (j + 1) % 2 == 1 else part.hi
+            assert m_left.a * end_left + m_left.b == pytest.approx(part.knots[j])
+            assert m_right.a * end_right + m_right.b == pytest.approx(part.knots[j])
+            # pulling the knot back through either cell gives the same
+            # domain endpoint, so the two recursions meet
+            knot = [np.array([part.knots[j]])]
+            inv_left = float(_inverse_step(net, knot, [np.array([j - 1])])[0][0])
+            inv_right = float(_inverse_step(net, knot, [np.array([j])])[0][0])
+            assert inv_left == pytest.approx(inv_right, abs=1e-12)
+            assert min(
+                abs(inv_left - part.lo), abs(inv_left - part.hi)
+            ) < 1e-12 * max(1.0, abs(part.hi))
 
 
 def test_delta_attractor_identity():
@@ -283,7 +359,7 @@ def test_boundary_consistency():
         shape = tuple(p.n_cells + 1 for p in net.axes)
         fif = make_delta_fif(net, rng.uniform(-1, 1, size=shape),
                              float(rng.uniform(-0.5, 0.5)))
-        rep = boundary_consistency_check(fif, seed=5)
+        rep = boundary_consistency_check(DeltaFifField(fif).config, seed=5)
         assert rep.passed, (rep.lhs, rep.rhs)
 
 

@@ -1,4 +1,4 @@
-"""Net geometry: boxes, partitions, cell maps, locate, eta."""
+"""Net geometry: boxes, partitions, cell maps, locate."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from conftest import random_net
 from fractalis import (
     build_net,
     cell_map,
-    eta,
     jacobian_sum,
     node_arrays,
     node_points,
@@ -103,51 +102,6 @@ def test_map_and_inverse_point_consistency():
         knots = net.axes[q].knots
         lo, hi = sorted((knots[j - 1], knots[j]))
         assert lo - 1e-12 <= y[q] <= hi + 1e-12
-
-
-def test_eta_endpoint_assignments():
-    net = build_net([(0.0, 1.0)], [[0.0, 0.25, 0.5, 0.75, 1.0]])
-    part = net.axes[0]
-    n = part.n_cells
-    for j in range(1, n + 1):
-        lo_idx = eta(part, j, 0)
-        hi_idx = eta(part, j, n)
-        if j % 2 == 1:
-            assert (lo_idx, hi_idx) == (j - 1, j)
-        else:
-            assert (lo_idx, hi_idx) == (j, j - 1)
-    with pytest.raises(ValueError):
-        eta(part, 1, 1)  # only the two endpoint labels are defined
-
-
-def test_adjacent_cells_agree_at_shared_knots():
-    # continuity across an interior knot: the endpoint of each adjacent cell
-    # map that lands on the knot must pick out the same node index j
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        net = random_net(rng, dim=1)
-        part = net.axes[0]
-        n = part.n_cells
-        for j in range(1, n):
-            left = eta(part, j, n) if j % 2 == 1 else eta(part, j, 0)
-            right = eta(part, j + 1, 0) if (j + 1) % 2 == 1 else eta(part, j + 1, n)
-            assert left == j
-            assert right == j
-            # and the maps really do land there
-            m_left = cell_map(net, 1, j)
-            m_right = cell_map(net, 1, j + 1)
-            end_left = part.hi if j % 2 == 1 else part.lo
-            end_right = part.lo if (j + 1) % 2 == 1 else part.hi
-            assert _apply(m_left, end_left) == pytest.approx(part.knots[j])
-            assert _apply(m_right, end_right) == pytest.approx(part.knots[j])
-            # pulling the knot back through either cell gives the same
-            # domain endpoint, so the two recursions meet
-            inv_left = float(_pull_back(net, m_left, part.knots[j])[0])
-            inv_right = float(_pull_back(net, m_right, part.knots[j])[0])
-            assert inv_left == pytest.approx(inv_right, abs=1e-12)
-            assert min(
-                abs(inv_left - part.lo), abs(inv_left - part.hi)
-            ) < 1e-12 * max(1.0, abs(part.hi))
 
 
 def test_inverse_oracle_values():

@@ -42,8 +42,10 @@ from fractalis import (
     vanishing_invariance_check,
     validate_operator,
 )
-from fractalis._fields import NetInterpolant, mesh_eval
+from fractalis import fractal_core
+from fractalis._fields import NetInterpolant, box_axes, mesh_eval
 from fractalis.cli import _knot_product
+from fractalis.operator_props import _sup_gap
 
 
 def test_operator_norms_by_kind():
@@ -284,6 +286,31 @@ def test_scale_sequence_convergence_operator_base():
     steps = rep.details["steps"]
     assert rep.passed and all(st.passed for st in steps)
     assert steps[-1].lhs <= steps[0].lhs
+
+
+def test_scale_sequence_builds_one_config(monkeypatch):
+    # the gap f - s does not depend on the scale: one config build, with one
+    # gap sweep, gives the reports of one build per scale
+    net = build_net([(0.0, 1.0), (0.0, 2.0)], [[0.0, 0.3, 1.0], [0.0, 1.0, 2.0]])
+    f = parse_field("sin(3*x1)*cos(x2)+x1*x2", 2)
+    scales = [0.5 / n for n in range(1, 7)]
+    builds = []
+    build = fractal_core._config
+    monkeypatch.setattr(fractal_core, "_config",
+                        lambda *args: builds.append(args) or build(*args))
+    rep = alpha_sequence_convergence(net, f, blend_operator(0.6), scales, resolution=33)
+    assert len(builds) == 1
+    s = apply_operator(blend_operator(0.6), f, net)
+    axes = box_axes(net.box, 33)
+    want = [_sup_gap(FractalField(make_config(net, f, a, s), tol=1e-10), axes)
+            for a in scales]
+    got = rep.details["steps"]
+    assert [(st.lhs, st.rhs, st.details) for st in got] == [
+        (st.lhs, st.rhs, st.details) for st in want]
+    # a scale of modulus 1 or more fails as its own config build does
+    with pytest.raises(AdmissibilityError,
+                       match=r"^inadmissible configuration: sup\|alpha\| = 1.5, corner gap = "):
+        alpha_sequence_convergence(net, f, blend_operator(0.6), [0.5, -1.5], resolution=9)
 
 
 def test_operator_sequence_convergence():

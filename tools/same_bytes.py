@@ -15,6 +15,9 @@ their stdout, stderr, exit code and CSV output byte for byte:
   nonuniform net keeps the grid off the orbit path;
 - ``eval`` of ``EVAL_2D_POINTS`` seeded points on the ``verify-2d`` input,
   more than one slab of ``_SLAB_POINTS``;
+- ``surface`` of the node-data construction on the ``verify-2d`` input's
+  nonuniform net (seeded values, delta = ``FIF_2D_DELTA``), which runs the
+  chain on the open mesh;
 - ``verify`` on the 3-D blend config of ROADMAP.md, and on the same
   config with the non-constant scale field of ``VERIFY_3D_ALPHA``, whose
   sup|alpha| is a 129^3 grid estimate;
@@ -111,6 +114,8 @@ INVERSE_FAIL = {
 }
 # seeded points of the verify-2d eval, in run.points of a copy of its input
 EVAL_2D_POINTS = 40_000
+# vertical scale of the node-data surface on the verify-2d net
+FIF_2D_DELTA = -0.45
 # eval points for the inputs without run.points: box corners, knots and
 # interior points
 EVAL_POINTS = {
@@ -140,6 +145,12 @@ def write_inputs(work: Path) -> dict:
     path = work / "verify-2d-inverse-skip.json"
     path.write_text(json.dumps({**cfg, "verify": {"inverse": "skip"}}))
     configs["verify-2d-inverse-skip"] = str(path)
+    shape = [len(knots) for knots in cfg["net"]["knots"]]
+    values = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=shape)
+    path = work / "fif-2d.json"
+    path.write_text(json.dumps({"box": cfg["box"], "net": cfg["net"],
+                                "fif": {"delta": FIF_2D_DELTA, "values": values.tolist()}}))
+    configs["fif-2d"] = str(path)
     lo, hi = np.array(cfg["box"]["bounds"], dtype=float).T
     pts = np.random.default_rng(SEED).uniform(lo, hi, size=(EVAL_2D_POINTS, lo.size))
     cfg["run"]["points"] = pts.tolist()
@@ -167,6 +178,8 @@ def commands(configs: dict) -> list:
     out.append((f"eval verify-2d at {EVAL_2D_POINTS} points",
                 ["eval", "--config", configs["eval-2d-points"], "--out", "out.csv"],
                 "out.csv"))
+    out.append(("surface fif-2d",
+                ["surface", "--config", configs["fif-2d"], "--out", "out.csv"], "out.csv"))
     for name in ("verify-2d-inverse-skip", "verify-3d", "verify-3d-alpha"):
         out.append((f"verify {name}", ["verify", "--config", configs[name]], None))
     out.append(("eval verify-3d-alpha at a malformed point",
