@@ -7,7 +7,13 @@ multi-axis interpolant driven by a single vertical factor. On top of the
 evaluators it ships certified truncation bounds, a grid fixed-point oracle,
 operator-level bound checks, integral-norm inequalities with explicit
 constants, and polynomial / hat-basis approximation utilities.
+
+The names of ``approx`` and ``lp_space`` load their module on first use
+(``__getattr__``), so that the command line's ``surface`` and ``eval``
+import neither, nor ``numpy.polynomial``.
 """
+
+import importlib
 
 from ._fields import (
     BlendField,
@@ -19,18 +25,6 @@ from ._fields import (
     as_field,
     grid_sup_norm,
 )
-from .approx import (
-    ApproximationError,
-    EpsilonApproxResult,
-    HatField,
-    SchauderResult,
-    TensorPolynomial,
-    epsilon_approximate,
-    faber_schauder,
-    fractal_basis_reconstruct,
-    poly_fit_least_squares,
-    schauder_coefficients,
-)
 from .field_expr import (
     FieldDomainError,
     FieldExpr,
@@ -39,6 +33,7 @@ from .field_expr import (
 )
 from .fractal_core import (
     AdmissibilityError,
+    ApproximationError,
     CheckReport,
     DeltaFif,
     DeltaFifField,
@@ -53,18 +48,6 @@ from .fractal_core import (
     required_depth,
     sample_grid,
     solve_fixed_point_grid,
-)
-from .lp_space import (
-    ComplexFieldPair,
-    QuadratureRule,
-    complex_l2_identity_check,
-    complex_perturbation_gap,
-    complexify_apply,
-    lp_norm,
-    lp_perturbation_gap,
-    m_constant,
-    quadrature_rule,
-    refined_m_constant,
 )
 from .net import (
     AxisPartition,
@@ -99,6 +82,43 @@ from .operator_props import (
     validate_operator,
     vanishing_invariance_check,
 )
+
+# names loaded with their module on first use
+_LAZY = {
+    "approx": (
+        "EpsilonApproxResult",
+        "HatField",
+        "SchauderResult",
+        "TensorPolynomial",
+        "epsilon_approximate",
+        "faber_schauder",
+        "fractal_basis_reconstruct",
+        "poly_fit_least_squares",
+        "schauder_coefficients",
+    ),
+    "lp_space": (
+        "ComplexFieldPair",
+        "QuadratureRule",
+        "complex_l2_identity_check",
+        "complex_perturbation_gap",
+        "complexify_apply",
+        "lp_norm",
+        "lp_perturbation_gap",
+        "m_constant",
+        "quadrature_rule",
+        "refined_m_constant",
+    ),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "1.0.0"
 

@@ -28,7 +28,9 @@ is formed; scattered points are evaluated in slices of the same size
 
 ``with_gap`` gives f and the gap f - s to a base field s together, with f
 evaluated once: for the blend base ``BlendField`` the gap is t*(f - I f),
-formed in one step from f's values.
+formed in one step from f's values. Inside the chain, every
+``NetInterpolant`` on the net's knots takes the cells the chain has
+located.
 """
 
 from __future__ import annotations
@@ -97,16 +99,26 @@ def with_gap(f, s, coords, cells=None, net=None):
     """The values of f and of the gap f - s to the base field s at
     ``coords``, each of the broadcast shape (ValueError otherwise), with f
     evaluated once. For a ``BlendField`` of this f the gap is t*(f - I f),
-    formed in place from f's values; ``cells`` are the 0-based cells of
-    ``coords`` in ``net``, as the chain locates them, and a blend on that
-    net hands them to its node interpolant."""
-    f_vals = _checked(f, coords)
+    formed in place from f's values. ``cells`` are the 0-based cells of
+    ``coords`` in ``net``, as the chain locates them; every field here
+    that is a ``NetInterpolant`` on the knots of ``net`` (a blend's I f,
+    the node-data f) takes them in place of its own search."""
+    f_vals = _located(f, coords, cells, net)
     if isinstance(s, BlendField) and s.fields[0] is f:
-        gap = s.fields[1].eval_arrays(coords, cells if net is s.net else None)
+        gap = _located(s.fields[1], coords, cells, net)
         np.subtract(f_vals, gap, out=gap)
         gap *= s.weights[1]
         return f_vals, gap
-    return f_vals, f_vals - _checked(s, coords)
+    return f_vals, f_vals - _located(s, coords, cells, net)
+
+
+def _located(field, coords, cells, net) -> np.ndarray:
+    """``_checked(field, coords)``, where a NetInterpolant on the knots of
+    ``net`` takes the ``cells`` located in it, which its search would find."""
+    if cells is not None and isinstance(field, NetInterpolant) and field.dim == net.dim and all(
+            a.tolist() == list(part.knots) for a, part in zip(field.axes, net.axes)):
+        return field.eval_arrays(coords, cells)
+    return _checked(field, coords)
 
 
 def _grid_max(values, axes) -> float:
@@ -279,11 +291,9 @@ class NetInterpolant(_Field):
 @dataclass(frozen=True, eq=False)
 class BlendField(LinCombField):
     """The blend base (1 - t)*f + t*I f, with I f the node interpolant of
-    f on ``net``: the ``LinCombField`` of weights (1 - t, t) and fields
+    f on a net: the ``LinCombField`` of weights (1 - t, t) and fields
     (f, I f), which it is operation for operation. ``with_gap`` forms the
     gap f - s = t*(f - I f) from f's values instead."""
-
-    net: object
 
 
 def _multilinear(table, lows, thetas) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as _P
 
 from ._fields import LinCombField, _Field, _flatten, as_field, box_axes, mesh_eval
-from .fractal_core import FractalField
+from .fractal_core import ApproximationError, FractalField
 from .net import Net
 from .operator_props import (
     FractalOperator,
@@ -43,10 +43,6 @@ __all__ = [
     "SchauderResult",
     "fractal_basis_reconstruct",
 ]
-
-
-class ApproximationError(RuntimeError):
-    """Target accuracy not reachable within the configured limits."""
 
 
 @dataclass(frozen=True, eq=False)

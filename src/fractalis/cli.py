@@ -14,6 +14,15 @@ open mesh on every other grid (see ``fractal_core.sample_grid``), for
 either construction; ``eval`` evaluates its points in slices of
 ``_SLAB_POINTS`` (see ``fractal_core._eval_chunked``). A resolution may
 ask for at most MAX_GRID_POINTS grid points.
+
+CSV numbers are ``'%.17g' % v`` (``_format``), which reads back as the same
+double. ``surface`` and ``eval`` write their rows with one writer,
+``_row_blocks``, which formats whole arrays at once (``_texts``): exactly,
+by integer and double-double arithmetic, not by an approximation, so its
+text is ``_format``'s byte for byte; the values outside its range go
+through ``_format``. ``verify``, ``norms`` and ``approx`` load
+``lp_space`` or ``approx`` when they run, so ``surface`` and ``eval``
+import neither.
 """
 
 from __future__ import annotations
@@ -34,10 +43,10 @@ from ._fields import (
     grid_sup_norm,
     mesh_eval,
 )
-from .approx import ApproximationError, epsilon_approximate
 from .field_expr import FieldDomainError, FieldParseError, parse_field
 from .fractal_core import (
     AdmissibilityError,
+    ApproximationError,
     CheckReport,
     DeltaFifField,
     FractalField,
@@ -49,13 +58,6 @@ from .fractal_core import (
     make_config,
     make_delta_fif,
     sample_grid,
-)
-from .lp_space import (
-    ComplexFieldPair,
-    complex_l2_identity_check,
-    complex_perturbation_gap,
-    lp_perturbation_gap,
-    quadrature_rule,
 )
 from .net import build_net, jacobian_sum, node_arrays
 from .operator_props import (
@@ -308,51 +310,258 @@ def _format(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# Bytes of the longest '%.17g' text, such as -2.2250738585072014e-308.
+_TEXT_WIDTH = 24
+
+# Rows per block of the CSV writer: a block's padded rows and the
+# formatting temporaries of its values stay within a few MB.
+_BLOCK_ROWS = 2**13
+
+_U8, _U24, _U40, _U56, _U64 = (np.uint64(b) for b in (8, 24, 40, 56, 64))
+
+
+def _veltkamp(a):
+    """Veltkamp's split of doubles into halves of at most 26 significant
+    bits, big + small == a exactly."""
+    c = a * 134217729.0  # 2**27 + 1
+    big = c - (c - a)
+    return big, a - big
+
+
+@functools.cache
+def _text_tables():
+    """The constant tables of ``_texts``, built on first use.
+
+    - 10**k for k in 0..22, exact doubles, and their Veltkamp halves;
+    - per 4-digit group, its four characters as one little-endian word,
+      and how many of them are trailing zeros;
+    - per exponent E in -5..15, the number of digits before the point
+      (E + 1 in fixed notation, 0 for E < 0, 1 in exponent notation);
+    - per layout code ((E + 5) * 18 + kept digits) * 2 + sign, nine words:
+      the byte masks of the integer digits (two words) and of the kept
+      fraction digits (three), the bytes that are not digits (three: the
+      sign, the point or ``0.000`` inserted after the integer digits, and
+      the exponent), and how many bits the fraction moves up.
+    """
+    pow10 = np.array([float(10**k) for k in range(23)])
+    groups = [f"{g:04d}" for g in range(10**4)]
+    chars = np.frombuffer("".join(groups).encode(), dtype="<u4").astype(np.uint64)
+    zeros = np.array([4 - len(g.rstrip("0")) for g in groups])
+    point = np.array([e + 1 if e >= 0 else int(e == -5) for e in range(-5, 16)])
+    masks = np.zeros((21 * 18 * 2, 3, _TEXT_WIDTH), dtype=np.uint8)
+    shift = np.zeros(len(masks), dtype=np.uint64)
+    for e, p in zip(range(-5, 16), point.tolist()):
+        for keep in range(p, 18):
+            insert = "0." + "0" * (-e - 1) if -4 <= e < 0 else "." * (keep > p)
+            exponent = "e-05" * (e == -5)
+            for neg in (0, 1):
+                code = ((e + 5) * 18 + keep) * 2 + neg
+                integer, fraction, other = masks[code]
+                integer[:p] = 255
+                fraction[p:keep] = 255
+                other[0] = ord("-") * neg
+                other[1 + p:1 + p + len(insert)] = list(insert.encode())
+                at = 1 + keep + len(insert)
+                other[at:at + len(exponent)] = list(exponent.encode())
+                shift[code] = 8 * (1 + len(insert))
+    words = masks.view("<u8")  # (codes, 3, 3)
+    layout = np.vstack([words[:, 0, :2].T, words[:, 1].T, words[:, 2].T, shift])
+    return (pow10, *_veltkamp(pow10), chars, zeros, point, np.ascontiguousarray(layout))
+
+
+def _scaled(a, k):
+    """Doubles hi, lo with hi + lo == a * 10**k exactly: Dekker's two-product."""
+    pow10, pow10_big, pow10_small = _text_tables()[:3]
+    hi = a * pow10.take(k)
+    a_big, a_small = _veltkamp(a)
+    b_big, b_small = pow10_big.take(k), pow10_small.take(k)
+    lo = ((a_big * b_big - hi) + a_big * b_small + a_small * b_big) + a_small * b_small
+    return hi, lo
+
+
+def _divmod(n, m: int):
+    # numpy's floor division by a scalar has a fast path; np.divmod has not
+    q = n // m
+    return q, n - q * m
+
+
+def _texts(x) -> np.ndarray:
+    """``'%.17g' % v`` for each value v of the 1-d array ``x``, as the rows
+    of an (n, _TEXT_WIDTH) uint8 array: a row holds the text's bytes in
+    order, with zero bytes before, among or after them that a reader of
+    the row drops. Read that way, a row is byte for byte ``_format(v)``.
+
+    Values with 1e-5 <= |v| < 1e16 are formatted by array arithmetic
+    (``_scaled_texts``). Every other value (zeros, subnormals, |v| < 1e-5,
+    |v| >= 1e16, infinities and NaN) goes through ``_format``, once per
+    distinct bit pattern.
+    """
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-5) & (a < 1e16)))
+    if slow.size:
+        a[slow] = 2.0  # formatted below; 2.0 keeps the arithmetic in range
+    out = _scaled_texts(x, a)
+    if slow.size:
+        bits, inverse = np.unique(x[slow].view(np.int64), return_inverse=True)
+        table = np.zeros((bits.size, _TEXT_WIDTH), dtype=np.uint8)
+        for row, v in zip(table, bits.view(float)):
+            text = _format(v).encode()
+            row[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+        out[slow] = table.view("<u8")[inverse.ravel()]
+    return out.view(np.uint8)
+
+
+def _scaled_texts(x, a) -> np.ndarray:
+    """The texts of ``_texts`` for values 1e-5 <= |v| < 1e16 (``a`` = |x|),
+    as three little-endian words per value.
+
+    '%.17g' prints D * 10**(E - 16) with 10**16 <= D < 10**17 the integer
+    nearest to |v| * 10**(16 - E), ties to even (Gay's correctly rounded
+    conversion), and E the decimal exponent of |v| after that rounding.
+    The steps below give the same D and E exactly:
+
+    1. E starts as floor(log10|v|), which is within one of the exponent of
+       |v|, so k = 16 - E lies in 0..22 and 10**k is an exact double.
+    2. ``_scaled`` (Dekker's two-product on Veltkamp halves) gives doubles
+       hi + lo == |v| * 10**k exactly: no product overflows, and every
+       partial product is far above the subnormal range.
+    3. E is right when 10**16 <= hi + lo < 10**17. Both bounds are
+       doubles and hi is hi + lo rounded, so this reads off hi and the sign
+       of lo. Where it fails, E moves by one and step 2 is redone.
+    4. hi >= 10**16 > 2**53 is an even integer and |lo| <= ulp(hi)/2 <= 8,
+       so D = hi + rint(lo), summed in int64, is the nearest integer; on a
+       tie it is the even one, since hi is even and rint ties to even.
+       D never rounds up to 10**17, which would move E: for each power of
+       ten 10**-4 ... 10**16, the largest double below it gives
+       hi + lo <= 10**17 - 8.
+    5. The text follows '%g': fixed notation for -4 <= E < 17, otherwise
+       ``d.ddd...e-05`` (E is -5 here); the fraction loses its trailing
+       zeros, and a point with no digits after it goes.
+
+    The 17 digit characters of D come from the table of 4-digit groups,
+    packed into three words (byte i of the text is byte i % 8 of word
+    i // 8). The text is then one shift-and-mask: the integer digits move
+    up one byte (byte 0 holds the sign, or a zero byte), the kept fraction
+    digits move up past the point or ``0.000`` inserted after them, and the
+    sign, the insert and the exponent are or-ed in; the masks, the inserts
+    and the shift are looked up by E, the number of digits kept and the
+    sign (``_text_tables``).
+    """
+    chars, zeros, point, layout = _text_tables()[3:]
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, 16 - e)
+    off = ~((hi > 1e16) & (hi < 1e17))
+    if off.any():  # hi + lo may be out of [1e16, 1e17): check it exactly
+        j = np.flatnonzero(off)
+        h, l = hi[j], lo[j]
+        below = (h < 1e16) | ((h == 1e16) & (l < 0))
+        above = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        e[j] += above.astype(np.int64) - below
+        hi[j], lo[j] = _scaled(a[j], 16 - e[j])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    lead, rest = _divmod(d, 10**16)
+    g12, g34 = _divmod(rest, 10**8)
+    (g1, g2), (g3, g4) = _divmod(g12, 10**4), _divmod(g34, 10**4)
+    trailing = zeros.take(g4)
+    for level, g in enumerate((g3, g2, g1), start=1):
+        j = np.flatnonzero(trailing == 4 * level)  # the groups after g are all zeros
+        if not j.size:
+            break
+        trailing[j] += zeros.take(g[j])
+    e += 5
+    kept = np.maximum(17 - trailing, point.take(e))
+    code = (e * 18 + kept) * 2 + np.signbit(x)
+
+    w2, w4 = chars.take(g2), chars.take(g4)
+    lead += ord("0")
+    v0 = lead.view(np.uint64) | (chars.take(g1) << _U8) | (w2 << _U40)
+    v1 = (w2 >> _U24) | (chars.take(g3) << _U8) | (w4 << _U40)
+    v2 = w4 >> _U24
+    int0, int1, frac0, frac1, frac2, other0, other1, other2, up = (
+        row.take(code) for row in layout)
+    int0 &= v0
+    int1 &= v1
+    frac0 &= v0
+    frac1 &= v1
+    frac2 &= v2
+    down = _U64 - up
+    out = np.empty((x.size, 3), dtype="<u8")
+    out[:, 0] = (int0 << _U8) | (frac0 << up) | other0
+    out[:, 1] = (int1 << _U8) | (int0 >> _U56) | (frac1 << up) | (frac0 >> down) | other1
+    out[:, 2] = (int1 >> _U56) | (frac2 << up) | (frac1 >> down) | other2
+    return out
+
+
+def _row_blocks(columns, bound, rows: int = _BLOCK_ROWS):
+    """CSV rows ``c1,...,cm,bound`` as blocks of at most ``rows`` rows, each
+    a 1-d uint8 array of the rows' bytes. Numbers read as ``_format``
+    writes them (``_texts``).
+
+    ``columns`` holds one ``(values, stride)`` pair per column: row r shows
+    ``values[(r // stride) % len(values)]``. A column with one value per
+    row has stride 1 and sets the number of rows; a grid axis has fewer
+    values, and the stride of the axes that run faster. A grid axis is
+    formatted once and its texts gathered for each block; the other columns
+    are formatted a block at a time.
+
+    A block is built as a (rows, width) uint8 array: each column in a slot
+    of fixed width, zero bytes padding its text, then a comma; the bound
+    and the newline close the row. The commas and the bound are written
+    once, and one boolean compress per block drops the padding.
+    """
+    n = len(columns[-1][0])
+    slots, width = [], 0
+    for values, stride in columns:
+        table = None
+        if len(values) < n:
+            table = _texts(values)
+            table = table[:, :np.flatnonzero(table.any(axis=0))[-1] + 1]
+        slots.append((width, values, stride, table))
+        width += (_TEXT_WIDTH if table is None else table.shape[1]) + 1
+    tail = np.frombuffer((_format(bound) + "\n").encode(), dtype=np.uint8)
+    buf = np.zeros((min(rows, n), width + tail.size), dtype=np.uint8)
+    buf[:, [off - 1 for off, *_ in slots[1:]] + [width - 1]] = ord(",")
+    buf[:, width:] = tail
+    for start in range(0, n, rows):
+        block = buf[:min(rows, n - start)]
+        r = np.arange(start, start + len(block))
+        for off, values, stride, table in slots:
+            if table is None:
+                block[:, off:off + _TEXT_WIDTH] = _texts(values[start:start + len(block)])
+            else:
+                _, i = _divmod(r // stride, len(table))
+                block[:, off:off + table.shape[1]] = table.take(i, axis=0)
+        flat = block.reshape(-1)
+        yield flat[flat != 0]
+
+
 def _write_csv(out_path, header, blocks) -> None:
     """Write the header line, then each block of complete rows as it is
-    produced, to ``out_path`` or to stdout."""
-    fh = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
+    produced, as bytes to ``out_path`` or to stdout."""
+    if not out_path:
+        sys.stdout.flush()
+    fh = open(out_path, "wb") if out_path else sys.stdout.buffer
     try:
-        fh.write(",".join(header) + "\n")
+        fh.write((",".join(header) + "\n").encode())
         for block in blocks:
             fh.write(block)
     finally:
-        if fh is not sys.stdout:
+        if out_path:
             fh.close()
+        else:
+            fh.flush()
 
 
 def _header(dim: int) -> list:
     return [f"x{q + 1}" for q in range(dim)] + ["value", "error_bound"]
 
 
-def _grid_blocks(axes, values, bound):
-    """CSV rows of a grid, first axis fastest, one block per line of the
-    first axis. Coordinates and the bound are formatted once; values go
-    through ``%.17g``, which gives the same text as ``_format``."""
-    x1 = [_format(v) for v in axes[0]]
-    outer = [[_format(v) for v in a] for a in axes[1:]]
-    tail = f"%.17g,{_format(bound)}\n"
-    lines = values.reshape(len(x1), -1, order="F")
-    # np.ndindex runs its last index fastest, so reversed axes put x2 fastest
-    for col, rev in enumerate(np.ndindex(*(len(o) for o in reversed(outer)))):
-        mid = "".join(o[i] + "," for o, i in zip(outer, reversed(rev)))
-        args = [None] * (2 * len(x1))
-        args[0::2] = x1
-        args[1::2] = lines[:, col].tolist()
-        yield (("%s," + mid + tail) * len(x1)) % tuple(args)
-
-
-def _point_blocks(pts, values, bound, rows: int = 4096):
-    """CSV rows of scattered points in input order, ``rows`` per block."""
-    row = "%.17g," * (pts.shape[1] + 1) + _format(bound) + "\n"
-    for start in range(0, len(values), rows):
-        chunk = np.column_stack([pts[start:start + rows], values[start:start + rows]])
-        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
-
-
 def _write_surface(out_path, field, resolution) -> None:
     axes, values = sample_grid(field, resolution)
-    _write_csv(out_path, _header(len(axes)), _grid_blocks(axes, values, field.error_bound))
+    strides = np.cumprod([1] + [a.size for a in axes[:-1]])
+    columns = [*zip(axes, strides), (values.ravel(order="F"), 1)]
+    _write_csv(out_path, _header(len(axes)), _row_blocks(columns, field.error_bound))
 
 
 def cmd_surface(args) -> int:
@@ -415,8 +624,8 @@ def cmd_eval(args) -> int:
     field = problem.evaluator(tol)
     coords = [pts[:, q] for q in range(problem.net.dim)]
     values = _eval_chunked(field, coords)
-    _write_csv(args.out, _header(problem.net.dim),
-               _point_blocks(pts, values, field.error_bound))
+    columns = [(c, 1) for c in coords] + [(values, 1)]
+    _write_csv(args.out, _header(problem.net.dim), _row_blocks(columns, field.error_bound))
     return 0
 
 
@@ -452,6 +661,8 @@ class _Battery:
     operator, ``problem.F``, which every operator check takes."""
 
     def __init__(self, problem, args, tol_default: float):
+        from .lp_space import quadrature_rule
+
         self.problem = problem
         verify = args.command == "verify"
         if verify:
@@ -476,6 +687,13 @@ def _checks(b: _Battery):
     a ``CheckReport``, a SKIP reason or the exception the check failed
     with. The node-data construction stops after ``jacobian_sum``; without
     an operator section the operator checks are skipped."""
+    from .lp_space import (
+        ComplexFieldPair,
+        complex_l2_identity_check,
+        complex_perturbation_gap,
+        lp_perturbation_gap,
+    )
+
     net, field, op, cfg = b.problem.net, b.field, b.problem.op, b.field.config
     delta = b.problem.construction == "delta"
     yield "interpolation", interpolation_check(field, net, cfg.f, tol=1e-9)
@@ -583,6 +801,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from .approx import epsilon_approximate
+
     problem = _Problem(_load_config(args.config))
     if problem.construction != "alpha" or problem.f is None:
         raise UsageError("approx needs the scale-field construction")
@@ -605,6 +825,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    from .lp_space import lp_perturbation_gap
+
     problem = _Problem(_load_config(args.config))
     b = _Battery(problem, args, 1e-8)
     if problem.construction == "delta":

@@ -50,6 +50,7 @@ from .net import Net, _inverse_step, _locate_arrays, node_arrays, node_points
 
 __all__ = [
     "AdmissibilityError",
+    "ApproximationError",
     "ToleranceError",
     "IterationError",
     "FractalConfig",
@@ -75,6 +76,12 @@ _CORNER_TOL = 1e-10
 
 class AdmissibilityError(ValueError):
     """Scale field or base field violates the construction's hypotheses."""
+
+
+class ApproximationError(RuntimeError):
+    """Target accuracy not reachable within the configured limits (raised by
+    ``approx``; defined here so that the command line catches it without
+    loading ``approx``)."""
 
 
 class ToleranceError(RuntimeError):
@@ -243,9 +250,10 @@ class FractalField:
     the open mesh of the level's preimages. Each of their results must
     have the broadcast shape of the coordinates (ValueError otherwise). A
     constant alpha is not evaluated: the level product is a float
-    (``_scale``). f is evaluated once per level; the gap f - s to a blend
-    base (``BlendField``) is formed from those values and from the cells
-    the walk has located (``with_gap``).
+    (``_scale``). f is evaluated once per level, and the gap f - s to a
+    blend base (``BlendField``) is formed from those values. A node
+    interpolant on the net's knots (the node-data f, a blend's I f) takes
+    the cells the walk has located instead of searching (``with_gap``).
     """
 
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
@@ -296,10 +304,10 @@ class FractalField:
         scale = alpha
         walk = _orbit_walk(maps, depth - 1)
         next(walk)  # Q^0 is the grid itself, whose f is already in acc
-        for level, at in enumerate(walk, start=1):
-            acc = acc + scale * g[at]
+        for level, idx in enumerate(walk, start=1):
+            acc = acc + scale * _gather(g, idx)
             if level < depth - 1:
-                scale = scale * (alpha if np.ndim(alpha) == 0 else alpha[at])
+                scale = scale * (alpha if np.ndim(alpha) == 0 else _gather(alpha, idx))
         return acc
 
     def _scale(self, coords):
@@ -503,13 +511,20 @@ def _orbit_maps(net: Net, sizes):
 
 
 def _orbit_walk(maps, steps: int):
-    """``np.ix_`` gathers of the grid orbit Q^0, Q^1, ..., Q^steps, each
-    index tuple applied by the index ``maps`` of ``_orbit_maps``."""
+    """Per-axis grid indices of the orbit Q^0, Q^1, ..., Q^steps, each
+    level's applied by the index ``maps`` of ``_orbit_maps``."""
     idx = [np.arange(p.size) for p in maps]
     for level in range(steps + 1):
         if level:
             idx = [p[i] for p, i in zip(maps, idx)]
-        yield np.ix_(*idx)
+        yield idx
+
+
+def _gather(values, idx):
+    """``values[np.ix_(*idx)]``, taken along one axis after another."""
+    for q, i in enumerate(idx):
+        values = np.take(values, i, axis=q)
+    return values
 
 
 def _eval_chunked(field, coords) -> np.ndarray:

@@ -164,7 +164,7 @@ def apply_operator(op: OperatorSpec, f, net: Net):
     if op.kind == "blend":
         nodes = node_arrays(net)
         interp = NetInterpolant(nodes, mesh_eval(f, nodes))
-        return BlendField((1.0 - op.t, op.t), (f, interp), net)
+        return BlendField((1.0 - op.t, op.t), (f, interp))
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 

@@ -22,7 +22,7 @@ from fractalis import (
 )
 from fractalis import fractal_core
 from fractalis._fields import box_axes
-from fractalis.cli import _grid_blocks, _point_blocks, main
+from fractalis.cli import _row_blocks, _texts, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -398,6 +398,14 @@ def test_module_entry_point(tmp_path):
     assert "0.375" in proc.stdout
 
 
+def test_surface_and_eval_import_only_what_they_run():
+    code = ("import sys, fractalis.cli; print(sorted(m for m in sys.modules if m in "
+            "('fractalis.approx', 'fractalis.lp_space', 'numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _reference_csv(header, rows):
     """The row-at-a-time formatting the streamed writer must reproduce."""
     lines = [",".join(header)]
@@ -415,6 +423,14 @@ def _grid_rows(axes, values, bound):
 SPECIALS = [-0.0, 1e-300, 1e17, -1e17, 5e-324, 0.1, 1.0 / 3.0]
 
 
+def _grid_text(axes, values, bound, rows):
+    """The writer's rows of a grid, first axis fastest, as ``surface``
+    passes them: each axis with the stride of the axes before it."""
+    strides = np.cumprod([1] + [len(a) for a in axes[:-1]])
+    columns = [*zip(axes, strides), (values.ravel(order="F"), 1)]
+    return b"".join(_row_blocks(columns, bound, rows=rows)).decode("ascii")
+
+
 @pytest.mark.parametrize("shape", [(7,), (4, 3), (3, 2, 4)])
 def test_grid_writer_matches_reference_formatting(shape):
     rng = np.random.default_rng(len(shape))
@@ -422,10 +438,11 @@ def test_grid_writer_matches_reference_formatting(shape):
     axes[0][:3] = [-0.0, 1e-300, 1e17]
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
     values.flat[:len(SPECIALS)] = SPECIALS
+    n = values.size
     for bound in (1e-300, 3.0000000000000004e-9):
-        text = "".join(_grid_blocks(axes, values, bound))
-        want = _reference_csv([], _grid_rows(axes, values, bound))
-        assert text == want[1:]  # the reference starts with an empty header
+        want = _reference_csv([], _grid_rows(axes, values, bound))[1:]
+        for rows in (5, n, 8192):  # partial last block, one block, big block
+            assert _grid_text(axes, values, bound, rows) == want
 
 
 def test_point_writer_matches_reference_formatting():
@@ -435,9 +452,56 @@ def test_point_writer_matches_reference_formatting():
     values = rng.standard_normal(10)
     values[:len(SPECIALS)] = SPECIALS
     rows = [tuple(p) + (v, 1e17) for p, v in zip(pts, values)]
-    for block_rows in (3, 10, 4096):  # partial last block, one block, big block
-        text = "".join(_point_blocks(pts, values, 1e17, rows=block_rows))
+    columns = [(pts[:, 0], 1), (pts[:, 1], 1), (values, 1)]
+    for block_rows in (3, 4, 10, 8192):  # partial last blocks, one block, big block
+        text = b"".join(_row_blocks(columns, 1e17, rows=block_rows)).decode("ascii")
         assert text == _reference_csv([], rows)[1:]
+
+
+def _kernel_values(rng):
+    """Over 10**6 doubles for the text kernel, shuffled so that every
+    slice mixes in-range values with values that go through ``_format``."""
+    bits = rng.integers(0, 2**64, size=40_000, dtype=np.uint64).view(float)
+    lo, hi = np.array([1e-5, 1e16]).view(np.uint64)
+    in_range = rng.integers(lo, hi, size=350_000, dtype=np.uint64).view(float)
+    scaled = rng.standard_normal(120_000) * 10.0 ** rng.integers(-9, 19, size=120_000)
+    tiny = rng.integers(0, 2**52, size=10_000, dtype=np.uint64).view(float)  # subnormals
+    powers = 10.0 ** np.arange(-8, 19)
+    near = [powers]
+    for direction in (np.inf, 0.0):
+        step = powers
+        for _ in range(6):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    edges = []
+    for edge in (1e-5, 1e16):
+        up = down = np.float64(edge)
+        for _ in range(8):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            edges += [up, down]
+    # ties of the 17th digit: 10**(16 - k) + j / 2**(k + 1) times 10**k ends in .5 for odd j
+    ties = [10.0 ** (16 - k) + np.arange(-4000, 4000) / 2.0 ** (k + 1) for k in range(1, 6)]
+    x = np.concatenate([bits, in_range, scaled, tiny, -tiny, [0.0, -0.0, 1e16, 1e-5],
+                        *near, edges, *ties])
+    x = np.concatenate([x, -x])
+    return x[rng.permutation(x.size)]
+
+
+def test_text_kernel_matches_percent_17g():
+    x = _kernel_values(np.random.default_rng(19))
+    finite = x[np.isfinite(x)]
+    assert finite.size >= 10**6
+    assert np.count_nonzero((np.abs(finite) >= 1e-5) & (np.abs(finite) < 1e16)) >= 5 * 10**5
+    for start in range(0, x.size, 2**16):
+        part = x[start:start + 2**16]
+        texts = _texts(part)
+        rows = np.concatenate([texts, np.full((part.size, 1), ord("\n"), np.uint8)], axis=1)
+        got = rows[rows != 0].tobytes().decode("ascii")
+        want = "".join("%.17g\n" % v for v in part.tolist())
+        if got != want:
+            bad = [(v, g, w) for v, g, w in zip(part.tolist(), got.splitlines(),
+                                                want.splitlines()) if g != w]
+            raise AssertionError(f"{len(bad)} texts differ, first: {bad[:5]}")
 
 
 def _mixed_net_config(tmp_path, name="mixed.json", x1_knots=(0.0, 0.5, 1.0)):
@@ -486,6 +550,25 @@ def test_surface_bytes_match_reference_on_stdout_and_out(tmp_path, capsys, knots
         assert np.max(np.abs(got[:, 2] - ref[:, 2])) <= field.error_bound + 1e-12
     else:
         assert stdout == want
+
+
+def test_surface_on_stdout_is_the_out_file_byte_for_byte(tmp_path):
+    cfg = _mixed_net_config(tmp_path, x1_knots=(0.0, 0.3, 0.6, 1.0))
+    out = tmp_path / "surf.csv"
+    args = ["surface", "--config", cfg, "--resolution", "17,9"]
+    assert main(args + ["--out", str(out)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "fractalis.cli", *args], capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == out.read_bytes()
+    net = build_net([[0.0, 1.0], [-0.5, 1.0]], [[0.0, 0.3, 0.6, 1.0], [-0.5, 0.0, 0.5, 1.0]])
+    config = make_operator_config(net, parse_field("sin(3*x1)*cos(2*x2)+x1*x2", 2),
+                                  parse_field("0.2+0.05*x1*x2", 2), blend_operator(0.6))
+    field = FractalField(config, tol=1e-8)
+    axes = box_axes(net.box, (17, 9))
+    values = field.eval_arrays(np.meshgrid(*axes, indexing="ij", sparse=True))
+    want = _reference_csv(["x1", "x2", "value", "error_bound"],
+                          _grid_rows(axes, values, field.error_bound))
+    assert proc.stdout == want.encode("ascii")
 
 
 @pytest.mark.parametrize("slab", [None, 1000])

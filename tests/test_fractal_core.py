@@ -21,6 +21,7 @@ from fractalis import (
     ConstantField,
     DeltaFifField,
     FractalField,
+    NetInterpolant,
     ToleranceError,
     boundary_consistency_check,
     build_net,
@@ -107,6 +108,29 @@ def test_node_data_gap_is_exact(dim):
         assert cfg.fs_gap == float(np.max(gaps)) > 0.0
         axes = box_axes(net.box, 65 if dim < 3 else 33)
         assert np.max(np.abs(mesh_eval(cfg.f, axes) - mesh_eval(cfg.s, axes))) <= cfg.fs_gap
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_node_data_f_takes_the_cells_of_the_chain(monkeypatch, dim):
+    # below the top level the node-data f, an interpolant on the net's
+    # knots, takes the cells the chain walk located; its own search finds
+    # the same cells, so the values keep their bits
+    rng = np.random.default_rng(70 + dim)
+    net = random_net(rng, dim=dim)
+    z = rng.uniform(-2, 2, size=tuple(p.n_cells + 1 for p in net.axes))
+    field = DeltaFifField(make_delta_fif(net, z, -0.45), tol=1e-9)
+    coords = [rng.uniform(p.lo, p.hi, 500) for p in net.axes]
+    given = field.eval_arrays(coords)
+    evaluate, handed = NetInterpolant.eval_arrays, []
+
+    def searching(self, coords, cells=None):
+        if self is field.config.f:
+            handed.append(cells is not None)
+        return evaluate(self, coords)
+
+    monkeypatch.setattr(NetInterpolant, "eval_arrays", searching)
+    np.testing.assert_array_equal(field.eval_arrays(coords), given)
+    assert handed == [False] + [True] * (field.depth - 1)
 
 
 def test_drift_noise_documented_regime():

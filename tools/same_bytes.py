@@ -18,6 +18,9 @@ their stdout, stderr, exit code and CSV output byte for byte:
 - ``surface`` of the node-data construction on the ``verify-2d`` input's
   nonuniform net (seeded values, delta = ``FIF_2D_DELTA``), which runs the
   chain on the open mesh;
+- ``surface`` of ``WIDE_RANGE_2D``, node data whose surface holds zeros,
+  values below 1e-5 and values of 1e16 and more in magnitude, which the
+  CSV writer formats one at a time (``cli._texts``);
 - ``verify`` on the 3-D blend config of ROADMAP.md, and on the same
   config with the non-constant scale field of ``VERIFY_3D_ALPHA``, whose
   sup|alpha| is a 129^3 grid estimate;
@@ -112,6 +115,15 @@ INVERSE_FAIL = {
     "run": {"resolution": 65, "seed": 0},
     "verify": {"inverse": "require"},
 }
+# node data spanning 24 decades: the surface has zeros, |v| < 1e-5 and
+# |v| >= 1e16, the values the CSV writer formats one at a time
+WIDE_RANGE_2D = {
+    "box": {"bounds": [[0, 1], [0, 1]]},
+    "net": {"knots": [[0, 0.5, 1], [0, 0.5, 1]]},
+    "fif": {"delta": 0.05,
+            "values": [[0, 1e-7, -3e-9], [2.5e17, 0, 1.5], [-1e-6, 4e16, 0]]},
+    "run": {"resolution": 33},
+}
 # seeded points of the verify-2d eval, in run.points of a copy of its input
 EVAL_2D_POINTS = 40_000
 # vertical scale of the node-data surface on the verify-2d net
@@ -137,7 +149,7 @@ def write_inputs(work: Path) -> dict:
     for name, cfg in (("verify-3d", VERIFY_3D), ("verify-3d-alpha", VERIFY_3D_ALPHA),
                       ("explicit-2d", EXPLICIT_2D),
                       ("multiplication-2d", MULTIPLICATION_2D),
-                      ("inverse-fail", INVERSE_FAIL)):
+                      ("inverse-fail", INVERSE_FAIL), ("wide-range-2d", WIDE_RANGE_2D)):
         path = work / f"{name}.json"
         path.write_text(json.dumps(cfg))
         configs[name] = str(path)
@@ -180,6 +192,9 @@ def commands(configs: dict) -> list:
                 "out.csv"))
     out.append(("surface fif-2d",
                 ["surface", "--config", configs["fif-2d"], "--out", "out.csv"], "out.csv"))
+    out.append(("surface wide-range-2d",
+                ["surface", "--config", configs["wide-range-2d"], "--out", "out.csv"],
+                "out.csv"))
     for name in ("verify-2d-inverse-skip", "verify-3d", "verify-3d-alpha"):
         out.append((f"verify {name}", ["verify", "--config", configs[name]], None))
     out.append(("eval verify-3d-alpha at a malformed point",
