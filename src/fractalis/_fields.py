@@ -10,7 +10,8 @@ cannot disagree. Only a plain callable is evaluated point by point
 passes the open mesh (one array per axis, each spanning its
 own axis) so that per-axis work, such as the cell search of
 ``NetInterpolant``, runs on the axis values only. The chain evaluators of
-``fractal_core`` keep such coordinates as they are at every level, and
+``fractal_core`` keep such coordinates as they are along the walk (a
+batch of several levels stacks them on a new leading axis), and
 ``sample_grid`` hands every grid that its orbit path does not take to
 ``mesh_eval``. Only the evaluators that work point by point flatten them
 (``_flatten``, in ``CallableField`` and ``TensorPolynomial``).
@@ -99,14 +100,16 @@ def with_gap(f, s, coords, cells=None, net=None):
     """The values of f and of the gap f - s to the base field s at
     ``coords``, each of the broadcast shape (ValueError otherwise), with f
     evaluated once. For a ``BlendField`` of this f the gap is t*(f - I f),
-    formed in place from f's values. ``cells`` are the 0-based cells of
-    ``coords`` in ``net``, as the chain locates them; every field here
-    that is a ``NetInterpolant`` on the knots of ``net`` (a blend's I f,
-    the node-data f) takes them in place of its own search."""
+    formed from f's values in the array of I f's, unless that array is
+    read-only (the kept sample of a ``FractalField``). ``cells`` are the
+    0-based cells of ``coords`` in ``net``, as the chain locates them;
+    every field here that is a ``NetInterpolant`` on the knots of ``net``
+    (a blend's I f, the node-data f) takes them in place of its own
+    search."""
     f_vals = _located(f, coords, cells, net)
     if isinstance(s, BlendField) and s.fields[0] is f:
-        gap = _located(s.fields[1], coords, cells, net)
-        np.subtract(f_vals, gap, out=gap)
+        interp = _located(s.fields[1], coords, cells, net)
+        gap = np.subtract(f_vals, interp, out=interp if interp.flags.writeable else None)
         gap *= s.weights[1]
         return f_vals, gap
     return f_vals, f_vals - _located(s, coords, cells, net)

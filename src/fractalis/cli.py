@@ -538,19 +538,22 @@ def _row_blocks(columns, bound, rows: int = _BLOCK_ROWS):
 
 def _write_csv(out_path, header, blocks) -> None:
     """Write the header line, then each block of complete rows as it is
-    produced, as bytes to ``out_path`` or to stdout."""
+    produced, as bytes to ``out_path`` or to stdout: through its byte
+    buffer when it has one (a text stream such as ``io.StringIO`` has
+    none, and gets the same text)."""
     if not out_path:
         sys.stdout.flush()
-    fh = open(out_path, "wb") if out_path else sys.stdout.buffer
+    fh = open(out_path, "wb") if out_path else getattr(sys.stdout, "buffer", None)
+    write = fh.write if fh is not None else lambda data: sys.stdout.write(bytes(data).decode())
     try:
-        fh.write((",".join(header) + "\n").encode())
+        write((",".join(header) + "\n").encode())
         for block in blocks:
-            fh.write(block)
+            write(block)
     finally:
         if out_path:
             fh.close()
         else:
-            fh.flush()
+            (fh or sys.stdout).flush()
 
 
 def _header(dim: int) -> list:
@@ -691,6 +694,7 @@ def _checks(b: _Battery):
         ComplexFieldPair,
         complex_l2_identity_check,
         complex_perturbation_gap,
+        complexify_apply,
         lp_perturbation_gap,
     )
 
@@ -777,11 +781,15 @@ def _checks(b: _Battery):
                                                              eval_tol=eval_tol)
 
     pair = ComplexFieldPair(real=cfg.f, imag=_sample_polynomials(net, b.rng, 1)[0])
+    # F of the pair's parts, held through the complex checks: the operator
+    # hands the same fields to each of them only while they are held
+    shared = complexify_apply(F, pair, tol=eval_tol)
     for p in b.ps:
         yield f"complex_gap_p{p:g}", complex_perturbation_gap(F, pair, p, resolution=b.q_res,
                                                               eval_tol=eval_tol)
     yield "complex_l2_identity", complex_l2_identity_check(F, pair, resolution=b.q_res,
                                                            eval_tol=eval_tol)
+    del shared
 
 
 def cmd_verify(args) -> int:

@@ -27,6 +27,7 @@ rounding of a corner, and node values carry the chain's drift.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,6 +226,30 @@ def _chain_walk(net: Net, coords, steps: int, top_cells=None):
         cells = X_cells
 
 
+def _stacked(levels, ndim: int):
+    """The per-axis arrays of a batch of chain levels: one level's as they
+    are, several stacked on a new leading axis, each array first given
+    the ``ndim`` dimensions of the broadcast shape, so that the stacks
+    broadcast against one another as the levels do."""
+    if len(levels) == 1:
+        return levels[0]
+    return [np.stack(axis).reshape((len(levels),) + (1,) * (ndim - np.ndim(axis[0]))
+                                   + np.shape(axis[0]))
+            for axis in zip(*levels)]
+
+
+def _mesh_axes(coords):
+    """Copies of the axis values of an open mesh (each of the k coordinate
+    arrays has k dimensions and spans only its own), or None for any
+    other layout."""
+    k = len(coords)
+    shapes = [np.shape(c) for c in coords]
+    if not all(len(shape) == k and all(n == 1 for p, n in enumerate(shape) if p != q)
+               for q, shape in enumerate(shapes)):
+        return None
+    return [np.array(c, dtype=float).reshape(-1) for c in coords]
+
+
 class FractalField:
     """Field view of a FractalConfig at a fixed evaluation tolerance.
 
@@ -246,14 +271,21 @@ class FractalField:
     once, on the grid.
 
     ``eval_arrays`` runs the chain on its coordinate arrays as given, with
-    no flattening: on an open mesh every level evaluates f, s and alpha on
-    the open mesh of the level's preimages. Each of their results must
-    have the broadcast shape of the coordinates (ValueError otherwise). A
+    no flattening: on an open mesh a level evaluates f, s and alpha on the
+    open mesh of the level's preimages. Each of their results must have
+    the broadcast shape of the coordinates (ValueError otherwise). A
     constant alpha is not evaluated: the level product is a float
-    (``_scale``). f is evaluated once per level, and the gap f - s to a
-    blend base (``BlendField``) is formed from those values. A node
-    interpolant on the net's knots (the node-data f, a blend's I f) takes
-    the cells the walk has located instead of searching (``with_gap``).
+    (``_scale``). The levels come in batches of ``_SLAB_POINTS // n``
+    levels for n points (at least one), stacked on a new leading axis;
+    a batch of one level is passed as it is, so an open mesh stays one.
+    f is evaluated once per batch, and the gap f - s to a blend base
+    (``BlendField``) is formed from those values. A node interpolant on
+    the net's knots (the node-data f, a blend's I f) takes the cells the
+    walk has located instead of searching (``with_gap``).
+
+    On an open mesh (``mesh_eval``) the field keeps its last sample,
+    read-only: a repeat of the same axis values returns it without a
+    chain, and an in-place write to it raises.
     """
 
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
@@ -266,30 +298,64 @@ class FractalField:
             depth = required_depth(config.alpha_sup, self.tail_constant, tol)
         self.depth = depth
         self.error_bound = self.tail_constant * config.alpha_sup**self.depth
+        self._last_sample = None
 
     def __call__(self, point) -> float:
         coords = [np.asarray([float(t)]) for t in point]
         return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        return self._chain(coords)
+        return self._sample(coords)
+
+    def _sample(self, coords) -> np.ndarray:
+        """``_chain`` at ``coords``. On an open mesh the values are kept,
+        read-only, with a copy of the axis values; the same axis values,
+        bit for bit, return them again."""
+        axes = _mesh_axes(coords)
+        if axes is None:
+            return self._chain(coords)
+        last = self._last_sample
+        if last is not None and len(last[0]) == len(axes) and all(
+                a.shape == b.shape and a.tobytes() == b.tobytes()
+                for a, b in zip(last[0], axes)):
+            return last[1]
+        values = self._chain(coords)
+        values.setflags(write=False)
+        self._last_sample = (axes, values)
+        return values
 
     def _chain(self, coords, top_cells=None) -> np.ndarray:
         """Unrolled fixed-point sum over the chain x, Qx, ..., Q^(depth-1) x:
         v(x) = f(x) + sum_{l=1}^{depth-1} prod_{m<l} alpha(X_m) * (f - s)(X_l);
         the level-depth term cancels against the base value s(X_depth).
-        ``top_cells`` forces the cells of the first step (``_chain_walk``)."""
-        cfg, depth = self.config, self.depth
+        ``top_cells`` forces the cells of the first step (``_chain_walk``).
+
+        The walk is taken a batch of levels at a time (see the class), and
+        the terms are added one level after another, in order, so that the
+        sum does not depend on the batching."""
+        cfg, depth, net = self.config, self.depth, self.net
         acc = _checked(cfg.f, coords)
         if depth == 1:
             return acc
         scale = self._scale(coords)
-        walk = _chain_walk(self.net, coords, depth - 1, top_cells)
-        for level, (_, X, cells) in enumerate(walk, start=1):
-            _, gap = with_gap(cfg.f, cfg.s, X, cells, self.net)
-            acc = acc + scale * gap
-            if level < depth - 1:
-                scale = scale * self._scale(X)
+        walk = _chain_walk(net, coords, depth - 1, top_cells)
+        per_batch = max(1, _SLAB_POINTS // max(1, acc.size))
+        level = 0
+        while batch := list(itertools.islice(walk, per_batch)):
+            m = len(batch)
+            X = _stacked([x for _, x, _ in batch], acc.ndim)
+            _, gap = with_gap(cfg.f, cfg.s, X, _stacked([c for _, _, c in batch], acc.ndim), net)
+            # alpha is needed at every level but the last, depth - 1
+            n_alpha = min(m, depth - 2 - level)
+            alpha = None
+            if n_alpha:
+                alpha = self._scale(X if n_alpha == m else [x[:n_alpha] for x in X])
+            for i in range(m):
+                level += 1
+                acc = acc + scale * (gap if m == 1 else gap[i])
+                if level < depth - 1:
+                    scale = scale * (alpha if m == 1 or np.ndim(alpha) == 0 else alpha[i])
+            del batch, X, gap, alpha  # one batch alive at a time
         return acc
 
     def _orbit(self, axes, maps) -> np.ndarray:
@@ -361,7 +427,7 @@ class DeltaFifField(FractalField):
     def eval_arrays(self, coords) -> np.ndarray:
         # defined here, not inherited, so that perfbench's tracer, which
         # wraps the methods a class defines, times the node-data chain apart
-        return self._chain(coords)
+        return self._sample(coords)
 
 
 def _grid_sweep(config: FractalConfig, axes):

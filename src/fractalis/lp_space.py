@@ -186,9 +186,8 @@ def complex_perturbation_gap(F: FractalOperator, pair: ComplexFieldPair, p: floa
     threshold lhs is compared against: that bound with a relative slack
     and the truncation bounds in the L^p scale."""
     rule = quadrature_rule(F.net.box, resolution)
-    cfg_re, cfg_im = F.config(pair.real), F.config(pair.imag)
-    fld_re = FractalField(cfg_re, tol=eval_tol)
-    fld_im = FractalField(cfg_im, tol=eval_tol)
+    fld_re, fld_im = F(pair.real, tol=eval_tol), F(pair.imag, tol=eval_tol)
+    cfg_re, cfg_im = fld_re.config, fld_im.config
     pert_re = mesh_eval(fld_re, rule.axes)
     pert_im = mesh_eval(fld_im, rule.axes)
     f_re, g_re = with_gap(cfg_re.f, cfg_re.s, _open_mesh(rule.axes))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,7 +218,16 @@ class FractalOperator:
     points per axis). Not exported: the constructor trusts ``alpha_sup``,
     so build it with ``fractal_operator``, which validates D and takes the
     sup. a >= 1 is not refused here but by each use that needs a
-    contraction."""
+    contraction.
+
+    F(f) is built once per field object f and tolerance for as long as
+    some caller holds it: the operator keeps a weak reference to each such
+    ``FractalField``, and with the field its last grid sample, so that
+    checks applying F to the same f share one chain per grid. A field
+    nobody holds any more is let go, sample and all; the references go
+    with the operator, and a copy made with ``dataclasses.replace`` starts
+    with none. A number or a plain callable is not a field object; each
+    call builds its F(f) anew."""
 
     net: Net
     alpha: object
@@ -237,9 +247,22 @@ class FractalOperator:
         return _config(self.net, f, self.alpha, apply_operator(self.op, f, self.net),
                        self.alpha_sup, self.sup_resolution)
 
+    @functools.cached_property
+    def _applied(self) -> weakref.WeakValueDictionary:
+        """F(f) by (id(f), tol) while it is held. F(f) holds f, so that no
+        other object can take f's id while its entry is here."""
+        return weakref.WeakValueDictionary()
+
     def __call__(self, f, tol: float = 1e-10) -> FractalField:
-        """F(f) as an evaluable field."""
-        return FractalField(self.config(f), tol=tol)
+        """F(f) as an evaluable field, the same one for the same f and tol
+        while it is held."""
+        if as_field(f) is not f:
+            return FractalField(self.config(f), tol=tol)
+        key = (id(f), tol)
+        field = self._applied.get(key)
+        if field is None:
+            field = self._applied[key] = FractalField(self.config(f), tol=tol)
+        return field
 
 
 def fractal_operator(net: Net, alpha, op: OperatorSpec,
@@ -380,15 +403,14 @@ def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
     ``rhs`` is that ``bound`` plus the truncation ``margin`` scaled by the
     same factor; the verdict also allows the relative slack on the bound."""
     norm_d, _ = F.norms
-    cfg = F.config(f)
     a = F.alpha_sup
     if a * norm_d >= 1.0:
         raise AdmissibilityError(
             f"lower bound needs sup|alpha|*||D|| < 1, got {a * norm_d}"
         )
-    field = FractalField(cfg, tol=eval_tol)
+    field = F(f, tol=eval_tol)
     axes = box_axes(F.net.box, resolution)
-    lhs = float(np.max(np.abs(mesh_eval(cfg.f, axes))))
+    lhs = float(np.max(np.abs(mesh_eval(field.config.f, axes))))
     pert_sup = float(np.max(np.abs(mesh_eval(field, axes))))
     factor = _inverse_norm_bound(a, norm_d)
     bound = factor * pert_sup

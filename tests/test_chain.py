@@ -1,6 +1,7 @@
 """The chain on broadcasting coordinates: an open mesh gives the values of
-the flattened points bit for bit, f is evaluated once per level, and every
-field result is held to the broadcast shape at every level."""
+the flattened points bit for bit, the batched chain gives the bits of the
+sum taken one level at a time, f is evaluated once per batch of levels,
+and every field result is held to the broadcast shape at every level."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from fractalis import (
     make_operator_config,
     parse_field,
 )
-from fractalis._fields import box_axes, mesh_eval
+from fractalis import fractal_core
+from fractalis._fields import _checked, _open_mesh, box_axes, mesh_eval, with_gap
+from fractalis.fractal_core import _chain_walk
+from fractalis.net import _locate_arrays
 
 _KNOTS = [[0.0, 0.3, 0.6, 1.0], [0.0, 0.7, 1.2, 2.0], [-1.0, -0.2, 0.5]]
 _BOUNDS = [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)]
@@ -45,6 +49,85 @@ def _delta(dim):
     return DeltaFifField(make_delta_fif(net, rng.uniform(-1.0, 1.0, size=shape), -0.45), depth=5)
 
 
+def _blend(dim, alpha):
+    """A FractalField on a blend base, with the scale field ``alpha``."""
+    cfg = make_operator_config(_net(dim), parse_field(_EXPR[dim], dim),
+                               parse_field(alpha, dim), blend_operator(0.6), sup_resolution=9)
+    return FractalField(cfg, depth=8)
+
+
+_FIELDS = {
+    "nested_fractal_2d": lambda: _nested_fractal(2),
+    "nested_fractal_3d": lambda: _nested_fractal(3),
+    "delta_2d": lambda: _delta(2),
+    "delta_3d": lambda: _delta(3),
+    "constant_alpha_2d": lambda: _blend(2, "0.35"),
+    "varying_alpha_3d": lambda: _blend(3, "0.2+0.1*x1*x3"),
+}
+
+
+def _longhand(self, coords, top_cells=None):
+    """The chain sum taken one level at a time: f, the gap and alpha
+    evaluated at each level's preimages alone, the terms added in order."""
+    cfg, depth = self.config, self.depth
+    acc = _checked(cfg.f, coords)
+    if depth == 1:
+        return acc
+    scale = self._scale(coords)
+    walk = _chain_walk(self.net, coords, depth - 1, top_cells)
+    for level, (_, X, cells) in enumerate(walk, start=1):
+        _, gap = with_gap(cfg.f, cfg.s, X, cells, self.net)
+        acc = acc + scale * gap
+        if level < depth - 1:
+            scale = scale * self._scale(X)
+    return acc
+
+
+def _coords(field, layout):
+    """Seeded scattered points, or the open mesh of an 11 x 9 (x 7) grid."""
+    if layout == "open_mesh":
+        return _open_mesh(box_axes(field.net.box, [11, 9, 7][:field.net.dim]))
+    rng = np.random.default_rng(5)
+    return [rng.uniform(lo, hi, 60) for lo, hi in field.net.box.bounds]
+
+
+@pytest.mark.parametrize("levels_per_batch", [None, 3, 1], ids=["one_batch", "3", "1"])
+@pytest.mark.parametrize("layout", ["flat_points", "open_mesh"])
+@pytest.mark.parametrize("name", list(_FIELDS))
+def test_batched_chain_equals_the_longhand_sum(monkeypatch, name, layout, levels_per_batch):
+    # fields built anew for each side: no sample kept by one is read by the other
+    longhand = _FIELDS[name]()
+    coords = _coords(longhand, layout)
+    n = np.broadcast(*coords).size
+    if levels_per_batch is not None:
+        # on the nested field the inner chain, at several levels' points, takes
+        # batches of fewer levels, or of one
+        monkeypatch.setattr(fractal_core, "_SLAB_POINTS", levels_per_batch * n)
+    with monkeypatch.context() as patched:
+        patched.setattr(FractalField, "_chain", _longhand)
+        want = longhand._chain(coords)
+    np.testing.assert_array_equal(_FIELDS[name]()._chain(coords), want)
+
+
+@pytest.mark.parametrize("levels_per_batch", [None, 2], ids=["one_batch", "2"])
+@pytest.mark.parametrize("name", ["nested_fractal_2d", "delta_3d", "varying_alpha_3d"])
+def test_batched_chain_with_forced_top_cells_equals_the_longhand_sum(
+        monkeypatch, name, levels_per_batch):
+    # the cells of a knot face forced from the left, as boundary_consistency
+    # does: the first step maps by them, every later step by located cells
+    longhand = _FIELDS[name]()
+    coords = _coords(longhand, "flat_points")
+    coords[0] = np.full_like(coords[0], longhand.net.axes[0].knots[1])
+    top_cells = list(_locate_arrays(longhand.net, coords))
+    top_cells[0] = np.zeros_like(top_cells[0])
+    if levels_per_batch is not None:
+        monkeypatch.setattr(fractal_core, "_SLAB_POINTS", levels_per_batch * coords[0].size)
+    with monkeypatch.context() as patched:
+        patched.setattr(FractalField, "_chain", _longhand)
+        want = longhand._chain(coords, top_cells)
+    np.testing.assert_array_equal(_FIELDS[name]()._chain(coords, top_cells), want)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("make", [_nested_fractal, _delta], ids=["nested_fractal", "delta"])
 def test_open_mesh_equals_flattened_points(make, dim):
@@ -56,28 +139,38 @@ def test_open_mesh_equals_flattened_points(make, dim):
 
 
 class _Counting:
-    """Wraps a field and counts its evaluations on coordinate arrays."""
+    """Wraps a field and records the point count of each of its evaluations
+    on coordinate arrays."""
 
     def __init__(self, field):
         self.field = field
-        self.calls = 0
+        self.points = []
 
     def __call__(self, point):
         return self.field(point)
 
     def eval_arrays(self, coords):
-        self.calls += 1
+        self.points.append(np.broadcast(*coords).size)
         return self.field.eval_arrays(coords)
 
 
+@pytest.mark.parametrize("levels_per_batch", [None, 2], ids=["one_batch", "2"])
 @pytest.mark.parametrize("depth", [1, 2, 5])
-def test_f_is_evaluated_once_per_level(depth):
+def test_f_is_evaluated_once_per_batch(monkeypatch, depth, levels_per_batch):
+    # f sees every point at every level, depth x n points in all: once at
+    # the top, then once per batch of the depth - 1 levels below it
     f = _Counting(parse_field(_EXPR[2], 2))
     cfg = make_operator_config(_net(2), f, 0.3, blend_operator(0.6), sup_resolution=9)
     field = FractalField(cfg, depth=depth)
-    f.calls = 0
-    field.eval_arrays([np.linspace(0.0, 1.0, 7), np.linspace(0.0, 2.0, 7)])
-    assert f.calls == depth
+    n = 7
+    if levels_per_batch is not None:
+        monkeypatch.setattr(fractal_core, "_SLAB_POINTS", levels_per_batch * n)
+    per_batch = levels_per_batch or depth
+    f.points = []
+    field.eval_arrays([np.linspace(0.0, 1.0, n), np.linspace(0.0, 2.0, n)])
+    below = [min(per_batch, depth - 1 - i) * n for i in range(0, depth - 1, per_batch)]
+    assert f.points == [n] + below
+    assert sum(f.points) == depth * n
 
 
 class _FirstAxisShaped:

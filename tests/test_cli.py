@@ -1,11 +1,14 @@
 """Command line behavior: CSV shape, determinism, exit codes."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -103,6 +106,18 @@ def test_surface_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command, points", [("surface", []), ("eval", ["0.25", "0.7"])])
+def test_csv_to_a_text_stdout_is_the_out_file_text(tmp_path, command, points):
+    # a stdout without a byte buffer, as under redirect_stdout, gets the text
+    # that --out writes as bytes
+    cfg = blend_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *points]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main([command, "--config", cfg, *points]) == 0
+    assert text.getvalue() == out.read_text()
+
+
 def test_verify_passes_and_lists_checks(tmp_path, capsys):
     cfg = blend_config(tmp_path)
     assert main(["verify", "--config", cfg]) == 0
@@ -177,6 +192,53 @@ def test_verify_takes_one_grid_sup_of_alpha(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--config", cfg]) == 0
     assert "VERIFY PASS" in capsys.readouterr().out
     assert grid_sups == [129]
+
+
+def test_verify_chains_each_field_once_on_the_shared_grid(tmp_path, capsys, monkeypatch):
+    # on the verify-2d input eight checks sample the battery's F(f) on the
+    # 129^2 grid (the quadrature axes are the same grid), and three the
+    # F of the complex pair's imaginary part: the battery's operator builds
+    # one field per f, each field runs its chain there once, and the CHECK
+    # lines are those of fields built anew for every check
+    from fractalis import cli
+    from fractalis.operator_props import FractalOperator
+
+    cfg = _verify_2d_config(tmp_path, run={"resolution": 129, "seed": 0, "p": [1, 2]})
+    # fields are recorded weakly: a strong reference would keep them shared
+    batteries, chained, repeats, configured = [], weakref.WeakSet(), [], []
+    checks, chain, config = cli._checks, FractalField._chain, FractalOperator.config
+
+    def recorded(b):
+        batteries.append(b)
+        return checks(b)
+
+    def counted(self, coords, top_cells=None):
+        if np.broadcast(*coords).shape == (129, 129):
+            if self in chained:
+                repeats.append(self.config.f)
+            chained.add(self)
+        return chain(self, coords, top_cells)
+
+    def configuring(self, f):
+        configured.append((self, f))
+        return config(self, f)
+
+    monkeypatch.setattr(cli, "_checks", recorded)
+    monkeypatch.setattr(FractalField, "_chain", counted)
+    monkeypatch.setattr(FractalOperator, "config", configuring)
+    assert main(["verify", "--config", cfg]) == 0
+    shared = capsys.readouterr().out
+    battery = batteries[0]
+    assert battery.field in chained
+    assert repeats == []
+    fs = [f for F, f in configured if F is battery.problem.F]
+    assert len(fs) == len({id(f) for f in fs})
+
+    monkeypatch.setattr(FractalField, "_sample", counted)
+    monkeypatch.setattr(FractalOperator, "__call__",
+                        lambda self, f, tol=1e-10: FractalField(self.config(f), tol=tol))
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out == shared
 
 
 @pytest.mark.parametrize("argv, overrides, names", [

@@ -113,24 +113,32 @@ def test_node_data_gap_is_exact(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_node_data_f_takes_the_cells_of_the_chain(monkeypatch, dim):
     # below the top level the node-data f, an interpolant on the net's
-    # knots, takes the cells the chain walk located; its own search finds
-    # the same cells, so the values keep their bits
+    # knots, takes the cells the chain walk located, at every level of
+    # every batch; its own search finds the same cells, so the values keep
+    # their bits. A fresh field evaluates again: in 1-D the points are an
+    # open mesh, whose sample the first field keeps.
     rng = np.random.default_rng(70 + dim)
     net = random_net(rng, dim=dim)
     z = rng.uniform(-2, 2, size=tuple(p.n_cells + 1 for p in net.axes))
-    field = DeltaFifField(make_delta_fif(net, z, -0.45), tol=1e-9)
-    coords = [rng.uniform(p.lo, p.hi, 500) for p in net.axes]
-    given = field.eval_arrays(coords)
+    fif = make_delta_fif(net, z, -0.45)
+    n = 500
+    coords = [rng.uniform(p.lo, p.hi, n) for p in net.axes]
+    given = DeltaFifField(fif, tol=1e-9).eval_arrays(coords)
+    field = DeltaFifField(fif, tol=1e-9)
     evaluate, handed = NetInterpolant.eval_arrays, []
 
     def searching(self, coords, cells=None):
         if self is field.config.f:
-            handed.append(cells is not None)
+            handed.append((cells is not None, np.broadcast(*coords).size))
         return evaluate(self, coords)
 
     monkeypatch.setattr(NetInterpolant, "eval_arrays", searching)
+    monkeypatch.setattr(fractal_core, "_SLAB_POINTS", 4 * n)  # batches of 4 levels
     np.testing.assert_array_equal(field.eval_arrays(coords), given)
-    assert handed == [False] + [True] * (field.depth - 1)
+    assert handed[0] == (False, n)
+    assert all(located for located, _ in handed[1:])
+    assert [size for _, size in handed[1:]] == [
+        min(4, field.depth - 1 - i) * n for i in range(0, field.depth - 1, 4)]
 
 
 def test_drift_noise_documented_regime():

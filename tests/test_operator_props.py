@@ -1,7 +1,10 @@
 """Operator-level properties: perturbation bounds, norm estimates,
 linearity, inversion, parameter convergence, subspace invariance."""
 
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,7 +46,14 @@ from fractalis import (
     validate_operator,
 )
 from fractalis import fractal_core
-from fractalis._fields import NetInterpolant, box_axes, mesh_eval
+from fractalis._fields import (
+    BlendField,
+    NetInterpolant,
+    _open_mesh,
+    box_axes,
+    mesh_eval,
+    with_gap,
+)
 from fractalis.cli import _knot_product
 from fractalis.operator_props import _sup_gap
 
@@ -367,3 +377,72 @@ def test_blend_config_sup_grid_memory():
     finally:
         tracemalloc.stop()
     assert peak < 140e6, peak
+
+
+def _memo_operator():
+    net = build_net([(0.0, 1.0), (0.0, 2.0)], [[0.0, 0.3, 1.0], [0.0, 1.0, 2.0]])
+    return fractal_operator(net, parse_field("0.2+0.1*x1*x2", 2), blend_operator(0.6))
+
+
+def test_operator_builds_one_field_per_field_object_and_tolerance():
+    F = _memo_operator()
+    f, g = parse_field("sin(3*x1)*x2", 2), parse_field("sin(3*x1)*x2", 2)
+    assert F(f, tol=1e-9) is F(f, tol=1e-9)
+    assert F(f, tol=1e-9) is not F(f, tol=1e-8)
+    # an equal field object of its own, a number and a plain callable each
+    # build their F(f) anew
+    assert F(g, tol=1e-9) is not F(f, tol=1e-9)
+    assert F(0.5) is not F(0.5)
+    assert F(lambda x: x[0]) is not F(lambda x: x[0])
+    # a copy with another base map shares none of the fields
+    assert dataclasses.replace(F, op=blend_operator(0.3))(f, tol=1e-9) is not F(f, tol=1e-9)
+
+
+def test_operator_keeps_a_field_only_while_it_is_held():
+    # F(f) holds f, so no other object can take f's id while the operator
+    # can hand F(f) out; a field nobody holds goes, and with it f
+    F = _memo_operator()
+    f = parse_field("x1*x2", 2)
+    field = F(f)
+    f_alive, field_alive = weakref.ref(f), weakref.ref(field)
+    del f
+    gc.collect()
+    assert f_alive() is not None and F(f_alive()) is field
+    del field
+    gc.collect()
+    assert field_alive() is None and f_alive() is None
+
+
+def test_field_keeps_its_last_grid_sample_read_only():
+    F = _memo_operator()
+    field = F(parse_field("sin(3*x1)*cos(x2)+x1*x2", 2))
+    axes = box_axes(F.net.box, [17, 9])
+    values = mesh_eval(field, axes)
+    assert mesh_eval(field, axes) is values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 1.0
+    # scattered points and other axes run the chain again
+    fresh = FractalField(field.config, tol=field.tol)
+    other = box_axes(F.net.box, [9, 17])
+    np.testing.assert_array_equal(mesh_eval(field, other), mesh_eval(fresh, other))
+    np.testing.assert_array_equal(mesh_eval(field, axes), values)
+    assert mesh_eval(field, axes) is not values
+    # axes written in place after a call are not taken for the kept ones
+    coords = np.meshgrid(*axes, indexing="ij", sparse=True)
+    kept = field.eval_arrays(coords)
+    coords[0][...] *= 0.5
+    np.testing.assert_array_equal(field.eval_arrays(coords), fresh.eval_arrays(coords))
+    assert not np.array_equal(field.eval_arrays(coords), kept)
+
+
+def test_blend_gap_leaves_a_kept_sample_as_it_is():
+    # the blend gap is formed in the array of its second field's values,
+    # unless that is a FractalField's read-only kept sample
+    F = _memo_operator()
+    f = parse_field("sin(3*x1)*x2", 2)
+    Ff = F(f)
+    axes = box_axes(F.net.box, [9, 5])
+    kept = mesh_eval(Ff, axes).copy()
+    f_vals, gap = with_gap(f, BlendField((0.5, 0.5), (f, Ff)), _open_mesh(axes))
+    np.testing.assert_array_equal(gap, 0.5 * (f_vals - kept))
+    np.testing.assert_array_equal(mesh_eval(Ff, axes), kept)
