@@ -27,11 +27,12 @@ that a slab's arrays stay in a core's cache and no array of the whole grid
 is formed; scattered points are evaluated in slices of the same size
 (``fractal_core._eval_chunked``).
 
-``with_gap`` gives f and the gap f - s to a base field s together, with f
-evaluated once: for the blend base ``BlendField`` the gap is t*(f - I f),
-formed in one step from f's values. Inside the chain, every
-``NetInterpolant`` on the net's knots takes the cells the chain has
-located.
+``with_gaps`` gives f and the gap f - s to a base field s together, for
+a list of (f, s) pairs at the same coordinates, with each distinct field
+object evaluated once: for the blend base ``BlendField`` the gap is
+t*(f - I f), formed from f's values, and blends of the same f and I f
+share f - I f. Inside the chain, every ``NetInterpolant`` on the net's
+knots takes the cells the chain has located.
 """
 
 from __future__ import annotations
@@ -98,28 +99,63 @@ def _checked(field, coords) -> np.ndarray:
 
 def with_gap(f, s, coords, cells=None, net=None):
     """The values of f and of the gap f - s to the base field s at
-    ``coords``, each of the broadcast shape (ValueError otherwise), with f
-    evaluated once. For a ``BlendField`` of this f the gap is t*(f - I f),
-    formed from f's values in the array of I f's, unless that array is
-    read-only (the kept sample of a ``FractalField``). ``cells`` are the
-    0-based cells of ``coords`` in ``net``, as the chain locates them;
-    every field here that is a ``NetInterpolant`` on the knots of ``net``
-    (a blend's I f, the node-data f) takes them in place of its own
+    ``coords``: ``with_gaps`` of the one pair."""
+    return with_gaps([(f, s)], coords, cells, net)[0]
+
+
+def with_gaps(pairs, coords, cells=None, net=None) -> list:
+    """``(f values, gap f - s)`` of each ``(f, s)`` of ``pairs`` at the same
+    ``coords``, each of the broadcast shape (ValueError otherwise), with
+    each distinct field object evaluated once; the same f and s give the
+    same arrays.
+
+    For a ``BlendField`` of its f the gap is t*(f - I f), formed from f's
+    values: f - I f is taken once per f and I f, into a new array (the
+    values of I f may be another pair's f, or the read-only kept sample of
+    a ``FractalField``), and scaled by each blend's t, in place for the
+    last blend that reads it. ``cells``
+    are the 0-based cells of ``coords`` in ``net``, as the chain locates
+    them; every field here that is a ``NetInterpolant`` on the knots of
+    ``net`` (a blend's I f, the node-data f) takes them in place of its own
     search."""
-    f_vals = _located(f, coords, cells, net)
-    if isinstance(s, BlendField) and s.fields[0] is f:
-        interp = _located(s.fields[1], coords, cells, net)
-        gap = np.subtract(f_vals, interp, out=interp if interp.flags.writeable else None)
-        gap *= s.weights[1]
-        return f_vals, gap
-    return f_vals, f_vals - _located(s, coords, cells, net)
+    pairs = list(pairs)
+    distinct = list({(id(f), id(s)): (f, s) for f, s in pairs}.values())
+    # the blends still to read each f - I f, by the ids of f and I f
+    readers = {}
+    for f, s in distinct:
+        if _blends(f, s):
+            readers.setdefault((id(f), id(s.fields[1])), set()).add(id(s))
+    values, diffs, gaps = {}, {}, {}
+
+    def at(field):
+        if id(field) not in values:
+            values[id(field)] = _located(field, coords, cells, net)
+        return values[id(field)]
+
+    for f, s in distinct:
+        f_vals = at(f)
+        if _blends(f, s):
+            key = (id(f), id(s.fields[1]))
+            if key not in diffs:
+                diffs[key] = np.subtract(f_vals, at(s.fields[1]))
+            readers[key].discard(id(s))
+            gap = np.multiply(diffs[key], s.weights[1],
+                              out=None if readers[key] else diffs[key])
+        else:
+            gap = f_vals - at(s)
+        gaps[(id(f), id(s))] = (f_vals, gap)
+    return [gaps[(id(f), id(s))] for f, s in pairs]
+
+
+def _blends(f, s) -> bool:
+    """Whether s is a ``BlendField`` of f, whose gap is t*(f - I f)."""
+    return isinstance(s, BlendField) and s.fields[0] is f
 
 
 def _located(field, coords, cells, net) -> np.ndarray:
     """``_checked(field, coords)``, where a NetInterpolant on the knots of
     ``net`` takes the ``cells`` located in it, which its search would find."""
-    if cells is not None and isinstance(field, NetInterpolant) and field.dim == net.dim and all(
-            a.tolist() == list(part.knots) for a, part in zip(field.axes, net.axes)):
+    if cells is not None and isinstance(field, NetInterpolant) and field._on_knots(net):
         return field.eval_arrays(coords, cells)
     return _checked(field, coords)
 
@@ -271,6 +307,7 @@ class NetInterpolant(_Field):
         self.values.setflags(write=False)
         self.dim = len(self.axes)
         self._steps = [np.diff(a) for a in self.axes]
+        self._knots_of = (None, False)
 
     def eval_arrays(self, coords, cells=None) -> np.ndarray:
         """Values at ``coords``. ``cells``, when given, are the 0-based
@@ -279,16 +316,31 @@ class NetInterpolant(_Field):
         which finds the same cells (interior knots go right)."""
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinate arrays")
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        if cells is None:
-            cells = [_clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
-                     for a, t in zip(self.axes, coords)]
-        thetas = []
-        for a, step, t, i in zip(self.axes, self._steps, coords, cells):
-            theta = t - a[i]
-            theta /= step[i]
-            thetas.append(theta)
-        return _multilinear(self.values, cells, thetas)
+        return _multilinear(self.values, *_cell_weights(self.axes, self._steps, coords, cells))
+
+    def _on_knots(self, net) -> bool:
+        """Whether the axes are the knots of ``net``; decided once per net
+        (the last one asked about is kept)."""
+        if self._knots_of[0] is not net:
+            self._knots_of = (net, self.dim == net.dim and all(
+                a.tolist() == list(part.knots) for a, part in zip(self.axes, net.axes)))
+        return self._knots_of[1]
+
+
+def _cell_weights(axes, steps, coords, cells=None):
+    """The 0-based cells and the lerp weights theta of ``coords`` on the
+    tensor grid of ``axes`` (``steps`` their differences), the arguments
+    of ``_multilinear``. ``cells``, when given, replace the search."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    if cells is None:
+        cells = [_clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
+                 for a, t in zip(axes, coords)]
+    thetas = []
+    for a, step, t, i in zip(axes, steps, coords, cells):
+        theta = t - a[i]
+        theta /= step[i]
+        thetas.append(theta)
+    return cells, thetas
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +371,10 @@ def _multilinear(table, lows, thetas) -> np.ndarray:
     """
     k = len(lows)
     shape = np.broadcast(*lows, *thetas).shape
+    # an open mesh: each array spans its own axis q only, so its size is
+    # its extent on axis q, which is the grid's
     if len(shape) == k and all(
-            np.shape(a) == tuple(n if p == q else 1 for p, n in enumerate(shape))
+            a.ndim == k and a.size == a.shape[q] == shape[q] != 0
             for q in range(k) for a in (lows[q], thetas[q])):
         out = _contract_axes(table, lows, thetas)
     else:
@@ -335,13 +389,13 @@ def _contract_axes(table, lows, thetas) -> np.ndarray:
     contiguous view; on the other axes such a view is not contiguous, and
     ``np.take`` would copy it whole, so they take at the index plus one."""
     for q, (low, th) in enumerate(zip(lows, thetas)):
-        index = np.ravel(low)
-        lo = np.take(table, index, axis=q, mode="clip")
+        index = low.ravel()
+        lo = table.take(index, axis=q, mode="clip")
         lo *= 1.0 - th
         if q == 0:
-            hi = np.take(table[1:], index, axis=0, mode="clip")
+            hi = table[1:].take(index, axis=0, mode="clip")
         else:
-            hi = np.take(table, index + 1, axis=q, mode="clip")
+            hi = table.take(index + 1, axis=q, mode="clip")
         hi *= th
         lo += hi
         table = lo
@@ -363,8 +417,8 @@ def _contract_points(table, lows, thetas, shape) -> np.ndarray:
     waiting, free = [], []
     for e in range(2 ** len(lows)):
         offset = sum(stride for q, stride in enumerate(strides) if e >> q & 1)
-        value = np.take(flat[offset:], low, out=free.pop() if free else np.empty(shape),
-                        mode="clip")
+        value = flat[offset:].take(low, out=free.pop() if free else np.empty(shape),
+                                   mode="clip")
         q = 0
         while e >> q & 1:  # value is the high end of axis q
             lo = waiting.pop()

@@ -12,9 +12,11 @@ It is evaluated by unrolling the fixed-point equation along the chain
 x, Qx, Q^2 x, ...; the running product of scale factors damps the tail
 geometrically, which gives a certified truncation bound at every call.
 ``_chain_walk`` is the one chain step (cell location, then the inverse
-cell map), where the chain's float drift enters. ``FractalField._chain``
-is the one sum along that walk, and ``FractalField._orbit`` the same sum
-as an exact walk over grid indices (for ``sample_grid``). The chain runs
+cell map), where the chain's float drift enters. ``_chains`` is the one
+sum along that walk, for one field (``FractalField._chain``) or for a
+list of fields on one net, which share the walk and the evaluations of
+the field objects they share; ``FractalField._orbit`` is the same sum as
+an exact walk over grid indices (for ``sample_grid``). The chain runs
 on coordinate arrays as they come, broadcasting against one another: on an
 open mesh, cell location, inverse steps and the per-axis work of each
 field run on the axis values, and only the sums are grid-sized. Where the
@@ -37,8 +39,10 @@ from ._fields import (
     ConstantField,
     NetInterpolant,
     _SLAB_POINTS,
+    _cell_weights,
     _checked,
     _grid_max,
+    _multilinear,
     _open_mesh,
     as_field,
     box_axes,
@@ -46,6 +50,7 @@ from ._fields import (
     mesh_eval,
     mesh_like,
     with_gap,
+    with_gaps,
 )
 from .net import Net, _inverse_step, _locate_arrays, node_arrays, node_points
 
@@ -281,7 +286,15 @@ class FractalField:
     f is evaluated once per batch, and the gap f - s to a blend base
     (``BlendField``) is formed from those values. A node interpolant on
     the net's knots (the node-data f, a blend's I f) takes the cells the
-    walk has located instead of searching (``with_gap``).
+    walk has located instead of searching (``with_gaps``).
+
+    One walk serves a list of fields on one net at the same coordinates
+    (``_chains``; one field is the case of a list of one): the walk runs
+    to the deepest field's depth, each distinct f, s, I f and alpha object
+    is evaluated once per batch for all of them, and each field's sum is
+    the one its own chain gives, bit for bit. The checks that apply an
+    operator to a family of fields on one grid sample the family so
+    (``_samples``).
 
     On an open mesh (``mesh_eval``) the field keeps its last sample,
     read-only: a repeat of the same axis values returns it without a
@@ -308,59 +321,31 @@ class FractalField:
         return self._sample(coords)
 
     def _sample(self, coords) -> np.ndarray:
-        """``_chain`` at ``coords``. On an open mesh the values are kept,
-        read-only, with a copy of the axis values; the same axis values,
-        bit for bit, return them again."""
-        axes = _mesh_axes(coords)
-        if axes is None:
-            return self._chain(coords)
+        """``_chain`` at ``coords``, kept on an open mesh (``_samples``)."""
+        return _samples([self], coords)[0]
+
+    def _kept(self, axes):
+        """The kept sample if it was taken on ``axes``, bit for bit, else None."""
         last = self._last_sample
         if last is not None and len(last[0]) == len(axes) and all(
                 a.shape == b.shape and a.tobytes() == b.tobytes()
                 for a, b in zip(last[0], axes)):
             return last[1]
-        values = self._chain(coords)
-        values.setflags(write=False)
-        self._last_sample = (axes, values)
-        return values
+        return None
 
     def _chain(self, coords, top_cells=None) -> np.ndarray:
         """Unrolled fixed-point sum over the chain x, Qx, ..., Q^(depth-1) x:
         v(x) = f(x) + sum_{l=1}^{depth-1} prod_{m<l} alpha(X_m) * (f - s)(X_l);
         the level-depth term cancels against the base value s(X_depth).
         ``top_cells`` forces the cells of the first step (``_chain_walk``).
-
-        The walk is taken a batch of levels at a time (see the class), and
-        the terms are added one level after another, in order, so that the
-        sum does not depend on the batching."""
-        cfg, depth, net = self.config, self.depth, self.net
-        acc = _checked(cfg.f, coords)
-        if depth == 1:
-            return acc
-        scale = self._scale(coords)
-        walk = _chain_walk(net, coords, depth - 1, top_cells)
-        per_batch = max(1, _SLAB_POINTS // max(1, acc.size))
-        level = 0
-        while batch := list(itertools.islice(walk, per_batch)):
-            m = len(batch)
-            X = _stacked([x for _, x, _ in batch], acc.ndim)
-            _, gap = with_gap(cfg.f, cfg.s, X, _stacked([c for _, _, c in batch], acc.ndim), net)
-            # alpha is needed at every level but the last, depth - 1
-            n_alpha = min(m, depth - 2 - level)
-            alpha = None
-            if n_alpha:
-                alpha = self._scale(X if n_alpha == m else [x[:n_alpha] for x in X])
-            for i in range(m):
-                level += 1
-                acc = acc + scale * (gap if m == 1 else gap[i])
-                if level < depth - 1:
-                    scale = scale * (alpha if m == 1 or np.ndim(alpha) == 0 else alpha[i])
-            del batch, X, gap, alpha  # one batch alive at a time
-        return acc
+        It is ``_chains`` of this one field."""
+        return _chains([self], coords, top_cells)[0]
 
     def _orbit(self, axes, maps) -> np.ndarray:
         """``_chain`` on the tensor grid of ``axes``, walking the orbit by
-        the index ``maps`` of ``_orbit_maps``; same sum in the same order."""
+        the index ``maps`` of ``_orbit_maps``; same sum in the same order.
+        Each level gathers into two buffers made once, and the sum and the
+        product are updated in place after the first level."""
         cfg, depth = self.config, self.depth
         mesh = _open_mesh(axes)
         acc, g = with_gap(cfg.f, cfg.s, mesh)
@@ -368,12 +353,26 @@ class FractalField:
             return acc
         alpha = self._scale(mesh)
         scale = alpha
+        buffers = [np.empty(g.shape), np.empty(g.shape)]
         walk = _orbit_walk(maps, depth - 1)
         next(walk)  # Q^0 is the grid itself, whose f is already in acc
         for level, idx in enumerate(walk, start=1):
-            acc = acc + scale * _gather(g, idx)
+            term = _gather(g, idx, buffers)
+            term *= scale
+            if level == 1:
+                # the start values may be a kept sample: the sum moves into
+                # the buffer the gather left free, and a new one takes its place
+                acc = np.add(acc, term, out=buffers[len(idx) % 2])
+                buffers[len(idx) % 2] = np.empty(g.shape)
+            else:
+                acc += term
             if level < depth - 1:
-                scale = scale * (alpha if np.ndim(alpha) == 0 else _gather(alpha, idx))
+                if np.ndim(alpha) == 0:
+                    scale = scale * alpha
+                else:
+                    factor = _gather(alpha, idx, buffers)
+                    # alpha's values are the first level's product: a new array
+                    scale = scale * factor if level == 1 else np.multiply(scale, factor, out=scale)
         return acc
 
     def _scale(self, coords):
@@ -384,6 +383,86 @@ class FractalField:
         if isinstance(alpha, ConstantField):
             return alpha.value
         return _checked(alpha, coords)
+
+
+def _chains(fields, coords, top_cells=None) -> list:
+    """``FractalField._chain`` of each of ``fields`` at the same ``coords``,
+    from one walk: the fields share a net, and chain positions depend only
+    on the net, the coordinates and the depth.
+
+    The walk runs to the deepest field's depth, a batch of levels at a
+    time (see ``FractalField``). In each batch every distinct f, base s,
+    blend interpolant I f and non-constant alpha object is evaluated once
+    (``with_gaps``; alpha on the levels that still need it). Each field
+    keeps its own sum, and fields with the same alpha object share one
+    running product; each field adds its terms one level after another, in
+    order, for its own levels only, so that its sum is the one its chain
+    alone gives, whatever the batching and whatever the other fields."""
+    net = fields[0].net
+    if any(fld.net != net for fld in fields):
+        raise ValueError("fields chained together must share a net")
+    tops = {}
+    for fld in fields:
+        f = fld.config.f
+        if id(f) not in tops:
+            tops[id(f)] = _checked(f, coords)
+    accs = [tops[id(fld.config.f)] for fld in fields]
+    del tops  # each sum holds its start values alone
+    steps = max(fld.depth for fld in fields) - 1
+    if steps == 0:
+        return accs
+    # one running product per alpha object, needed down to its deepest field
+    alphas = {id(fld.config.alpha): fld for fld in fields}
+    depth = {key: max(fld.depth for fld in fields if id(fld.config.alpha) == key)
+             for key in alphas}
+    scale = {key: fld._scale(coords) for key, fld in alphas.items() if depth[key] > 1}
+    walk = _chain_walk(net, coords, steps, top_cells)
+    ndim = accs[0].ndim
+    per_batch = max(1, _SLAB_POINTS // max(1, accs[0].size))
+    level = 0
+    while batch := list(itertools.islice(walk, per_batch)):
+        m = len(batch)
+        X = _stacked([x for _, x, _ in batch], ndim)
+        live = [i for i, fld in enumerate(fields) if fld.depth - 1 > level]
+        gaps = [gap for _, gap in with_gaps(
+            [(fields[i].config.f, fields[i].config.s) for i in live],
+            X, _stacked([c for _, _, c in batch], ndim), net)]
+        # alpha is needed at every level but the last, depth - 1
+        alpha = {}
+        for key, fld in alphas.items():
+            n_alpha = min(m, depth[key] - 2 - level)
+            if n_alpha > 0:
+                alpha[key] = fld._scale(X if n_alpha == m else [x[:n_alpha] for x in X])
+        for j in range(m):
+            level += 1
+            for i, gap in zip(live, gaps):
+                if level < fields[i].depth:
+                    key = id(fields[i].config.alpha)
+                    accs[i] = accs[i] + scale[key] * (gap if m == 1 else gap[j])
+            for key, a in alpha.items():
+                if level < depth[key] - 1:
+                    scale[key] = scale[key] * (a if m == 1 or np.ndim(a) == 0 else a[j])
+        del batch, X, gaps, alpha  # one batch alive at a time
+    return accs
+
+
+def _samples(fields, coords) -> list:
+    """``FractalField._sample`` of each of ``fields`` at the same ``coords``:
+    the ``_chains`` of the fields, in one walk. On an open mesh each
+    field's values are kept, read-only, with a copy of the axis values; a
+    field whose kept axis values are these, bit for bit, returns its kept
+    values again without a chain, and an in-place write to them raises."""
+    axes = _mesh_axes(coords)
+    if axes is None:
+        return _chains(fields, coords)
+    out = {id(fld): fld._kept(axes) for fld in fields}
+    todo = list({id(fld): fld for fld in fields if out[id(fld)] is None}.values())
+    if todo:
+        for fld, values in zip(todo, _chains(todo, coords)):
+            values.setflags(write=False)
+            fld._last_sample = (axes, values)
+            out[id(fld)] = values
+    return [out[id(fld)] for fld in fields]
 
 
 def make_delta_fif(net: Net, values, delta: float) -> DeltaFif:
@@ -430,28 +509,57 @@ class DeltaFifField(FractalField):
         return self._sample(coords)
 
 
-def _grid_sweep(config: FractalConfig, axes):
-    """Start values and sweep h -> f + alpha * (h(Q .) - s(Q .)) on the
-    tensor grid of ``axes``.
+class _GridSweep:
+    """The sweep h -> f + alpha * (h(Q .) - s(Q .)) on the tensor grid of
+    ``axes`` for one net and scale field, and its iteration to a fixed
+    point (``solve``).
 
-    Returns f on the grid and the sweep as a function of grid values. The
-    grid-fixed parts, Q x, f and alpha at x and s at Q x, are evaluated
-    once, here; off-grid values of h come from multilinear interpolation.
-    Q acts axis by axis, so the preimages of the grid are the tensor grid
-    of the per-axis preimages.
+    What depends only on the net, alpha and the grid is prepared once,
+    here: the preimages Q x, the cells and lerp weights by which h is read
+    there, and alpha on the grid. Q acts axis by axis, so the preimages of
+    the grid are the tensor grid of the per-axis preimages; off-grid values
+    of h come from multilinear interpolation. f on the grid and s at the
+    preimages are evaluated once per (f, s), by ``start``.
     """
-    net = config.net
-    pre_axes = _inverse_step(net, axes, _locate_arrays(net, axes))
-    pre = np.meshgrid(*pre_axes, indexing="ij", sparse=True)
-    f_here = mesh_eval(config.f, axes)
-    a_here = mesh_eval(config.alpha, axes)
-    s_pre = mesh_eval(config.s, pre_axes)
 
-    def sweep(values):
-        h = NetInterpolant(axes, values)
-        return f_here + a_here * (h.eval_arrays(pre) - s_pre)
+    def __init__(self, net: Net, alpha, axes):
+        self.axes = tuple(axes)
+        self.pre_axes = _inverse_step(net, self.axes, _locate_arrays(net, self.axes))
+        self._cells, self._thetas = _cell_weights(
+            self.axes, [np.diff(a) for a in self.axes], _open_mesh(self.pre_axes))
+        self._alpha = mesh_eval(alpha, self.axes)
 
-    return f_here, sweep
+    def start(self, f, s):
+        """f on the grid, and the sweep of (f, s) as a function of grid values."""
+        f_here = mesh_eval(f, self.axes)
+        s_pre = mesh_eval(s, self.pre_axes)
+
+        def sweep(values):
+            h_pre = _multilinear(np.asarray(values, dtype=float), self._cells, self._thetas)
+            return f_here + self._alpha * (h_pre - s_pre)
+
+        return f_here, sweep
+
+    def solve(self, f, s, alpha_sup: float, tol: float = 1e-12,
+              max_iter: int = 100_000) -> FixedPointResult:
+        """Sweep from f until the update is below ``tol * (1 - alpha_sup)``
+        (``solve_fixed_point_grid``)."""
+        f_grid, sweep = self.start(f, s)
+        target = tol * (1.0 - alpha_sup)
+        values = f_grid.copy()
+        residual = math.inf
+        for iteration in range(1, max_iter + 1):
+            new = sweep(values)
+            residual = float(np.max(np.abs(new - values)))
+            values = new
+            if residual <= target:
+                return FixedPointResult(grid=NetInterpolant(self.axes, values),
+                                        iterations=iteration, residual=residual)
+        raise IterationError(
+            f"no convergence to residual {target:.3e} in {max_iter} sweeps "
+            f"(last residual {residual:.3e})",
+            residual,
+        )
 
 
 def solve_fixed_point_grid(config: FractalConfig, resolution,
@@ -462,23 +570,8 @@ def solve_fixed_point_grid(config: FractalConfig, resolution,
     fixed point by tol. Independent of the chain evaluator; serves as a
     cross-check oracle for it.
     """
-    axes = tuple(box_axes(config.net.box, resolution))
-    f_grid, sweep = _grid_sweep(config, axes)
-    target = tol * (1.0 - config.alpha_sup)
-    values = f_grid.copy()
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        new = sweep(values)
-        residual = float(np.max(np.abs(new - values)))
-        values = new
-        if residual <= target:
-            return FixedPointResult(grid=NetInterpolant(axes, values),
-                                    iterations=iteration, residual=residual)
-    raise IterationError(
-        f"no convergence to residual {target:.3e} in {max_iter} sweeps "
-        f"(last residual {residual:.3e})",
-        residual,
-    )
+    sweep = _GridSweep(config.net, config.alpha, box_axes(config.net.box, resolution))
+    return sweep.solve(config.f, config.s, config.alpha_sup, tol, max_iter)
 
 
 def interpolation_check(field, net: Net, expected, tol: float = 1e-9) -> CheckReport:
@@ -586,10 +679,13 @@ def _orbit_walk(maps, steps: int):
         yield idx
 
 
-def _gather(values, idx):
-    """``values[np.ix_(*idx)]``, taken along one axis after another."""
+def _gather(values, idx, buffers):
+    """``values[np.ix_(*idx)]``, taken along one axis after another into the
+    two grid-shaped ``buffers`` in turn; returns the one that holds it.
+    Every index array is as long as its axis, so each take has the grid's
+    shape, and no array is made."""
     for q, i in enumerate(idx):
-        values = np.take(values, i, axis=q)
+        values = values.take(i, axis=q, out=buffers[q % 2], mode="clip")
     return values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import _open_mesh, as_field, box_axes, mesh_eval, with_gap
-from .fractal_core import CheckReport, FractalField
+from .fractal_core import CheckReport, FractalField, _samples
 from .operator_props import FractalOperator
 
 __all__ = [
@@ -218,22 +218,21 @@ def complex_l2_identity_check(F: FractalOperator, pair: ComplexFieldPair,
     ||F(f1)||_2^2 + ||F(f2)||_2^2. Second, complex homogeneity:
     F_C(i*f) = i*F_C(f) pointwise on the quadrature grid, which pushes a
     sign and a swap through two independently built perturbations. Both
-    are compared in relative terms against ``tol``.
+    are compared in relative terms against ``tol``. The four fields F(f1),
+    F(f2) and those of the rotated pair are sampled in one chain walk
+    (those with a kept sample of the grid are not chained again).
     """
     rule = quadrature_rule(F.net.box, resolution)
     pert = complexify_apply(F, pair, tol=eval_tol)
-    re_vals = mesh_eval(pert.real, rule.axes)
-    im_vals = mesh_eval(pert.imag, rule.axes)
+    pert_rot = complexify_apply(F, pair.scaled(1j), tol=eval_tol)
+    re_vals, im_vals, rot_re, rot_im = _samples(
+        [pert.real, pert.imag, pert_rot.real, pert_rot.imag], _open_mesh(rule.axes))
 
     total_sq = rule.integrate_values(np.hypot(re_vals, im_vals) ** 2)
     split_sq = rule.integrate_values(re_vals**2) + rule.integrate_values(im_vals**2)
     scale = max(1.0, abs(total_sq))
     err_split = abs(total_sq - split_sq) / scale
 
-    rotated = pair.scaled(1j)
-    pert_rot = complexify_apply(F, rotated, tol=eval_tol)
-    rot_re = mesh_eval(pert_rot.real, rule.axes)
-    rot_im = mesh_eval(pert_rot.imag, rule.axes)
     # i * (re + i im) = -im + i re
     scale_pt = max(1.0, float(np.max(np.hypot(re_vals, im_vals))))
     err_rot = float(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,6 +106,15 @@ class Net:
         for rev in itertools.product(*reversed(ranges)):
             yield tuple(reversed(rev))
 
+    @cached_property
+    def _knot_arrays(self) -> tuple:
+        """The knots of each axis as a read-only float array, converted on
+        first read; the cell search of every chain step reads them."""
+        out = tuple(np.asarray(part.knots, dtype=float) for part in self.axes)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class CellMap:
@@ -193,11 +202,8 @@ def axis_coefficients(net: Net):
 def _locate_arrays(net: Net, coords):
     """0-based cell index arrays, one per axis; interior knots go right,
     and the last cell is closed on both sides."""
-    out = []
-    for part, t in zip(net.axes, coords):
-        i = np.searchsorted(np.asarray(part.knots), t, side="right") - 1
-        out.append(_clip(i, 0, part.n_cells - 1))
-    return out
+    return [_clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+            for knots, t in zip(net._knot_arrays, coords)]
 
 
 def _inverse_step(net: Net, coords, cells):

@@ -41,7 +41,7 @@ from ._fields import (
     grid_sup_norm,
     mesh_eval,
     mesh_like,
-    with_gap,
+    with_gaps,
 )
 from .fractal_core import (
     AdmissibilityError,
@@ -49,10 +49,11 @@ from .fractal_core import (
     FractalConfig,
     FractalField,
     IterationError,
+    _GridSweep,
     _config,
+    _samples,
     _scale_sup,
     make_config,
-    solve_fixed_point_grid,
 )
 from .net import Net, node_arrays, node_points
 
@@ -283,34 +284,45 @@ def make_operator_config(net: Net, f, alpha, op: OperatorSpec,
 
 def _sup_gap(field: FractalField, axes) -> CheckReport:
     """||Ff - f|| <= a/(1-a) * ||f - s|| for the perturbed ``field`` of a
+    config: ``_sup_gaps`` of the one field."""
+    return _sup_gaps([field], axes)[0]
+
+
+def _sup_gaps(fields, axes) -> list:
+    """||Ff - f|| <= a/(1-a) * ||f - s|| for the perturbed field of each
     config, with sup norms taken as maxima over the tensor grid of
-    ``axes``. ``rhs`` is that ``bound`` plus the ``margin``, the field's
+    ``axes``: the fields (one net) are sampled in one chain walk, and f and
+    f - s of all of them are evaluated together (``with_gaps``). Each
+    report's ``rhs`` is that ``bound`` plus the ``margin``, the field's
     certified truncation bound; the verdict allows 1e-12 more for rounding.
     The details also carry the scale sup, ||f - s|| and the grid sups of f
     and Ff.
     """
-    cfg = field.config
-    f_vals, gap_vals = with_gap(cfg.f, cfg.s, _open_mesh(axes))
-    pert_vals = mesh_eval(field, axes)
-    lhs = float(np.max(np.abs(pert_vals - f_vals)))
-    gap = float(np.max(np.abs(gap_vals)))
-    a = cfg.alpha_sup
-    bound = a / (1.0 - a) * gap
-    rhs = bound + field.error_bound
-    return CheckReport(
-        name="perturbation_gap",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs <= rhs + 1e-12,
-        details={
-            "bound": bound,
-            "margin": field.error_bound,
-            "alpha_sup": a,
-            "base_gap": gap,
-            "f_sup": float(np.max(np.abs(f_vals))),
-            "perturbed_sup": float(np.max(np.abs(pert_vals))),
-        },
-    )
+    mesh = _open_mesh(axes)
+    perturbed = _samples(fields, mesh)
+    gaps = with_gaps([(fld.config.f, fld.config.s) for fld in fields], mesh)
+    reports = []
+    for field, pert_vals, (f_vals, gap_vals) in zip(fields, perturbed, gaps):
+        lhs = float(np.max(np.abs(pert_vals - f_vals)))
+        gap = float(np.max(np.abs(gap_vals)))
+        a = field.config.alpha_sup
+        bound = a / (1.0 - a) * gap
+        rhs = bound + field.error_bound
+        reports.append(CheckReport(
+            name="perturbation_gap",
+            lhs=lhs,
+            rhs=rhs,
+            passed=lhs <= rhs + 1e-12,
+            details={
+                "bound": bound,
+                "margin": field.error_bound,
+                "alpha_sup": a,
+                "base_gap": gap,
+                "f_sup": float(np.max(np.abs(f_vals))),
+                "perturbed_sup": float(np.max(np.abs(pert_vals))),
+            },
+        ))
+    return reports
 
 
 def perturbation_gap(F: FractalOperator, f, resolution: int = 257,
@@ -377,18 +389,20 @@ def operator_norm_check(F: FractalOperator, samples, resolution: int = 257,
                         eval_tol: float = 1e-10, slack: float = 1e-6) -> CheckReport:
     """Empirical ratios ||Ff|| / ||f|| over sample fields stay below the
     norm bound ``rhs``; grid sups on both sides, hence the relative slack,
-    and the truncation bounds relative to ||f|| widen it by ``margin``."""
+    and the truncation bounds relative to ||f|| widen it by ``margin``.
+    The F(f) of the samples are sampled in one chain walk."""
     samples = list(samples)
     upper = operator_norm_upper(F)
     axes = box_axes(F.net.box, resolution)
+    fields = [F(f, tol=eval_tol) for f in samples]
+    f_sups = [float(np.max(np.abs(mesh_eval(as_field(f), axes)))) for f in samples]
+    # the fields of the nonzero samples, sampled in one chain walk
+    nonzero = [(fld, f_sup) for fld, f_sup in zip(fields, f_sups) if f_sup != 0.0]
+    perturbed = _samples([fld for fld, _ in nonzero], _open_mesh(axes))
     worst = 0.0
     margin = 0.0
-    for f in samples:
-        field = F(f, tol=eval_tol)
-        f_sup = float(np.max(np.abs(mesh_eval(as_field(f), axes))))
-        if f_sup == 0.0:
-            continue
-        ratio = float(np.max(np.abs(mesh_eval(field, axes)))) / f_sup
+    for (field, f_sup), pert_vals in zip(nonzero, perturbed):
+        ratio = float(np.max(np.abs(pert_vals))) / f_sup
         margin = max(margin, field.error_bound / f_sup)
         worst = max(worst, ratio)
     return CheckReport(name="operator_norm", lhs=worst, rhs=upper,
@@ -421,14 +435,6 @@ def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
                                 "alpha_sup": a, "norm_d": norm_d})
 
 
-def _solver_config(net: Net, f, alpha, s, alpha_sup: float, axes) -> FractalConfig:
-    # internal: grid-solver configs, admissible by construction (D keeps the
-    # corner values of f; neumann_inverse checks sup|alpha| < 1 once, in
-    # _rate_bound). The gap estimate is taken on the solver grid.
-    gap = float(np.max(np.abs(with_gap(f, s, _open_mesh(axes))[1])))
-    return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
-
-
 def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
                     max_outer: int = 500, inner_tol: float | None = None,
                     require_precondition: bool = True,
@@ -438,10 +444,13 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
     The iteration is the Neumann series for F^{-1}: the error contracts
     by at least rate_bound = a*||Id-D||/(1-a) per step, which must be
     below 1 (equivalently a < 1/(1 + ||Id-D||)). Each application of F is
-    computed to ``inner_tol`` by grid fixed-point sweeps; residual ratios
-    are measured only while both residuals sit safely above that noise
-    floor. The recovered field is also checked against the inverse norm
-    bound (1+a)/(1 - a*||D||). AdmissibilityError when sup|alpha| >= 1.
+    computed to ``inner_tol`` by grid fixed-point sweeps, the iteration of
+    ``solve_fixed_point_grid``, whose grid-fixed parts (the preimage mesh,
+    its cells and weights, and alpha on the grid) are prepared once per
+    inversion; residual ratios are measured only while both residuals sit
+    safely above that noise floor. The recovered field is also checked
+    against the inverse norm bound (1+a)/(1 - a*||D||). AdmissibilityError
+    when sup|alpha| >= 1.
     """
     net, alpha, op, a = F.net, F.alpha, F.op, F.alpha_sup
     target = as_field(target)
@@ -457,14 +466,14 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
         inner_tol = tol * 1e-3
 
     axes = box_axes(net.box, resolution)
+    sweep = _GridSweep(net, alpha, axes)
     g_vals = mesh_eval(target, axes)
     f_vals = g_vals.copy()
     residuals = []
     for iteration in range(1, max_outer + 1):
         current = NetInterpolant(axes, f_vals)
-        s = apply_operator(op, current, net)
-        cfg = _solver_config(net, current, alpha, s, a, axes)
-        ff_vals = solve_fixed_point_grid(cfg, resolution, tol=inner_tol).grid.values
+        ff_vals = sweep.solve(current, apply_operator(op, current, net), a,
+                              tol=inner_tol).grid.values
         residual = float(np.max(np.abs(g_vals - ff_vals)))
         residuals.append(residual)
         if residual <= tol:
@@ -526,7 +535,9 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
     ``base`` is either an OperatorSpec or an explicit base field s; the
     per-step bound is a_n/(1-a_n) * ||f - s||, so the errors decay to 0
     with the scales. The gap f - s does not depend on the scale, so the
-    config is built once and each scale replaces its alpha. See
+    config is built once and each scale replaces its alpha; the fields of
+    all scales share f and s, and are sampled in one chain walk, which
+    evaluates f and f - s once per level for all of them. See
     ``_sequence_report`` for the report.
     """
     f = as_field(f)
@@ -535,15 +546,14 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
         s = apply_operator(base, f, net)
     else:
         s = as_field(base)
-    axes = box_axes(net.box, resolution)
     cfg = make_config(net, f, float(scales[0]), s)
-    steps = []
+    fields = []
     for a_n in map(float, scales):
         if not abs(a_n) < 1.0:
             make_config(net, f, a_n, s)  # raises make_config's AdmissibilityError
         scaled = replace(cfg, alpha=ConstantField(a_n), alpha_sup=abs(a_n))
-        steps.append(_sup_gap(FractalField(scaled, tol=eval_tol), axes))
-    return _sequence_report("scale_sequence", steps)
+        fields.append(FractalField(scaled, tol=eval_tol))
+    return _sequence_report("scale_sequence", _sup_gaps(fields, box_axes(net.box, resolution)))
 
 
 def _sequence_report(name: str, steps) -> CheckReport:
@@ -564,12 +574,28 @@ def operator_sequence_convergence(F: FractalOperator, f, blend_weights,
     and satisfies D_t f -> f as t -> 0; the errors obey the per-step
     bound a/(1-a) * ||f - D_t f|| and vanish with t. Only F's net, alpha
     and sup|alpha| are used: F.op is not read, each D_t takes its place.
-    See ``_sequence_report`` for the report.
+
+    All D_t share one node interpolant I f, and each config's gap is t*G,
+    with G the grid maximum of |f - I f| taken once: for t >= 0,
+    x -> t*x is monotone in floating point and |t*d| = t*|d|, so t*G is
+    the grid maximum of |t*(f - I f)| that a config of its own would take,
+    bit for bit. The fields of all t are sampled in one chain walk, which
+    evaluates f and I f once per level for all of them. See
+    ``_sequence_report`` for the report.
     """
-    axes = box_axes(F.net.box, resolution)
-    return _sequence_report("operator_sequence", [
-        _sup_gap(replace(F, op=blend_operator(t))(f, tol=eval_tol), axes)
-        for t in blend_weights])
+    f = as_field(f)
+    ops = [blend_operator(t) for t in blend_weights]
+    nodes = node_arrays(F.net)
+    interp = NetInterpolant(nodes, mesh_eval(f, nodes))
+    # the config of D_1 (s = I f) takes G, the grid max of |f - I f|, and
+    # checks admissibility: the corner gaps of D_t are t times those of D_1
+    full = _config(F.net, f, F.alpha, BlendField((0.0, 1.0), (f, interp)),
+                   F.alpha_sup, F.sup_resolution)
+    fields = [FractalField(replace(full, s=BlendField((1.0 - op.t, op.t), (f, interp)),
+                                   fs_gap=op.t * full.fs_gap), tol=eval_tol)
+              for op in ops]
+    return _sequence_report("operator_sequence",
+                            _sup_gaps(fields, box_axes(F.net.box, resolution)))
 
 
 def vanishing_invariance_check(F: FractalOperator, f0, r_max: int = 3,

@@ -195,36 +195,43 @@ def test_verify_takes_one_grid_sup_of_alpha(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_chains_each_field_once_on_the_shared_grid(tmp_path, capsys, monkeypatch):
-    # on the verify-2d input eight checks sample the battery's F(f) on the
-    # 129^2 grid (the quadrature axes are the same grid), and three the
-    # F of the complex pair's imaginary part: the battery's operator builds
-    # one field per f, each field runs its chain there once, and the CHECK
-    # lines are those of fields built anew for every check
+    # on the verify-2d input the checks sample F of many fields on the
+    # 129^2 grid (the quadrature axes are the same grid): the battery's
+    # operator builds one field per f, each field is chained there at most
+    # once, each family of fields that one check applies F to is chained
+    # in one walk, and the CHECK lines are those of fields built anew for
+    # every check and chained alone
     from fractalis import cli
     from fractalis.operator_props import FractalOperator
 
     cfg = _verify_2d_config(tmp_path, run={"resolution": 129, "seed": 0, "p": [1, 2]})
     # fields are recorded weakly: a strong reference would keep them shared
     batteries, chained, repeats, configured = [], weakref.WeakSet(), [], []
-    checks, chain, config = cli._checks, FractalField._chain, FractalOperator.config
+    walks, per_check = [], {}
+    checks, chains, config = cli._checks, fractal_core._chains, FractalOperator.config
+    samples = fractal_core._samples
 
     def recorded(b):
         batteries.append(b)
-        return checks(b)
+        for name, outcome in checks(b):
+            per_check[name] = walks[sum(map(len, per_check.values())):]
+            yield name, outcome
 
-    def counted(self, coords, top_cells=None):
+    def counted(fields, coords, top_cells=None):
         if np.broadcast(*coords).shape == (129, 129):
-            if self in chained:
-                repeats.append(self.config.f)
-            chained.add(self)
-        return chain(self, coords, top_cells)
+            walks.append(len(fields))
+            for field in fields:
+                if field in chained:
+                    repeats.append(field.config.f)
+                chained.add(field)
+        return chains(fields, coords, top_cells)
 
     def configuring(self, f):
         configured.append((self, f))
         return config(self, f)
 
     monkeypatch.setattr(cli, "_checks", recorded)
-    monkeypatch.setattr(FractalField, "_chain", counted)
+    monkeypatch.setattr(fractal_core, "_chains", counted)
     monkeypatch.setattr(FractalOperator, "config", configuring)
     assert main(["verify", "--config", cfg]) == 0
     shared = capsys.readouterr().out
@@ -233,8 +240,19 @@ def test_verify_chains_each_field_once_on_the_shared_grid(tmp_path, capsys, monk
     assert repeats == []
     fs = [f for F, f in configured if F is battery.problem.F]
     assert len(fs) == len({id(f) for f in fs})
+    # six scales, six blend weights, the four sample polynomials (the
+    # fifth sample is f, whose F is kept) and the rotated complex pair
+    assert {name: per_check[name] for name in (
+        "scale_sequence", "operator_sequence", "operator_norm", "complex_l2_identity")} == {
+        "scale_sequence": [6], "operator_sequence": [6], "operator_norm": [4],
+        "complex_l2_identity": [2]}
 
-    monkeypatch.setattr(FractalField, "_sample", counted)
+    def alone(fields, coords):
+        return [FractalField._chain(field, coords) for field in fields]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fractalis") and getattr(module, "_samples", None) is samples:
+            monkeypatch.setattr(module, "_samples", alone)
     monkeypatch.setattr(FractalOperator, "__call__",
                         lambda self, f, tol=1e-10: FractalField(self.config(f), tol=tol))
     assert main(["verify", "--config", cfg]) == 0

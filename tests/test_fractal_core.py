@@ -37,7 +37,7 @@ from fractalis import (
 )
 from fractalis import fractal_core
 from fractalis._fields import box_axes, mesh_eval
-from fractalis.fractal_core import _grid_sweep
+from fractalis.fractal_core import _GridSweep
 from fractalis.net import _inverse_step, _locate_arrays
 
 
@@ -219,11 +219,12 @@ def test_oracle_equivalence_at_reference_resolution():
 def test_grid_iteration_contracts_at_scale_rate():
     cfg = _line_config()
     # single sweep from zero, by hand: 0.25 + 0.5*(0 - 0.25) = 0.125
-    swept = _grid_sweep(cfg, (np.linspace(0.0, 1.0, 5),))[1](np.zeros(5))
+    swept = _GridSweep(cfg.net, cfg.alpha, (np.linspace(0.0, 1.0, 5),)).start(cfg.f, cfg.s)[1](
+        np.zeros(5))
     assert swept[1] == pytest.approx(0.125)
     # iterating from the germ sample, updates shrink at the contraction rate
     xs = np.linspace(0.0, 1.0, 257)
-    sweep = _grid_sweep(cfg, (xs,))[1]
+    sweep = _GridSweep(cfg.net, cfg.alpha, (xs,)).start(cfg.f, cfg.s)[1]
     h = xs.copy()
     residuals = []
     for _ in range(30):
@@ -423,7 +424,7 @@ def test_required_depth():
 def test_rb_sweep_fixes_the_solution():
     cfg = _line_config()
     res = solve_fixed_point_grid(cfg, resolution=129, tol=1e-13)
-    swept = _grid_sweep(cfg, res.grid.axes)[1](res.grid.values)
+    swept = _GridSweep(cfg.net, cfg.alpha, res.grid.axes).start(cfg.f, cfg.s)[1](res.grid.values)
     assert float(np.max(np.abs(swept - res.grid.values))) < 1e-12
 
 

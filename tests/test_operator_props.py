@@ -436,8 +436,8 @@ def test_field_keeps_its_last_grid_sample_read_only():
 
 
 def test_blend_gap_leaves_a_kept_sample_as_it_is():
-    # the blend gap is formed in the array of its second field's values,
-    # unless that is a FractalField's read-only kept sample
+    # the blend gap is formed in a new array, never in the values of its
+    # second field, here a FractalField's read-only kept sample
     F = _memo_operator()
     f = parse_field("sin(3*x1)*x2", 2)
     Ff = F(f)
@@ -446,3 +446,89 @@ def test_blend_gap_leaves_a_kept_sample_as_it_is():
     f_vals, gap = with_gap(f, BlendField((0.5, 0.5), (f, Ff)), _open_mesh(axes))
     np.testing.assert_array_equal(gap, 0.5 * (f_vals - kept))
     np.testing.assert_array_equal(mesh_eval(Ff, axes), kept)
+
+
+def _seeded_fields(rng, dim):
+    """A seeded expression field and a seeded tensor polynomial."""
+    c = rng.uniform(-2.0, 2.0, size=4)
+    terms = [f"{c[0]:.6f}*sin({c[1]:.6f}*x1)"] + [
+        f"{c[2]:.6f}*cos({c[3]:.6f}*x{q + 1})*x1" for q in range(1, dim)]
+    return [parse_field(" + ".join(terms) + " + x1^2", dim), random_poly(rng, dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_six_gaps_are_one_gap_scaled_by_t(dim):
+    # for t >= 0, x -> t*x is monotone in floating point and |t*d| = t*|d|:
+    # the grid max of |t*(f - I f)| is t times that of |f - I f|, bit for bit
+    rng = np.random.default_rng(90 + dim)
+    net = random_net(rng, dim)
+    nodes = node_arrays(net)
+    alpha = ConstantField(0.3)
+    for f in _seeded_fields(rng, dim):
+        interp = NetInterpolant(nodes, mesh_eval(f, nodes))
+        full = fractal_core._config(net, f, alpha, BlendField((0.0, 1.0), (f, interp)), 0.3, 33)
+        for t in [k / 6 for k in range(7)]:
+            cfg = fractal_core._config(net, f, alpha, BlendField((1.0 - t, t), (f, interp)),
+                                       0.3, 33)
+            assert t * full.fs_gap == cfg.fs_gap
+
+
+def _report_numbers(rep):
+    """The numbers of a report and of its steps, NaN-safe for comparison."""
+    steps = [(st.lhs, st.rhs, st.passed, sorted(st.details.items()))
+             for st in rep.details["steps"]]
+    return rep.lhs, rep.rhs, rep.passed, repr(steps)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_sequence_is_six_operators_built_apart(dim):
+    # the report equals the one of six D_t operators, each with its own
+    # node interpolant, gap grid maximum and chain, as the check once ran
+    rng = np.random.default_rng(95 + dim)
+    net = random_net(rng, dim)
+    alpha = parse_field("0.2+0.1*x1", dim)
+    F = fractal_operator(net, alpha, blend_operator(0.5), sup_resolution=33)
+    weights = [1.0 / n for n in range(1, 7)]
+    for f in _seeded_fields(rng, dim):
+        axes = box_axes(net.box, 17)
+        steps = [_sup_gap(dataclasses.replace(F, op=blend_operator(t))(f, tol=1e-8), axes)
+                 for t in weights]
+        want = fractal_core.CheckReport("operator_sequence", steps[-1].lhs,
+                                        steps[-1].details["bound"],
+                                        all(st.passed for st in steps), {"steps": tuple(steps)})
+        got = operator_sequence_convergence(F, f, weights, resolution=17, eval_tol=1e-8)
+        assert _report_numbers(got) == _report_numbers(want)
+
+
+def _inverse_longhand(F, target, resolution, tol, inner_tol, max_outer=500):
+    """The residual iteration with a fresh config and grid solve per step."""
+    axes = box_axes(F.net.box, resolution)
+    g_vals = mesh_eval(target, axes)
+    f_vals = g_vals.copy()
+    residuals = []
+    for _ in range(max_outer):
+        cfg = F.config(NetInterpolant(axes, f_vals))
+        ff_vals = fractal_core.solve_fixed_point_grid(cfg, resolution, tol=inner_tol).grid.values
+        residuals.append(float(np.max(np.abs(g_vals - ff_vals))))
+        if residuals[-1] <= tol:
+            break
+        f_vals = f_vals + (g_vals - ff_vals)
+    return residuals, f_vals
+
+
+@pytest.mark.parametrize("case", ["verify-2d", "uniform-1d"])
+def test_neumann_inverse_is_the_longhand_grid_solve_per_step(case):
+    if case == "verify-2d":
+        net = build_net([(0.0, 1.0), (0.0, 2.0)], [[0.0, 0.3, 0.6, 1.0], [0.0, 1.0, 2.0]])
+        F = fractal_operator(net, parse_field("0.2+0.1*x1*x2", 2), blend_operator(0.6))
+        target, resolution = parse_field("sin(3*x1)*cos(x2)+x1*x2", 2), 33
+    else:
+        net = build_net([(0.0, 1.0)], [[0.0, 0.25, 0.5, 0.75, 1.0]])
+        F = fractal_operator(net, 0.4, blend_operator(1.0))
+        target, resolution = parse_field("sin(5*x1)+x1^2", 1), 129
+    inv = neumann_inverse(F, target, resolution=resolution, tol=1e-6)
+    residuals, f_vals = _inverse_longhand(F, target, resolution, 1e-6, 1e-9)
+    assert len(residuals) > 2
+    assert inv.residuals == tuple(residuals)
+    assert inv.iterations == len(residuals)
+    np.testing.assert_array_equal(inv.grid.values, f_vals)

@@ -16,6 +16,9 @@ their stdout, stderr, exit code and CSV output byte for byte:
 - ``verify --resolution 33`` on the ``verify-2d`` input, whose 33^2
   grid is small enough for the chain to stack 30 levels of the open mesh
   in one batch (at 129^2 a grid level fills a batch alone);
+- ``verify --seed 7`` on the ``verify-2d`` input, whose seeded sample
+  fields (``operator_norm``, ``linearity``, the complex pair) differ from
+  seed 0's;
 - ``eval`` of ``EVAL_2D_POINTS`` seeded points on the ``verify-2d`` input,
   more than one slab of ``_SLAB_POINTS``;
 - ``surface`` of the node-data construction on the ``verify-2d`` input's
@@ -191,6 +194,7 @@ def commands(configs: dict) -> list:
     out.append(("surface verify-2d at 513",
                 ["surface", *cfg, "--resolution", "513", "--out", "out.csv"], "out.csv"))
     out.append(("verify verify-2d at 33", ["verify", *cfg, "--resolution", "33"], None))
+    out.append(("verify verify-2d with seed 7", ["verify", *cfg, "--seed", "7"], None))
     out.append((f"eval verify-2d at {EVAL_2D_POINTS} points",
                 ["eval", "--config", configs["eval-2d-points"], "--out", "out.csv"],
                 "out.csv"))
