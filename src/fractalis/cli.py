@@ -4,10 +4,11 @@ Subcommands: ``surface`` samples a construction on a uniform grid to CSV,
 ``eval`` evaluates at explicit points, ``verify`` runs the bound and
 consistency battery and reports one CHECK line per item, ``approx`` runs
 the perturbed-polynomial procedure, ``norms`` prints the constants of the
-construction (the scale sup and the base gap are grid estimates unless
-alpha is constant). Configuration is a JSON file; all output is
-deterministic for a fixed config and seed. Exit codes: 0 success, 1 a
-check or tolerance failed, 2 usage or configuration error.
+construction (the scale sup and the base gap are certified upper bounds
+for polynomial fields and a constant alpha, and grid estimates for other
+fields; see ``fractal_core.make_config``). Configuration is a JSON file;
+all output is deterministic for a fixed config and seed. Exit codes: 0
+success, 1 a check or tolerance failed, 2 usage or configuration error.
 
 ``surface`` takes the exact orbit path on a net-compatible grid and the
 open mesh on every other grid (see ``fractal_core.sample_grid``), for
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
 
 import numpy as np
 
+from ._bernstein import _veltkamp
 from ._fields import (
     MAX_GRID_POINTS,
     ConstantField,
@@ -318,14 +321,6 @@ _TEXT_WIDTH = 24
 _BLOCK_ROWS = 2**13
 
 _U8, _U24, _U40, _U56, _U64 = (np.uint64(b) for b in (8, 24, 40, 56, 64))
-
-
-def _veltkamp(a):
-    """Veltkamp's split of doubles into halves of at most 26 significant
-    bits, big + small == a exactly."""
-    c = a * 134217729.0  # 2**27 + 1
-    big = c - (c - a)
-    return big, a - big
 
 
 @functools.cache
@@ -937,4 +932,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    # the process frees what is left at exit: move it out of the collector's
+    # reach, so that the interpreter's teardown does not walk it first
+    gc.freeze()
+    sys.exit(status)

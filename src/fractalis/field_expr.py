@@ -16,12 +16,18 @@ in ``1/(1/0)``, raises nothing.
 
 Parsed expressions are immutable and evaluation is pure, so a single
 FieldExpr may be evaluated from any number of threads.
+
+``FieldExpr.polynomial`` gives the exact normal form of an expression
+that is a polynomial as written: its coefficients as rationals, the
+literals read as the doubles they parse to.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -220,6 +226,104 @@ def _eval_arrays(node: Node, coords: list) -> np.ndarray:
     return np.power(a, b)
 
 
+# Limits of the normal form that ``FieldExpr.polynomial`` forms: the degree
+# in each variable, the number of coefficients, and the bits of any
+# coefficient's numerator or denominator. Each product is checked against
+# them before it is formed, so the work of one product stays bounded, and
+# a power ^n of a non-constant base before any product.
+_MAX_DEGREE = 16
+_MAX_COEFFS = 1024
+_MAX_BITS = 4096
+
+
+def _poly(node: Node, arity: int):
+    """The normal form of ``node`` as {exponent tuple: nonzero Fraction},
+    or None when it is not a polynomial as written (a function, a division
+    by a non-constant or by zero, a power other than a constant
+    non-negative integer) or outgrows the limits above."""
+    if isinstance(node, Num):
+        if not math.isfinite(node.value):
+            return None
+        return {(0,) * arity: Fraction(node.value)} if node.value else {}
+    if isinstance(node, Var):
+        return {tuple(int(q == node.index - 1) for q in range(arity)): Fraction(1)}
+    if isinstance(node, Func):
+        return None
+    if isinstance(node, Neg):
+        arg = _poly(node.arg, arity)
+        return None if arg is None else {e: -c for e, c in arg.items()}
+    a, b = _poly(node.left, arity), _poly(node.right, arity)
+    if a is None or b is None:
+        return None
+    if node.op in "+-":
+        sign = 1 if node.op == "+" else -1
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + sign * c
+        return {e: c for e, c in out.items() if c}
+    if node.op == "*":
+        return _product(a, b)
+    constant = _constant(b)
+    if constant is None:
+        return None
+    if node.op == "/":
+        return None if constant == 0 else {e: c / constant for e, c in a.items()}
+    # a power: the exponent must be a constant non-negative integer
+    if constant < 0 or constant.denominator != 1:
+        return None
+    n = int(constant)
+    if n and max(map(max, _degrees(a)), default=0) * n > _MAX_DEGREE:
+        return None
+    out = {(0,) * arity: Fraction(1)}
+    while n:  # square and multiply
+        if n & 1:
+            out = _product(out, a)
+        n >>= 1
+        if n and out is not None:
+            a = _product(a, a)
+        if out is None or a is None:
+            return None
+    return out
+
+
+def _constant(poly):
+    """The value of a constant normal form, else None."""
+    if not poly:
+        return Fraction(0)
+    if len(poly) == 1 and not any(next(iter(poly))):
+        return next(iter(poly.values()))
+    return None
+
+
+def _degrees(poly):
+    """The exponents of each variable in a nonempty normal form."""
+    return zip(*poly)
+
+
+def _bits(poly) -> int:
+    """The most bits of a numerator or a denominator in a normal form."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in poly.values()), default=0)
+
+
+def _product(a, b):
+    """The product of two normal forms, or None when it would pass a limit
+    of the normal form: a degree above ``_MAX_DEGREE``, more than
+    ``_MAX_COEFFS`` coefficients, or coefficients of more than
+    ``_MAX_BITS`` bits."""
+    if a and b:
+        degrees = [max(ea) + max(eb) for ea, eb in zip(_degrees(a), _degrees(b))]
+        if (max(degrees) > _MAX_DEGREE or math.prod(d + 1 for d in degrees) > _MAX_COEFFS
+                or _bits(a) + _bits(b) > _MAX_BITS):
+            return None
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class FieldExpr(_Field):
     """A parsed scalar field on k variables.
@@ -244,6 +348,32 @@ class FieldExpr(_Field):
         if not np.all(np.isfinite(out)):
             raise FieldDomainError(f"non-finite value while evaluating {self.source!r}")
         return _full_shape(out, coords)
+
+    def polynomial(self):
+        """The exact coefficient tensor of the expression, or None.
+
+        The expression qualifies when it uses only ``+ - *``, powers
+        ``^n`` by a constant non-negative integer n and division by a
+        nonzero constant, and stays within the limits of the normal form:
+        degree at most ``_MAX_DEGREE`` in each variable, at most
+        ``_MAX_COEFFS`` coefficients, and factors of at most ``_MAX_BITS``
+        bits between them in each product.
+        Entry [i1, ..., ik] of the returned object array is the
+        ``Fraction`` that multiplies x1^i1 * ... * xk^ik, as in
+        ``TensorPolynomial``; every literal counts as the double it parses
+        to, so the tensor is the polynomial that exact arithmetic on those
+        doubles evaluates."""
+        terms = _poly(self.root, self.arity)
+        if terms is None:
+            return None
+        exps = list(terms) or [(0,) * self.arity]
+        out = np.full([max(e[q] for e in exps) + 1 for q in range(self.arity)],
+                      Fraction(0), dtype=object)
+        if out.size > _MAX_COEFFS:
+            return None
+        for e, c in terms.items():
+            out[e] = c
+        return out
 
     def __repr__(self) -> str:
         return f"FieldExpr({self.source!r}, arity={self.arity})"

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._fields import (
+    BlendField,
     ConstantField,
     NetInterpolant,
     _SLAB_POINTS,
@@ -52,6 +54,7 @@ from ._fields import (
     with_gap,
     with_gaps,
 )
+from ._bernstein import gap_bound, mul_up, sup_bound
 from .net import Net, _inverse_step, _locate_arrays, node_arrays, node_points
 
 __all__ = [
@@ -106,10 +109,12 @@ class IterationError(RuntimeError):
 class FractalConfig:
     """Validated ingredients of the scale-field perturbation.
 
-    ``alpha_sup`` is the sup of |alpha| (exact for constant scale fields,
-    a tensor-grid estimate otherwise) and ``fs_gap`` a grid estimate of
-    ``sup |f - s|``, exact for node-data configs (``_fif_config``); both
-    feed the truncation-depth rule.
+    ``alpha_sup`` is the sup of |alpha| and ``fs_gap`` that of |f - s|,
+    both feeding the truncation-depth rule. They are certified upper
+    bounds for polynomial fields (exact for a constant alpha, in closed
+    form by ``_bernstein`` for a polynomial alpha, f and s, and exact for
+    node-data configs, ``_fif_config``), and tensor-grid estimates for any
+    other field.
     """
 
     net: Net
@@ -150,16 +155,19 @@ class FixedPointResult:
 
 
 def _scale_sup(alpha, net: Net, resolution: int = 129) -> float:
-    """sup |alpha| over the box: exact for a constant field, otherwise the
-    maximum over a uniform grid of ``resolution`` points per axis."""
+    """sup |alpha| over the box: exact for a constant field, a certified
+    upper bound for a polynomial one (``_bernstein.sup_bound``), otherwise
+    the maximum over a uniform grid of ``resolution`` points per axis."""
     alpha = as_field(alpha)
     if isinstance(alpha, ConstantField):
         return abs(alpha.value)
-    return grid_sup_norm(alpha, net.box, resolution)
+    bound = sup_bound(alpha, net.box)
+    return grid_sup_norm(alpha, net.box, resolution) if bound is None else bound
 
 
-def _config(net: Net, f, alpha, s, alpha_sup: float, sup_resolution: int) -> FractalConfig:
-    """``make_config`` with the scale sup ``alpha_sup`` already taken."""
+def _check_admissible(net: Net, f, s, alpha_sup: float) -> None:
+    """AdmissibilityError unless sup |alpha| < 1 and f and s agree at the
+    box corners."""
     f_vals, gap = with_gap(f, s, list(net.box.corners().T))
     corner_gap = float(np.max(np.abs(gap) / np.maximum(1.0, np.abs(f_vals))))
     if not (alpha_sup < 1.0 and corner_gap <= _CORNER_TOL):
@@ -167,15 +175,51 @@ def _config(net: Net, f, alpha, s, alpha_sup: float, sup_resolution: int) -> Fra
             f"inadmissible configuration: sup|alpha| = {alpha_sup}, "
             f"corner gap = {corner_gap}"
         )
-    gap = _grid_max(lambda axes: np.abs(with_gap(f, s, _open_mesh(axes))[1]),
-                    box_axes(net.box, sup_resolution))
+
+
+def _base_gap(net: Net, f, s, sup_resolution: int):
+    """sup |f - s| over the box, and how to scale it by t >= 0 to the gap
+    of t*(f - s): a certified bound where ``_bernstein`` has one, scaled
+    rounding up (``mul_up``) so that it stays one; otherwise the grid
+    maximum, scaled to nearest, which is the grid maximum of
+    |t*(f - s)| bit for bit, since x -> t*x is monotone in floating point
+    and |t*d| = t*|d|."""
+    gap = gap_bound(f, s, net.box)
+    if gap is not None:
+        return gap, mul_up
+    return (_grid_max(lambda axes: np.abs(with_gap(f, s, _open_mesh(axes))[1]),
+                      box_axes(net.box, sup_resolution)), operator.mul)
+
+
+def _config(net: Net, f, alpha, s, alpha_sup: float, sup_resolution: int) -> FractalConfig:
+    """``make_config`` with the scale sup ``alpha_sup`` already taken."""
+    _check_admissible(net, f, s, alpha_sup)
+    gap, _ = _base_gap(net, f, s, sup_resolution)
     return FractalConfig(net=net, f=f, alpha=alpha, s=s, alpha_sup=alpha_sup, fs_gap=gap)
+
+
+def _blend_configs(net: Net, f, alpha, interp, weights, alpha_sup: float,
+                   sup_resolution: int) -> list:
+    """The configs of the blend bases (1 - t)*f + t*I f, one per t >= 0
+    in ``weights``, with ``interp`` the node interpolant I f: the gap
+    f - I f and admissibility are taken once, for t = 1 (the corner gaps
+    at t are t times those), and each config's gap is that one scaled by
+    t (``_base_gap``), the number a config of its own would take."""
+    unit = BlendField((0.0, 1.0), (f, interp))
+    _check_admissible(net, f, unit, alpha_sup)
+    gap, scaled = _base_gap(net, f, unit, sup_resolution)
+    return [FractalConfig(net=net, f=f, alpha=alpha, s=BlendField((1.0 - t, t), (f, interp)),
+                          alpha_sup=alpha_sup, fs_gap=scaled(t, gap))
+            for t in weights]
 
 
 def make_config(net: Net, f, alpha, s, sup_resolution: int = 129) -> FractalConfig:
     """Build a FractalConfig, raising AdmissibilityError when the scale
-    field is not a uniform contraction (sup |alpha| < 1, a grid estimate
-    unless alpha is constant) or f and s split at a box corner."""
+    field is not a uniform contraction (sup |alpha| < 1) or f and s split
+    at a box corner. sup |alpha| and sup |f - s| are certified upper
+    bounds where the fields are polynomials (``_bernstein``); for any
+    other field they are maxima over a uniform grid of ``sup_resolution``
+    points per axis, estimates that can miss a peak."""
     alpha = as_field(alpha)
     return _config(net, as_field(f), alpha, as_field(s),
                    _scale_sup(alpha, net, sup_resolution), sup_resolution)

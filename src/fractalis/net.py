@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._fields import _clip
+from ._fields import _cells_of, _clip
 
 __all__ = [
     "Box",
@@ -200,10 +200,9 @@ def axis_coefficients(net: Net):
 
 
 def _locate_arrays(net: Net, coords):
-    """0-based cell index arrays, one per axis; interior knots go right,
-    and the last cell is closed on both sides."""
-    return [_clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
-            for knots, t in zip(net._knot_arrays, coords)]
+    """0-based cell index arrays, one per axis (``_cells_of``): interior
+    knots go right, and the last cell is closed on both sides."""
+    return [_cells_of(knots, t) for knots, t in zip(net._knot_arrays, coords)]
 
 
 def _inverse_step(net: Net, coords, cells):

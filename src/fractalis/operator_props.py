@@ -50,6 +50,7 @@ from .fractal_core import (
     FractalField,
     IterationError,
     _GridSweep,
+    _blend_configs,
     _config,
     _samples,
     _scale_sup,
@@ -215,11 +216,12 @@ def _inverse_norm_bound(a: float, norm_d: float) -> float:
 class FractalOperator:
     """The fractal operator f -> F(f) of a net, a scale field alpha and a
     base map D, with a = sup|alpha| taken once (``alpha_sup``: exact for a
-    constant alpha, else the maximum over a grid of ``sup_resolution``
-    points per axis). Not exported: the constructor trusts ``alpha_sup``,
-    so build it with ``fractal_operator``, which validates D and takes the
-    sup. a >= 1 is not refused here but by each use that needs a
-    contraction.
+    constant alpha, a certified upper bound for a polynomial one, else the
+    maximum over a grid of ``sup_resolution`` points per axis; see
+    ``fractal_core._scale_sup``). Not exported: the constructor trusts
+    ``alpha_sup``, so build it with ``fractal_operator``, which validates D
+    and takes the sup. a >= 1 is not refused here but by each use that
+    needs a contraction.
 
     F(f) is built once per field object f and tolerance for as long as
     some caller holds it: the operator keeps a weak reference to each such
@@ -575,25 +577,20 @@ def operator_sequence_convergence(F: FractalOperator, f, blend_weights,
     bound a/(1-a) * ||f - D_t f|| and vanish with t. Only F's net, alpha
     and sup|alpha| are used: F.op is not read, each D_t takes its place.
 
-    All D_t share one node interpolant I f, and each config's gap is t*G,
-    with G the grid maximum of |f - I f| taken once: for t >= 0,
-    x -> t*x is monotone in floating point and |t*d| = t*|d|, so t*G is
-    the grid maximum of |t*(f - I f)| that a config of its own would take,
-    bit for bit. The fields of all t are sampled in one chain walk, which
+    All D_t share one node interpolant I f, and their configs one gap
+    G = sup |f - I f|, scaled by t (``fractal_core._blend_configs``): each
+    config's gap is the number a config of its own would take, bit for
+    bit. The fields of all t are sampled in one chain walk, which
     evaluates f and I f once per level for all of them. See
     ``_sequence_report`` for the report.
     """
     f = as_field(f)
-    ops = [blend_operator(t) for t in blend_weights]
+    weights = [blend_operator(t).t for t in blend_weights]
     nodes = node_arrays(F.net)
     interp = NetInterpolant(nodes, mesh_eval(f, nodes))
-    # the config of D_1 (s = I f) takes G, the grid max of |f - I f|, and
-    # checks admissibility: the corner gaps of D_t are t times those of D_1
-    full = _config(F.net, f, F.alpha, BlendField((0.0, 1.0), (f, interp)),
-                   F.alpha_sup, F.sup_resolution)
-    fields = [FractalField(replace(full, s=BlendField((1.0 - op.t, op.t), (f, interp)),
-                                   fs_gap=op.t * full.fs_gap), tol=eval_tol)
-              for op in ops]
+    fields = [FractalField(cfg, tol=eval_tol)
+              for cfg in _blend_configs(F.net, f, F.alpha, interp, weights,
+                                        F.alpha_sup, F.sup_resolution)]
     return _sequence_report("operator_sequence",
                             _sup_gaps(fields, box_axes(F.net.box, resolution)))
 

@@ -5,10 +5,12 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +478,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "0.375" in proc.stdout
+
+
+def test_module_entry_point_keeps_exit_codes_and_writes_whole_csvs(tmp_path):
+    # the entry point freezes the collector before the interpreter exits:
+    # exit codes are main's, and each CSV is the one main writes in process
+    cfg = write_config(tmp_path)
+    runs = [(0, ["surface", "--config", cfg, "--out", "surface.csv"]),
+            (0, ["eval", "--config", cfg, "--out", "eval.csv", "0.25", "0.7", "1"]),
+            (1, ["eval", "--config", cfg, "--out", "outside.csv", "1.5"]),
+            (2, ["eval", "--config", cfg, "--bogus"])]
+    # the child runs in tmp_path, so it finds the package by absolute path
+    src = str(Path(fractal_core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for code, argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "fractalis.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == code, proc.stderr
+    for _, argv in runs[:2]:
+        at = argv.index("--out") + 1
+        reference = tmp_path / f"reference-{argv[at]}"
+        assert main([*argv[:at], str(reference), *argv[at + 1:]]) == 0
+        data = (tmp_path / argv[at]).read_bytes()
+        assert data == reference.read_bytes() and data.endswith(b"\n")
+    assert not (tmp_path / "outside.csv").exists()
 
 
 def test_surface_and_eval_import_only_what_they_run():

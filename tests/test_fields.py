@@ -140,7 +140,9 @@ class _Recorder:
 
 @pytest.mark.parametrize("dim, cap", [(2, 1000), (3, 2000)])
 def test_slabbed_grid_maxima_equal_one_dense_evaluation(monkeypatch, dim, cap):
-    f = parse_field(_EXPR[dim], dim)
+    # wrapped, so that the gap of the 3-D polynomial is a grid maximum too,
+    # not the closed-form bound of a polynomial FieldExpr
+    f = _Recorder(parse_field(_EXPR[dim], dim))
     alpha = _Recorder(parse_field("0.2+0.1*x1", dim))
     net = _net(dim)
     op = blend_operator(0.6)

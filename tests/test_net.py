@@ -11,6 +11,8 @@ from fractalis import (
     node_arrays,
     node_points,
 )
+from fractalis import _fields
+from fractalis._fields import _cells_of
 from fractalis.net import _inverse_step, _locate_arrays
 
 
@@ -159,3 +161,28 @@ def test_box_corners_and_contains():
     assert net.box.contains((0.5, 0.0))
     assert net.box.contains((1.0 + 1e-13, 1.0))  # tolerance at the skin
     assert not net.box.contains((1.1, 0.0))
+
+
+def _clipped_searchsorted(knots, t):
+    """The cells of a binary search over all knots, clipped to the axis."""
+    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+
+
+@pytest.mark.parametrize("counted", [0, 8, 100])
+def test_cells_by_counting_knots_are_those_of_a_clipped_search(monkeypatch, counted):
+    # counted = 0 sends every axis with interior knots to the binary
+    # search over them, 100 every axis to the count; 8 is the default split
+    monkeypatch.setattr(_fields, "_COUNTED_KNOTS", counted)
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4, 9, 10, 11, 40):
+        knots = np.sort(rng.choice(np.linspace(-1.0, 2.0, 97), size=n, replace=False))
+        lo, hi = knots[0], knots[-1]
+        t = np.concatenate([
+            rng.uniform(lo - 0.5, hi + 0.5, size=300),
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            [lo, hi, lo - 1.0, hi + 1.0, -np.inf, np.inf, np.nan, -0.0, 0.0]])
+        for shape in ((t.size,), (1, t.size, 1)):
+            got = _cells_of(knots, t.reshape(shape))
+            want = _clipped_searchsorted(knots, t.reshape(shape))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)

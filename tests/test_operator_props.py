@@ -489,7 +489,10 @@ def test_operator_sequence_is_six_operators_built_apart(dim):
     alpha = parse_field("0.2+0.1*x1", dim)
     F = fractal_operator(net, alpha, blend_operator(0.5), sup_resolution=33)
     weights = [1.0 / n for n in range(1, 7)]
-    for f in _seeded_fields(rng, dim):
+    # the polynomial expression's gaps are closed-form bounds, scaled up by t
+    polynomial = parse_field(" + ".join(f"{c:.6f}*x{q % dim + 1}^{q % 4}" for q, c in
+                                        enumerate(rng.uniform(-1.0, 1.0, size=4))), dim)
+    for f in [*_seeded_fields(rng, dim), polynomial]:
         axes = box_axes(net.box, 17)
         steps = [_sup_gap(dataclasses.replace(F, op=blend_operator(t))(f, tol=1e-8), axes)
                  for t in weights]

@@ -41,7 +41,14 @@ their stdout, stderr, exit code and CSV output byte for byte:
   operator, where ``verify`` skips ``fixed_point`` and ``validate_operator``
   calls the multiplier at the box corners;
 - ``verify`` on ``INVERSE_FAIL``, whose required Neumann inversion fails
-  (exit 1).
+  (exit 1);
+- ``eval`` at ``BASELINE_4D_POINT`` on ``BASELINE_4D``, the 4-D blend
+  config of ROADMAP.md, whose gap is 0 and whose polynomial constants come
+  in closed form, with no 129^4 grid;
+- ``norms`` on ``POLY_2D``, polynomial fields on the nonuniform
+  ``verify-2d`` net, whose scale sup and base gap peak off every grid: the
+  closed-form bounds print above the grid maxima a checkout without them
+  prints.
 
 Together these reach every check of the ``verify`` battery, both of its
 operator-free and multiplication SKIPs, the ``inverse_rate`` SKIP, the
@@ -112,6 +119,23 @@ MULTIPLICATION_2D = {
     "operator": {"kind": "multiplication", "b": "1+x1*(1-x1)*x2*(1-x2)"},
     "run": {"resolution": 33, "seed": 0, "p": [1, 2]},
 }
+# the 4-D blend config of ROADMAP.md, and the point eval takes there
+BASELINE_4D = {
+    "box": {"bounds": [[0, 1]] * 4},
+    "net": {"knots": [[0, 0.5, 1]] * 4},
+    "fields": {"f": "x1*x2+x3*x4", "alpha": 0.3},
+    "operator": {"kind": "blend", "t": 0.5},
+}
+BASELINE_4D_POINT = "0.3,0.4,0.5,0.6"
+# polynomial fields on the verify-2d net: sup|alpha| peaks at x1 = 1/sqrt(3)
+# and the gap inside cells, off every uniform grid
+POLY_2D = {
+    "box": {"bounds": [[0, 1], [0, 2]]},
+    "net": {"knots": [[0, 0.3, 0.6, 1], [0, 1, 2]]},
+    "fields": {"f": "x1^3*x2-2*x1*x2^2+x2^3", "alpha": "0.3*x1*(1-x1^2)+0.1*x2"},
+    "operator": {"kind": "blend", "t": 0.6},
+    "run": {"resolution": 33, "p": [1, 2]},
+}
 # a required inversion whose contraction bound is 1.5: verify exits 1
 INVERSE_FAIL = {
     "box": {"bounds": [[0, 1]]},
@@ -155,7 +179,8 @@ def write_inputs(work: Path) -> dict:
     for name, cfg in (("verify-3d", VERIFY_3D), ("verify-3d-alpha", VERIFY_3D_ALPHA),
                       ("explicit-2d", EXPLICIT_2D),
                       ("multiplication-2d", MULTIPLICATION_2D),
-                      ("inverse-fail", INVERSE_FAIL), ("wide-range-2d", WIDE_RANGE_2D)):
+                      ("inverse-fail", INVERSE_FAIL), ("wide-range-2d", WIDE_RANGE_2D),
+                      ("baseline-4d", BASELINE_4D), ("poly-2d", POLY_2D)):
         path = work / f"{name}.json"
         path.write_text(json.dumps(cfg))
         configs[name] = str(path)
@@ -214,6 +239,10 @@ def commands(configs: dict) -> list:
             out.append((f"{cmd} {name}", [cmd, "--config", configs[name]], None))
     out.append(("verify inverse-fail",
                 ["verify", "--config", configs["inverse-fail"]], None))
+    out.append(("eval baseline-4d",
+                ["eval", "--config", configs["baseline-4d"], "--out", "out.csv",
+                 BASELINE_4D_POINT], "out.csv"))
+    out.append(("norms poly-2d", ["norms", "--config", configs["poly-2d"]], None))
     return out
 
 
