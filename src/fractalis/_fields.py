@@ -7,14 +7,14 @@ their broadcast shape. A field has one evaluator, ``eval_arrays``: a call
 at a point is ``eval_arrays`` at that one point (``_Field``), so the two
 cannot disagree. Only a plain callable is evaluated point by point
 (``CallableField``). ``mesh_eval`` is the one tensor-grid evaluator: it
-passes the open mesh (one array per axis, each spanning its
-own axis) so that per-axis work, such as the cell search of
-``NetInterpolant``, runs on the axis values only. The chain evaluators of
-``fractal_core`` keep such coordinates as they are along the walk (a
-batch of several levels stacks them on a new leading axis), and
-``sample_grid`` hands every grid that its orbit path does not take to
-``mesh_eval``. Only the evaluators that work point by point flatten them
-(``_flatten``, in ``CallableField`` and ``TensorPolynomial``).
+passes the open mesh (one array per axis, each spanning its own axis) so
+that per-axis work, such as the cell search of ``NetInterpolant``, runs
+on the axis values only. The chain evaluators of ``fractal_core`` keep
+such coordinates as they are along the walk (a batch of several levels
+stacks them on a new leading axis), or walk the exact orbit on the open
+mesh of a net-compatible grid (``fractal_core._samples``). Only the
+evaluators that work point by point flatten them (``_flatten``, in
+``CallableField`` and ``TensorPolynomial``).
 ``_multilinear`` is the multilinear kernel of the node interpolant: nested
 per-axis lerps, which on an open mesh contract the table one axis at a
 time, each take on the axis values, and on other shapes, such as scattered

@@ -31,6 +31,9 @@ from .operator_props import (
     validate_operator,
 )
 
+_SAFETY = 0.9  # the share of the critical scale that epsilon_approximate takes
+_INVERSION_TOL, _CHECK_RESOLUTION = 1e-7, 257  # of fractal_basis_reconstruct
+
 __all__ = [
     "ApproximationError",
     "TensorPolynomial",
@@ -149,12 +152,11 @@ class EpsilonApproxResult:
 
 def epsilon_approximate(net: Net, f, op: OperatorSpec, epsilon: float,
                         max_degree: int = 10, resolution: int = 257,
-                        safety: float = 0.9,
                         eval_tol: float = 1e-10) -> EpsilonApproxResult:
     """Perturbed-polynomial approximation of ``f`` within ``epsilon``.
 
     Fits polynomials of growing degree until the sup distance drops under
-    epsilon/2, then sets the constant scale to ``safety`` times the
+    epsilon/2, then sets the constant scale to ``_SAFETY`` times the
     critical value (eps/2) / (eps/2 + ||Id-D||*||p||), which keeps the
     perturbation distance strictly under epsilon/2. The result records
     both triangle legs; ``passed`` is the measured total under epsilon.
@@ -185,7 +187,7 @@ def epsilon_approximate(net: Net, f, op: OperatorSpec, epsilon: float,
     _, norm_idd = operator_norms(op, net)
     p_sup = float(np.max(np.abs(p_vals)))
     x = norm_idd * p_sup
-    alpha = safety * (epsilon / 2.0) / (epsilon / 2.0 + x)
+    alpha = _SAFETY * (epsilon / 2.0) / (epsilon / 2.0 + x)
     pert_bound = alpha / (1.0 - alpha) * x
 
     fractal = fractal_operator(net, alpha, op)(poly, tol=eval_tol)
@@ -289,8 +291,7 @@ class SchauderResult:
 
 
 def fractal_basis_reconstruct(F: FractalOperator, g, n_terms: int = 33,
-                              resolution: int = 1025, inversion_tol: float = 1e-7,
-                              check_resolution: int = 257,
+                              resolution: int = 1025,
                               eval_tol: float = 1e-9) -> SchauderResult:
     """Expand ``g`` in the perturbed hat basis F(e_n) on [0, 1].
 
@@ -302,10 +303,10 @@ def fractal_basis_reconstruct(F: FractalOperator, g, n_terms: int = 33,
     if F.net.dim != 1 or F.net.box.bounds != ((0.0, 1.0),):
         raise ValueError("hat-basis reconstruction runs on the unit interval")
     g = as_field(g)
-    inverted = neumann_inverse(F, g, resolution=resolution, tol=inversion_tol)
+    inverted = neumann_inverse(F, g, resolution=resolution, tol=_INVERSION_TOL)
     coeffs = schauder_coefficients(inverted.grid, n_terms)
 
-    axes = box_axes(F.net.box, check_resolution)
+    axes = box_axes(F.net.box, _CHECK_RESOLUTION)
     g_vals = mesh_eval(g, axes)
     scale = max(1.0, float(np.max(np.abs(g_vals))))
     errors = []

@@ -10,11 +10,11 @@ fields; see ``fractal_core.make_config``). Configuration is a JSON file;
 all output is deterministic for a fixed config and seed. Exit codes: 0
 success, 1 a check or tolerance failed, 2 usage or configuration error.
 
-``surface`` takes the exact orbit path on a net-compatible grid and the
-open mesh on every other grid (see ``fractal_core.sample_grid``), for
-either construction; ``eval`` evaluates its points in slices of
-``_SLAB_POINTS`` (see ``fractal_core._eval_chunked``). A resolution may
-ask for at most MAX_GRID_POINTS grid points.
+Grid samples (``surface``, the checks) take the exact orbit path on a
+net-compatible grid and the open-mesh chain elsewhere, for either
+construction (``fractal_core._samples``); ``eval`` evaluates its points in
+slices of ``_SLAB_POINTS`` (``fractal_core._eval_chunked``). A resolution
+may ask for at most MAX_GRID_POINTS grid points.
 
 CSV numbers are ``'%.17g' % v`` (``_format``), which reads back as the same
 double. ``surface`` and ``eval`` write their rows with one writer,

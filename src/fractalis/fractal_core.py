@@ -16,7 +16,9 @@ cell map), where the chain's float drift enters. ``_chains`` is the one
 sum along that walk, for one field (``FractalField._chain``) or for a
 list of fields on one net, which share the walk and the evaluations of
 the field objects they share; ``FractalField._orbit`` is the same sum as
-an exact walk over grid indices (for ``sample_grid``). The chain runs
+an exact walk over grid indices. ``_samples``, behind every
+``eval_arrays``, takes the orbit on the open mesh of a net-compatible
+uniform grid, whoever asks, and the chain everywhere else. The chain runs
 on coordinate arrays as they come, broadcasting against one another: on an
 open mesh, cell location, inverse steps and the per-axis work of each
 field run on the axis values, and only the sums are grid-sized. Where the
@@ -81,6 +83,8 @@ MAX_DEPTH = 64
 
 # relative slack for the corner compatibility test
 _CORNER_TOL = 1e-10
+_MAX_SWEEPS = 100_000  # grid sweeps at most, in solve_fixed_point_grid
+_FACE_SAMPLES = 16  # random points per interior face in the boundary check
 
 
 class AdmissibilityError(ValueError):
@@ -313,18 +317,17 @@ class FractalField:
     carry drift noise of roughly scale_sup ** (log(1/eps) / log(1/min|a|))
     on top of the bound.
 
-    ``sample_grid`` has no such drift on net-compatible grids (uniform
-    knots on every axis, and ``res - 1`` divisible by the cell count of
-    each axis): there Q maps grid points onto grid points, so the chain is
-    an exact walk over grid indices and f, s and alpha are evaluated only
-    once, on the grid.
+    The open mesh of a net-compatible grid (see ``_orbit_maps``) has no
+    such drift: Q maps grid points onto grid points, and ``_samples`` walks
+    the orbit exactly over grid indices (``_orbit``), with f, s and alpha
+    evaluated once, on the grid, for ``mesh_eval``, checks and surfaces.
 
-    ``eval_arrays`` runs the chain on its coordinate arrays as given, with
-    no flattening: on an open mesh a level evaluates f, s and alpha on the
-    open mesh of the level's preimages. Each of their results must have
-    the broadcast shape of the coordinates (ValueError otherwise). A
-    constant alpha is not evaluated: the level product is a float
-    (``_scale``). The levels come in batches of ``_SLAB_POINTS // n``
+    Elsewhere ``eval_arrays`` runs the chain on its coordinate arrays as
+    given, with no flattening: on an open mesh a level evaluates f, s and
+    alpha on the open mesh of the level's preimages. Each of their results
+    must have the broadcast shape of the coordinates (ValueError
+    otherwise). A constant alpha is not evaluated: the level product is a
+    float (``_scale``). The levels come in batches of ``_SLAB_POINTS // n``
     levels for n points (at least one), stacked on a new leading axis;
     a batch of one level is passed as it is, so an open mesh stays one.
     f is evaluated once per batch, and the gap f - s to a blend base
@@ -340,9 +343,8 @@ class FractalField:
     operator to a family of fields on one grid sample the family so
     (``_samples``).
 
-    On an open mesh (``mesh_eval``) the field keeps its last sample,
-    read-only: a repeat of the same axis values returns it without a
-    chain, and an in-place write to it raises.
+    On an open mesh the field keeps its last sample, read-only
+    (``_samples``).
     """
 
     def __init__(self, config: FractalConfig, tol: float = 1e-10,
@@ -362,10 +364,6 @@ class FractalField:
         return float(self._chain(coords)[0])
 
     def eval_arrays(self, coords) -> np.ndarray:
-        return self._sample(coords)
-
-    def _sample(self, coords) -> np.ndarray:
-        """``_chain`` at ``coords``, kept on an open mesh (``_samples``)."""
         return _samples([self], coords)[0]
 
     def _kept(self, axes):
@@ -398,9 +396,9 @@ class FractalField:
         alpha = self._scale(mesh)
         scale = alpha
         buffers = [np.empty(g.shape), np.empty(g.shape)]
-        walk = _orbit_walk(maps, depth - 1)
-        next(walk)  # Q^0 is the grid itself, whose f is already in acc
-        for level, idx in enumerate(walk, start=1):
+        idx = [np.arange(p.size) for p in maps]  # Q^0, whose f is already in acc
+        for level in range(1, depth):
+            idx = [p[i] for p, i in zip(maps, idx)]
             term = _gather(g, idx, buffers)
             term *= scale
             if level == 1:
@@ -442,9 +440,7 @@ def _chains(fields, coords, top_cells=None) -> list:
     running product; each field adds its terms one level after another, in
     order, for its own levels only, so that its sum is the one its chain
     alone gives, whatever the batching and whatever the other fields."""
-    net = fields[0].net
-    if any(fld.net != net for fld in fields):
-        raise ValueError("fields chained together must share a net")
+    net = _shared_net(fields)
     tops = {}
     for fld in fields:
         f = fld.config.f
@@ -490,19 +486,38 @@ def _chains(fields, coords, top_cells=None) -> list:
     return accs
 
 
+def _shared_net(fields) -> Net:
+    """The net of ``fields``; ValueError unless they all share it."""
+    if any(fld.net != fields[0].net for fld in fields):
+        raise ValueError("fields chained or walked together must share a net")
+    return fields[0].net
+
+
 def _samples(fields, coords) -> list:
-    """``FractalField._sample`` of each of ``fields`` at the same ``coords``:
-    the ``_chains`` of the fields, in one walk. On an open mesh each
-    field's values are kept, read-only, with a copy of the axis values; a
-    field whose kept axis values are these, bit for bit, returns its kept
-    values again without a chain, and an in-place write to them raises."""
+    """``eval_arrays`` of each of ``fields`` at the same ``coords``, the one
+    place that picks the path. On the open mesh of the box's uniform grid
+    (``box_axes``, bit for bit) that ``_orbit_maps`` finds net-compatible,
+    each field walks its exact orbit (``_orbit``); elsewhere the fields are
+    chained in one walk (``_chains``). The knot and divisibility test comes
+    first, so that other nets leave before any grid is built. On an open
+    mesh each field's values are kept, read-only, with a copy of the axis
+    values; a field whose kept axis values are these, bit for bit, returns
+    its kept values again without a walk, and a write to them raises."""
     axes = _mesh_axes(coords)
     if axes is None:
         return _chains(fields, coords)
     out = {id(fld): fld._kept(axes) for fld in fields}
     todo = list({id(fld): fld for fld in fields if out[id(fld)] is None}.values())
     if todo:
-        for fld, values in zip(todo, _chains(todo, coords)):
+        net = _shared_net(todo)
+        sizes = [a.size for a in axes]
+        maps = _orbit_maps(net, sizes) if len(sizes) == net.dim else None
+        if maps is not None and any(a.tobytes() != b.tobytes()
+                                    for a, b in zip(axes, box_axes(net.box, sizes))):
+            maps = None
+        fresh = (_chains(todo, coords) if maps is None
+                 else [fld._orbit(axes, maps) for fld in todo])
+        for fld, values in zip(todo, fresh):
             values.setflags(write=False)
             fld._last_sample = (axes, values)
             out[id(fld)] = values
@@ -548,9 +563,10 @@ class DeltaFifField(FractalField):
         self.fif = fif
 
     def eval_arrays(self, coords) -> np.ndarray:
-        # defined here, not inherited, so that perfbench's tracer, which
-        # wraps the methods a class defines, times the node-data chain apart
-        return self._sample(coords)
+        # defined here, not inherited, so that perfbench's tracer, which wraps
+        # the methods a class defines, times the node-data samples apart, the
+        # orbit of net-compatible grids (as on surface) and the chain alike
+        return _samples([self], coords)[0]
 
 
 class _GridSweep:
@@ -584,15 +600,14 @@ class _GridSweep:
 
         return f_here, sweep
 
-    def solve(self, f, s, alpha_sup: float, tol: float = 1e-12,
-              max_iter: int = 100_000) -> FixedPointResult:
+    def solve(self, f, s, alpha_sup: float, tol: float = 1e-12) -> FixedPointResult:
         """Sweep from f until the update is below ``tol * (1 - alpha_sup)``
         (``solve_fixed_point_grid``)."""
         f_grid, sweep = self.start(f, s)
         target = tol * (1.0 - alpha_sup)
         values = f_grid.copy()
         residual = math.inf
-        for iteration in range(1, max_iter + 1):
+        for iteration in range(1, _MAX_SWEEPS + 1):
             new = sweep(values)
             residual = float(np.max(np.abs(new - values)))
             values = new
@@ -600,22 +615,21 @@ class _GridSweep:
                 return FixedPointResult(grid=NetInterpolant(self.axes, values),
                                         iterations=iteration, residual=residual)
         raise IterationError(
-            f"no convergence to residual {target:.3e} in {max_iter} sweeps "
+            f"no convergence to residual {target:.3e} in {_MAX_SWEEPS} sweeps "
             f"(last residual {residual:.3e})",
             residual,
         )
 
 
 def solve_fixed_point_grid(config: FractalConfig, resolution,
-                           tol: float = 1e-12,
-                           max_iter: int = 100_000) -> FixedPointResult:
+                           tol: float = 1e-12) -> FixedPointResult:
     """Iterate the sweep on a uniform grid until the update is below
     ``tol * (1 - sup|alpha|)``, which bounds the distance to the grid
     fixed point by tol. Independent of the chain evaluator; serves as a
     cross-check oracle for it.
     """
     sweep = _GridSweep(config.net, config.alpha, box_axes(config.net.box, resolution))
-    return sweep.solve(config.f, config.s, config.alpha_sup, tol, max_iter)
+    return sweep.solve(config.f, config.s, config.alpha_sup, tol)
 
 
 def interpolation_check(field, net: Net, expected, tol: float = 1e-9) -> CheckReport:
@@ -635,17 +649,17 @@ def interpolation_check(field, net: Net, expected, tol: float = 1e-9) -> CheckRe
                        details={"n_nodes": pts.shape[0]})
 
 
-def _face_points(net: Net, axis: int, knot_index: int, n_samples: int, rng) -> np.ndarray:
+def _face_points(net: Net, axis: int, knot_index: int, rng) -> np.ndarray:
     """Sample points on the interior face x_axis = knot[knot_index]."""
-    pts = np.empty((n_samples, net.dim))
+    pts = np.empty((_FACE_SAMPLES, net.dim))
     for q, (lo, hi) in enumerate(net.box.bounds):
-        pts[:, q] = lo + (hi - lo) * rng.random(n_samples)
+        pts[:, q] = lo + (hi - lo) * rng.random(_FACE_SAMPLES)
     pts[:, axis - 1] = net.axes[axis - 1].knots[knot_index]
     return pts
 
 
-def boundary_consistency_check(config: FractalConfig, n_samples: int = 16,
-                               tol: float = 1e-8, seed: int = 0) -> CheckReport:
+def boundary_consistency_check(config: FractalConfig, tol: float = 1e-8,
+                               seed: int = 0) -> CheckReport:
     """Evaluate on every interior face from both adjacent cells and compare.
 
     The two evaluations force different top-level cells for the same
@@ -668,7 +682,7 @@ def boundary_consistency_check(config: FractalConfig, n_samples: int = 16,
     for q in range(1, net.dim + 1):
         part = net.axes[q - 1]
         for j in range(1, part.n_cells):
-            pts = _face_points(net, q, j, n_samples, rng)
+            pts = _face_points(net, q, j, rng)
             coords = [pts[:, m] for m in range(net.dim)]
             cells = _locate_arrays(net, coords)
             left = list(cells)
@@ -689,9 +703,9 @@ def _orbit_maps(net: Net, sizes):
     """Per-axis integer maps of Q on the uniform grid with ``sizes`` points
     per axis, or None when the grid is not net-compatible.
 
-    Compatible means uniform knots (each interior knot within
-    1e-12 * width of its uniform position) and ``res - 1`` divisible by the
-    cell count n on every axis. Grid index i then lies in cell
+    Compatible means, on every axis, at least 2 points, uniform knots
+    (each interior knot within 1e-12 * width of its uniform position) and
+    ``res - 1`` divisible by the cell count n. Grid index i then lies in cell
     c = min(i // m, n - 1) with m = (res - 1) / n (interior knots go right,
     as in ``_locate_arrays``), and Q sends it to n * (i - c*m), mirrored to
     (res - 1) - n * (i - c*m) in the reversed cells (odd c).
@@ -700,7 +714,7 @@ def _orbit_maps(net: Net, sizes):
     for part, (lo, hi), res in zip(net.axes, net.box.bounds, sizes):
         n = part.n_cells
         width = hi - lo
-        if (res - 1) % n or any(
+        if res < 2 or (res - 1) % n or any(
             abs(t - (lo + j * width / n)) > 1e-12 * width
             for j, t in enumerate(part.knots[1:-1], start=1)
         ):
@@ -711,16 +725,6 @@ def _orbit_maps(net: Net, sizes):
         local = n * (i - c * m)
         maps.append(np.where(c % 2 == 0, local, (res - 1) - local))
     return maps
-
-
-def _orbit_walk(maps, steps: int):
-    """Per-axis grid indices of the orbit Q^0, Q^1, ..., Q^steps, each
-    level's applied by the index ``maps`` of ``_orbit_maps``."""
-    idx = [np.arange(p.size) for p in maps]
-    for level in range(steps + 1):
-        if level:
-            idx = [p[i] for p, i in zip(maps, idx)]
-        yield idx
 
 
 def _gather(values, idx, buffers):
@@ -748,17 +752,11 @@ def _eval_chunked(field, coords) -> np.ndarray:
 def sample_grid(field, resolution):
     """Evaluate a FractalField or DeltaFifField on the uniform grid over
     its box; returns (axes, values) with values indexed like the axes.
-
-    On a net-compatible grid (see ``_orbit_maps``) the chain is walked by
-    integer grid indices: f, s and alpha are evaluated once on the grid.
-    Every other grid runs the chain on the open mesh (``mesh_eval``).
-    Depth and error bound are the field's either way.
+    It is ``mesh_eval`` on ``box_axes``: the exact orbit on a net-compatible
+    grid, the chain on every other (``_samples``), with the field's depth
+    and error bound either way.
     """
     if not isinstance(field, FractalField):
         raise TypeError("expected a FractalField or a DeltaFifField")
     axes = box_axes(field.net.box, resolution)
-    maps = _orbit_maps(field.net, tuple(a.size for a in axes))
-    if maps is not None:
-        return axes, field._orbit(axes, maps)
     return axes, mesh_eval(field, axes)
-

@@ -20,6 +20,8 @@ from ._fields import _open_mesh, as_field, box_axes, mesh_eval, with_gap
 from .fractal_core import CheckReport, FractalField, _samples
 from .operator_props import FractalOperator
 
+_LP_SLACK = 0.05  # relative slack of the L^p gap checks: quadrature on both sides
+
 __all__ = [
     "QuadratureRule",
     "quadrature_rule",
@@ -149,8 +151,7 @@ def _volume(rule: QuadratureRule) -> float:
     return math.prod(float(a[-1] - a[0]) for a in rule.axes)
 
 
-def lp_perturbation_gap(field: FractalField, rule: QuadratureRule, p: float,
-                        slack: float = 0.05) -> CheckReport:
+def lp_perturbation_gap(field: FractalField, rule: QuadratureRule, p: float) -> CheckReport:
     """Check ||Ff - f||_p <= a/(1-a) * ||f - s||_p for the perturbed
     ``field`` of a config, both sides by quadrature under ``rule``.
 
@@ -167,7 +168,7 @@ def lp_perturbation_gap(field: FractalField, rule: QuadratureRule, p: float,
     a = cfg.alpha_sup
     bound = a / (1.0 - a) * gap
     margin = field.error_bound * _volume(rule) ** (1.0 / p)
-    limit = bound * (1.0 + slack) + margin + 1e-8
+    limit = bound * (1.0 + _LP_SLACK) + margin + 1e-8
     return CheckReport(
         name="lp_perturbation_gap",
         lhs=lhs,
@@ -179,8 +180,7 @@ def lp_perturbation_gap(field: FractalField, rule: QuadratureRule, p: float,
 
 
 def complex_perturbation_gap(F: FractalOperator, pair: ComplexFieldPair, p: float,
-                             resolution: int = 513, eval_tol: float = 1e-10,
-                             slack: float = 0.05) -> CheckReport:
+                             resolution: int = 513, eval_tol: float = 1e-10) -> CheckReport:
     """Check ||F_C(f) - f||_p <= M * a * ||F_C(f) - D_C(f)||_p with
     M = 2^(1/2 + 1/p) and D_C acting componentwise. ``rhs`` is the
     threshold lhs is compared against: that bound with a relative slack
@@ -202,7 +202,7 @@ def complex_perturbation_gap(F: FractalOperator, pair: ComplexFieldPair, p: floa
     bound = m_constant(p) * a * lp_norm(gap, rule, p)
     bound_sup = math.hypot(fld_re.error_bound, fld_im.error_bound)
     margin = (1.0 + m_constant(p) * a) * bound_sup * _volume(rule) ** (1.0 / p)
-    limit = bound * (1.0 + slack) + margin + 1e-8
+    limit = bound * (1.0 + _LP_SLACK) + margin + 1e-8
     return CheckReport(name="complex_perturbation_gap", lhs=lhs, rhs=limit,
                        passed=lhs <= limit,
                        details={"p": p, "m_constant": m_constant(p), "alpha_sup": a})
@@ -219,8 +219,8 @@ def complex_l2_identity_check(F: FractalOperator, pair: ComplexFieldPair,
     F_C(i*f) = i*F_C(f) pointwise on the quadrature grid, which pushes a
     sign and a swap through two independently built perturbations. Both
     are compared in relative terms against ``tol``. The four fields F(f1),
-    F(f2) and those of the rotated pair are sampled in one chain walk
-    (those with a kept sample of the grid are not chained again).
+    F(f2) and those of the rotated pair are sampled together (``_samples``;
+    those with a kept sample of the grid are not walked again).
     """
     rule = quadrature_rule(F.net.box, resolution)
     pert = complexify_apply(F, pair, tol=eval_tol)

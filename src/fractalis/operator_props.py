@@ -58,6 +58,10 @@ from .fractal_core import (
 )
 from .net import Net, node_arrays, node_points
 
+_SUP_SLACK = 1e-6  # relative slack of the checks with grid sups on both sides
+# neumann_inverse: outer steps at most, inner tolerance per tol, norm slack
+_MAX_OUTER, _INNER_TOL_RATIO, _INVERSE_NORM_SLACK = 500, 1e-3, 1e-3
+
 __all__ = [
     "OperatorSpec",
     "NeumannResult",
@@ -293,7 +297,7 @@ def _sup_gap(field: FractalField, axes) -> CheckReport:
 def _sup_gaps(fields, axes) -> list:
     """||Ff - f|| <= a/(1-a) * ||f - s|| for the perturbed field of each
     config, with sup norms taken as maxima over the tensor grid of
-    ``axes``: the fields (one net) are sampled in one chain walk, and f and
+    ``axes``: the fields (one net) are sampled together (``_samples``), f and
     f - s of all of them are evaluated together (``with_gaps``). Each
     report's ``rhs`` is that ``bound`` plus the ``margin``, the field's
     certified truncation bound; the verdict allows 1e-12 more for rounding.
@@ -388,17 +392,17 @@ def operator_norm_upper(F: FractalOperator) -> float:
 
 
 def operator_norm_check(F: FractalOperator, samples, resolution: int = 257,
-                        eval_tol: float = 1e-10, slack: float = 1e-6) -> CheckReport:
+                        eval_tol: float = 1e-10) -> CheckReport:
     """Empirical ratios ||Ff|| / ||f|| over sample fields stay below the
     norm bound ``rhs``; grid sups on both sides, hence the relative slack,
     and the truncation bounds relative to ||f|| widen it by ``margin``.
-    The F(f) of the samples are sampled in one chain walk."""
+    The F(f) of the samples are sampled together (``_samples``)."""
     samples = list(samples)
     upper = operator_norm_upper(F)
     axes = box_axes(F.net.box, resolution)
     fields = [F(f, tol=eval_tol) for f in samples]
     f_sups = [float(np.max(np.abs(mesh_eval(as_field(f), axes)))) for f in samples]
-    # the fields of the nonzero samples, sampled in one chain walk
+    # the fields of the nonzero samples, sampled together
     nonzero = [(fld, f_sup) for fld, f_sup in zip(fields, f_sups) if f_sup != 0.0]
     perturbed = _samples([fld for fld, _ in nonzero], _open_mesh(axes))
     worst = 0.0
@@ -408,12 +412,12 @@ def operator_norm_check(F: FractalOperator, samples, resolution: int = 257,
         margin = max(margin, field.error_bound / f_sup)
         worst = max(worst, ratio)
     return CheckReport(name="operator_norm", lhs=worst, rhs=upper,
-                       passed=worst <= upper * (1.0 + slack) + margin,
+                       passed=worst <= upper * (1.0 + _SUP_SLACK) + margin,
                        details={"margin": margin, "n_samples": len(samples)})
 
 
 def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
-                        eval_tol: float = 1e-10, slack: float = 1e-6) -> CheckReport:
+                        eval_tol: float = 1e-10) -> CheckReport:
     """Check ||f|| <= (1+a)/(1 - a*||D||) * ||Ff||, valid for a*||D|| < 1.
 
     ``rhs`` is that ``bound`` plus the truncation ``margin`` scaled by the
@@ -432,27 +436,25 @@ def bounded_below_check(F: FractalOperator, f, resolution: int = 257,
     bound = factor * pert_sup
     margin = factor * field.error_bound
     return CheckReport(name="bounded_below", lhs=lhs, rhs=bound + margin,
-                       passed=lhs <= bound * (1.0 + slack) + margin,
+                       passed=lhs <= bound * (1.0 + _SUP_SLACK) + margin,
                        details={"bound": bound, "margin": margin, "factor": factor,
                                 "alpha_sup": a, "norm_d": norm_d})
 
 
 def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
-                    max_outer: int = 500, inner_tol: float | None = None,
-                    require_precondition: bool = True,
-                    norm_slack: float = 1e-3) -> NeumannResult:
+                    require_precondition: bool = True) -> NeumannResult:
     """Solve F(f) = target by the residual iteration f <- f + (target - Ff).
 
     The iteration is the Neumann series for F^{-1}: the error contracts
     by at least rate_bound = a*||Id-D||/(1-a) per step, which must be
     below 1 (equivalently a < 1/(1 + ||Id-D||)). Each application of F is
-    computed to ``inner_tol`` by grid fixed-point sweeps, the iteration of
-    ``solve_fixed_point_grid``, whose grid-fixed parts (the preimage mesh,
-    its cells and weights, and alpha on the grid) are prepared once per
-    inversion; residual ratios are measured only while both residuals sit
-    safely above that noise floor. The recovered field is also checked
-    against the inverse norm bound (1+a)/(1 - a*||D||). AdmissibilityError
-    when sup|alpha| >= 1.
+    computed to tol * _INNER_TOL_RATIO by grid fixed-point sweeps, the
+    iteration of ``solve_fixed_point_grid``, whose grid-fixed parts (the
+    preimage mesh, its cells and weights, and alpha on the grid) are
+    prepared once per inversion; residual ratios are measured only while
+    both residuals sit safely above that noise floor. The recovered field
+    is also checked against the inverse norm bound (1+a)/(1 - a*||D||).
+    AdmissibilityError when sup|alpha| >= 1.
     """
     net, alpha, op, a = F.net, F.alpha, F.op, F.alpha_sup
     target = as_field(target)
@@ -464,15 +466,14 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
             f"inversion needs sup|alpha| < 1/(1 + ||Id-D||) = "
             f"{1.0 / (1.0 + norm_idd):.6g}, got {a}"
         )
-    if inner_tol is None:
-        inner_tol = tol * 1e-3
+    inner_tol = tol * _INNER_TOL_RATIO
 
     axes = box_axes(net.box, resolution)
     sweep = _GridSweep(net, alpha, axes)
     g_vals = mesh_eval(target, axes)
     f_vals = g_vals.copy()
     residuals = []
-    for iteration in range(1, max_outer + 1):
+    for iteration in range(1, _MAX_OUTER + 1):
         current = NetInterpolant(axes, f_vals)
         ff_vals = sweep.solve(current, apply_operator(op, current, net), a,
                               tol=inner_tol).grid.values
@@ -483,7 +484,7 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
         f_vals = f_vals + (g_vals - ff_vals)
     else:
         raise IterationError(
-            f"no convergence to residual {tol:.3e} in {max_outer} iterations "
+            f"no convergence to residual {tol:.3e} in {_MAX_OUTER} iterations "
             f"(last residual {residuals[-1]:.3e})",
             residuals[-1],
         )
@@ -499,7 +500,7 @@ def neumann_inverse(F: FractalOperator, target, resolution, tol: float = 1e-6,
     inv_bound = _inverse_norm_bound(a, norm_d) if a * norm_d < 1.0 else math.inf
     recovered_norm = float(np.max(np.abs(f_vals)))
     target_norm = float(np.max(np.abs(g_vals)))
-    norm_ok = recovered_norm <= inv_bound * target_norm * (1.0 + norm_slack) + 1e-12
+    norm_ok = recovered_norm <= inv_bound * target_norm * (1.0 + _INVERSE_NORM_SLACK) + 1e-12
 
     return NeumannResult(
         grid=NetInterpolant(axes, f_vals),
@@ -538,8 +539,8 @@ def alpha_sequence_convergence(net: Net, f, base, scales,
     per-step bound is a_n/(1-a_n) * ||f - s||, so the errors decay to 0
     with the scales. The gap f - s does not depend on the scale, so the
     config is built once and each scale replaces its alpha; the fields of
-    all scales share f and s, and are sampled in one chain walk, which
-    evaluates f and f - s once per level for all of them. See
+    all scales share f and s, and are sampled together: off the orbit, one
+    chain walk evaluates f and f - s once per level for all of them. See
     ``_sequence_report`` for the report.
     """
     f = as_field(f)
@@ -580,8 +581,8 @@ def operator_sequence_convergence(F: FractalOperator, f, blend_weights,
     All D_t share one node interpolant I f, and their configs one gap
     G = sup |f - I f|, scaled by t (``fractal_core._blend_configs``): each
     config's gap is the number a config of its own would take, bit for
-    bit. The fields of all t are sampled in one chain walk, which
-    evaluates f and I f once per level for all of them. See
+    bit. The fields of all t are sampled together: off the orbit, one chain
+    walk evaluates f and I f once per level for all of them. See
     ``_sequence_report`` for the report.
     """
     f = as_field(f)

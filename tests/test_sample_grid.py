@@ -1,5 +1,9 @@
 """Grid sampling: the exact orbit path on net-compatible grids against the
-chain evaluator, the index map itself, and the chain fallback."""
+chain evaluator, the index map itself, the chain fallback, and the one
+place that picks between them (``fractal_core._samples``), whichever
+sampler asks."""
+
+import zlib
 
 import numpy as np
 import pytest
@@ -9,15 +13,19 @@ from fractalis import (
     ConstantField,
     DeltaFifField,
     FractalField,
+    blend_operator,
     build_net,
+    fractal_operator,
     make_config,
     make_delta_fif,
     parse_field,
+    perturbation_gap,
     sample_grid,
     solve_fixed_point_grid,
 )
 from fractalis import fractal_core
-from fractalis.fractal_core import _eval_chunked, _orbit_maps
+from fractalis._fields import _open_mesh, box_axes, mesh_eval
+from fractalis.fractal_core import _eval_chunked, _orbit_maps, _samples
 
 
 def _dyadic_uniform_net(rng, cells):
@@ -42,7 +50,8 @@ def _random_field(rng, net, tol=1e-9, depth=None, sup_target=None):
 
 
 def _chain_values(field, axes):
-    return field.eval_arrays(np.meshgrid(*axes, indexing="ij"))
+    """The float chain on the dense grid of ``axes``, whatever the grid."""
+    return fractal_core._chains([field], np.meshgrid(*axes, indexing="ij"))[0]
 
 
 def _slab_values(monkeypatch, field, axes):
@@ -298,3 +307,112 @@ def test_fallback_hands_the_field_the_open_mesh(monkeypatch, construction, knots
 def test_sample_grid_rejects_other_objects():
     with pytest.raises(TypeError):
         sample_grid(parse_field("x1", 1), 9)
+
+
+# points per axis: res - 1 is divisible by 2 and by 3, while res + 1 points
+# give res intervals, a prime that neither divides
+_PROPERTY_RES = {1: 31, 2: 13, 3: 7}
+
+
+def _property_net(rng, dim, bounds, grid):
+    """Two or three cells per axis on dyadic or random bounds; uniform
+    knots, or on ``nonuniform`` grids a first interior knot moved off 1/3."""
+    box, knots = [], []
+    for _ in range(dim):
+        if bounds == "dyadic":
+            lo = float(rng.integers(-8, 5)) / 4.0
+            hi = lo + 2.0 ** int(rng.integers(-1, 2))
+        else:
+            lo = float(rng.uniform(-2.0, 1.0))
+            hi = lo + float(rng.uniform(0.5, 3.0))
+        if grid == "res_off":
+            n = int(rng.choice([2, 3]))
+        else:
+            n = 2 if grid == "two_cells" else 3
+        axis = np.linspace(lo, hi, n + 1)
+        if grid == "nonuniform":
+            axis[1] = lo + 0.3 * (hi - lo)
+        box.append((lo, hi))
+        knots.append([float(t) for t in axis])
+    return build_net(box, knots)
+
+
+def _renewed(field):
+    """A field of the same construction and depth, with no kept sample."""
+    if isinstance(field, DeltaFifField):
+        return DeltaFifField(field.fif, tol=field.tol, depth=field.depth)
+    return FractalField(field.config, tol=field.tol, depth=field.depth)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below_ratio", "above_ratio"])
+@pytest.mark.parametrize("grid", ["two_cells", "three_cells", "nonuniform", "res_off"])
+@pytest.mark.parametrize("bounds", ["dyadic", "random"])
+@pytest.mark.parametrize("construction", ["alpha", "delta"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_every_grid_sampler_takes_the_one_path(dim, construction, bounds, grid, above):
+    # mesh_eval, eval_arrays on the open mesh and sample_grid give the same
+    # bits: the exact orbit where the grid is net-compatible, the float
+    # chain elsewhere, whichever of them asks
+    case = f"{dim} {construction} {bounds} {grid} {above}"
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    net = _property_net(rng, dim, bounds, grid)
+    scale = float(rng.uniform(0.55, 0.65) if above else rng.uniform(0.15, 0.3))
+    if construction == "alpha":
+        field = _random_field(rng, net, sup_target=scale)
+    else:
+        shape = tuple(part.n_cells + 1 for part in net.axes)
+        fif = make_delta_fif(net, rng.uniform(-2, 2, size=shape), -scale)
+        field = DeltaFifField(fif, tol=1e-9)
+    res = _PROPERTY_RES[dim] + (grid == "res_off")
+    axes = box_axes(net.box, res)
+    maps = _orbit_maps(net, (res,) * dim)
+    assert (maps is not None) == (grid in ("two_cells", "three_cells"))
+    want = (_chain_values(field, axes) if maps is None
+            else _renewed(field)._orbit(axes, maps))
+    for got in (mesh_eval(_renewed(field), axes),
+                _renewed(field).eval_arrays(_open_mesh(axes)),
+                sample_grid(_renewed(field), res)[1]):
+        assert got.tobytes() == want.tobytes()
+
+    # a family gets each field's own sample, kept read-only, and a repeat
+    # call on the same axes returns the kept one
+    other = (FractalField(field.config, depth=3) if construction == "alpha"
+             else DeltaFifField(make_delta_fif(net, field.fif.values, scale / 2), depth=3))
+    family = [field, other, field]
+    sampled = _samples(family, _open_mesh(axes))
+    assert sampled[0] is sampled[2]
+    for fld, values in zip(family, sampled):
+        assert values.tobytes() == mesh_eval(_renewed(fld), axes).tobytes()
+        assert not values.flags.writeable
+        assert _samples([fld], _open_mesh(axes))[0] is values
+
+
+def test_fields_walked_together_on_the_orbit_must_share_a_net():
+    two = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
+    three = build_net([(0.0, 1.0)], [[0.0, 1 / 3, 2 / 3, 1.0]])
+    fields = [DeltaFifField(make_delta_fif(net, np.arange(net.axes[0].n_cells + 1.0), 0.3))
+              for net in (two, three)]
+    axes = box_axes(two.box, 13)
+    assert all(_orbit_maps(fld.net, (13,)) is not None for fld in fields)
+    with pytest.raises(ValueError, match="share a net"):
+        _samples(fields, _open_mesh(axes))
+
+
+def test_a_one_point_axis_takes_the_chain():
+    # no grid of one point per axis is net-compatible: (res - 1) / n is 0
+    net = build_net([(0.0, 1.0)], [[0.0, 0.5, 1.0]])
+    field = DeltaFifField(make_delta_fif(net, [0.0, 1.0, 0.5], 0.3))
+    assert _orbit_maps(net, (1,)) is None
+    point = [np.array([0.0])]
+    assert field.eval_arrays(point).tobytes() == _chain_values(field, point).tobytes()
+
+
+def test_perturbation_gap_reads_the_sampled_grid():
+    # a uniform 3x3-cell net above the cell ratio with a non-dyadic step:
+    # the check's lhs is max |F f - f| on the very values sample_grid gives
+    net = build_net([(0.0, 1.0)] * 2, [[0.0, 1 / 3, 2 / 3, 1.0]] * 2)
+    F = fractal_operator(net, 0.55, blend_operator(0.6))
+    f = parse_field("sin(3*x1)*cos(2*x2)+x1*x2", 2)
+    rep = perturbation_gap(F, f, resolution=31)
+    axes, values = sample_grid(FractalField(F.config(f), tol=1e-10), 31)
+    assert rep.lhs == float(np.max(np.abs(values - mesh_eval(f, axes))))

@@ -48,7 +48,10 @@ their stdout, stderr, exit code and CSV output byte for byte:
 - ``norms`` on ``POLY_2D``, polynomial fields on the nonuniform
   ``verify-2d`` net, whose scale sup and base gap peak off every grid: the
   closed-form bounds print above the grid maxima a checkout without them
-  prints.
+  prints;
+- ``verify`` on ``ORBIT_2D``, a uniform 3x3-cell net at a net-compatible
+  resolution with a scale of 0.55, above the cell ratio 1/3, whose checks
+  sample the exact orbit where the float chain drifts by rounding.
 
 Together these reach every check of the ``verify`` battery, both of its
 operator-free and multiplication SKIPs, the ``inverse_rate`` SKIP, the
@@ -136,6 +139,16 @@ POLY_2D = {
     "operator": {"kind": "blend", "t": 0.6},
     "run": {"resolution": 33, "p": [1, 2]},
 }
+# a uniform 3x3-cell net, a 31^2 grid (30 divisible by 3) and a scale above
+# the cell ratio 1/3: the one input on which the checks' orbit samples and
+# the float chain's differ in the printed digits
+ORBIT_2D = {
+    "box": {"bounds": [[0, 1], [0, 1]]},
+    "net": {"knots": [[0, 1 / 3, 2 / 3, 1], [0, 1 / 3, 2 / 3, 1]]},
+    "fields": {"f": "sin(3*x1)*cos(x2)+x1*x2", "alpha": 0.55},
+    "operator": {"kind": "blend", "t": 0.6},
+    "run": {"resolution": 31, "seed": 0, "p": [1, 2]},
+}
 # a required inversion whose contraction bound is 1.5: verify exits 1
 INVERSE_FAIL = {
     "box": {"bounds": [[0, 1]]},
@@ -180,7 +193,8 @@ def write_inputs(work: Path) -> dict:
                       ("explicit-2d", EXPLICIT_2D),
                       ("multiplication-2d", MULTIPLICATION_2D),
                       ("inverse-fail", INVERSE_FAIL), ("wide-range-2d", WIDE_RANGE_2D),
-                      ("baseline-4d", BASELINE_4D), ("poly-2d", POLY_2D)):
+                      ("baseline-4d", BASELINE_4D), ("poly-2d", POLY_2D),
+                      ("orbit-2d", ORBIT_2D)):
         path = work / f"{name}.json"
         path.write_text(json.dumps(cfg))
         configs[name] = str(path)
@@ -243,6 +257,7 @@ def commands(configs: dict) -> list:
                 ["eval", "--config", configs["baseline-4d"], "--out", "out.csv",
                  BASELINE_4D_POINT], "out.csv"))
     out.append(("norms poly-2d", ["norms", "--config", configs["poly-2d"]], None))
+    out.append(("verify orbit-2d", ["verify", "--config", configs["orbit-2d"]], None))
     return out
 
 
